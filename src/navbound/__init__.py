@@ -19,11 +19,10 @@ from .track import (DegenerateGeometryError, FrenetFrame, MagnificationS,
                     directional_cosines, frenet_frame, magnification_s,
                     magnification_uv, sign_condition, solve_three_sat,
                     solve_two_sat, synthetic_geometry)
-from .orbits import (EphemerisRecord, EphemerisError, GpsTime, SiteLocation,
-                     VisibleSat, ecef_to_enu, geodetic_to_ecef,
-                     parse_position_csv, parse_rinex_nav, sat_position_ecef,
-                     solve_kepler, visible_satellites)
-from .scan import (EpochResult, Histogram, ScanConfig, histogram, scan_ms,
-                   scan_ms_positions)
+from .orbits import (EphemerisRecord, EphemerisError, GpsTime, PositionTable,
+                     SiteLocation, VisibleSat, ecef_to_enu, geodetic_to_ecef,
+                     parse_position_csv, parse_rinex_nav, position_grid,
+                     sat_position_ecef, solve_kepler, visible_satellites)
+from .scan import EpochResult, Histogram, ScanConfig, histogram, scan_ms
 
 __version__ = "0.1.0"

@@ -1,6 +1,6 @@
 """GPS C/A (coarse/acquisition) Gold code generation."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

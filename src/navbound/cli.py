@@ -7,7 +7,8 @@ Subcommands:
   scan          full-day along-track magnification sweep over an ephemeris file
   hist          relative-frequency histogram of a scan series
 
-Exit codes: 0 success, 1 degenerate or inadmissible input, 2 usage error.
+Exit codes: 0 success, 1 degenerate or inadmissible input (including a
+failed delay estimate or orbit propagation), 2 usage error.
 Data goes to stdout (or --output); diagnostics go to stderr.
 """
 
@@ -24,14 +25,15 @@ import numpy as np
 
 from . import scan as scan_mod
 from .cacode import generate_ca_code
-from .orbits import (DEFAULT_GPS_UTC_OFFSET, GpsTime, SiteLocation,
-                     parse_position_csv, parse_rinex_nav)
-from .scan import ScanConfig, histogram, scan_ms, scan_ms_positions
-from .signal_model import (NoiseConfig, default_spec, perturbation_experiment,
+from .orbits import (DEFAULT_GPS_UTC_OFFSET, EphemerisError, GpsTime,
+                     SiteLocation, parse_position_csv, parse_rinex_nav)
+from .scan import ScanConfig, histogram, scan_ms
+from .signal_model import (DegenerateCurvatureError, DelayEstimationError,
+                           NoiseConfig, default_spec, perturbation_experiment,
                            worst_interference, sample_waveform)
 from .track import (DegenerateGeometryError, SatGeometry, determinant_d,
-                    frenet_frame, magnification_s, magnification_uv,
-                    sign_condition)
+                    directional_cosines, frenet_frame, magnification_s,
+                    magnification_uv, sign_condition)
 
 EXIT_OK = 0
 EXIT_DEGENERATE = 1
@@ -96,7 +98,6 @@ def _load_geometry(path: str) -> list[SatGeometry]:
         sat_id = str(rec.get("sat_id", len(sats) + 1))
         if "f" in rec:
             f, h = float(rec["f"]), float(rec["h"])
-            g = np.array([0.0, 0.0, 0.0])
             # reconstruct a consistent unit g from the cosines
             g = f * frame.u + h * frame.v
             rest = 1.0 - f * f - h * h
@@ -106,13 +107,9 @@ def _load_geometry(path: str) -> list[SatGeometry]:
         else:
             el = math.radians(float(rec["elevation"]))
             az = math.radians(float(rec["azimuth"]))
-            d = np.array([math.sin(az) * math.cos(el),
-                          math.cos(az) * math.cos(el),
-                          math.sin(el)])
-            g = -d
-            sats.append(SatGeometry(sat_id=sat_id, g=g,
-                                    f=float(np.dot(g, frame.u)),
-                                    h=float(np.dot(g, frame.v))))
+            d = [math.sin(az) * math.cos(el), math.cos(az) * math.cos(el),
+                 math.sin(el)]
+            sats.extend(directional_cosines([d], frame, sat_ids=[sat_id]))
     return sats
 
 
@@ -170,25 +167,22 @@ def _cmd_scan(args) -> int:
     with open(args.nav) as f:
         text = f.read()
     site = SiteLocation(args.lat, args.lon, args.height)
-    is_csv = text.lstrip().lower().startswith("sat_id")
-    if is_csv:
-        table = parse_position_csv(text)
-        times = sorted(t for entries in table.entries.values()
-                       for t, _ in entries)
-        start, end = times[0], times[-1].add_seconds(args.step)
+    if text.lstrip().lower().startswith("sat_id"):
+        source = parse_position_csv(text)
+        if not source.sat_ids:
+            print("no usable position rows", file=sys.stderr)
+            return EXIT_DEGENERATE
+        start = GpsTime.from_seconds(source.epochs[0])
+        end = GpsTime.from_seconds(source.epochs[-1] + args.step)
     else:
-        ephemerides = parse_rinex_nav(text)
-        if not ephemerides:
+        source = parse_rinex_nav(text)
+        if not source:
             print("no usable ephemeris records", file=sys.stderr)
             return EXIT_DEGENERATE
-        start, end = _day_span(ephemerides, args.utc_offset)
-    config = ScanConfig(
-        site=site, track_azimuth=args.azimuth, mask=args.mask,
-        step=args.step, start=start, end=end,
-        pair_policy="all-pairs" if args.all_pairs else "best-pair",
-    )
-    results = (scan_ms_positions(config, table) if is_csv
-               else scan_ms(config, ephemerides))
+        start, end = _day_span(source, args.utc_offset)
+    config = ScanConfig(site=site, track_azimuth=args.azimuth, mask=args.mask,
+                        step=args.step, start=start, end=end)
+    results = scan_ms(config, source)
     text_out = (scan_mod.series_json(results) + "\n" if args.format == "json"
                 else scan_mod.series_csv(results))
     _emit(text_out, args.output)
@@ -254,7 +248,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="track azimuth, degrees clockwise from north")
     p.add_argument("--mask", type=float, default=15.0)
     p.add_argument("--step", type=float, default=60.0)
-    p.add_argument("--all-pairs", action="store_true")
     p.add_argument("--utc-offset", type=float, default=DEFAULT_GPS_UTC_OFFSET,
                    help="GPS-UTC offset in seconds")
     common(p)
@@ -278,7 +271,8 @@ def run(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except DegenerateGeometryError as exc:
+    except (DegenerateGeometryError, DegenerateCurvatureError,
+            DelayEstimationError, EphemerisError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_DEGENERATE
     except (OSError, ValueError, KeyError) as exc:

@@ -10,14 +10,14 @@ from __future__ import annotations
 import datetime as dt
 import logging
 import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from functools import total_ordering
-from typing import Optional, Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
-from .constants import (GM_EARTH, OMEGA_EARTH, SECONDS_PER_WEEK, WGS84_A,
-                        WGS84_B, WGS84_E2)
+from .constants import GM_EARTH, OMEGA_EARTH, SECONDS_PER_WEEK, WGS84_A, WGS84_E2
 
 log = logging.getLogger(__name__)
 
@@ -54,19 +54,21 @@ class GpsTime:
         return self.total_seconds() - other.total_seconds()
 
     def add_seconds(self, seconds: float) -> "GpsTime":
-        total = self.total_seconds() + seconds
-        week = int(total // SECONDS_PER_WEEK)
-        return GpsTime(week, total - week * SECONDS_PER_WEEK)
+        return GpsTime.from_seconds(self.total_seconds() + seconds)
 
     def __lt__(self, other: "GpsTime") -> bool:
         return self.total_seconds() < other.total_seconds()
 
     @classmethod
+    def from_seconds(cls, total: float) -> "GpsTime":
+        """GPS time `total` seconds after the GPS epoch."""
+        week = int(total // SECONDS_PER_WEEK)
+        return cls(week, float(total - week * SECONDS_PER_WEEK))
+
+    @classmethod
     def from_utc(cls, utc: dt.datetime,
                  gps_utc_offset: float = DEFAULT_GPS_UTC_OFFSET) -> "GpsTime":
-        delta = (utc - GPS_EPOCH).total_seconds() + gps_utc_offset
-        week = int(delta // SECONDS_PER_WEEK)
-        return cls(week, delta - week * SECONDS_PER_WEEK)
+        return cls.from_seconds((utc - GPS_EPOCH).total_seconds() + gps_utc_offset)
 
     def to_utc(self, gps_utc_offset: float = DEFAULT_GPS_UTC_OFFSET) -> dt.datetime:
         return GPS_EPOCH + dt.timedelta(seconds=self.total_seconds() - gps_utc_offset)
@@ -299,107 +301,125 @@ def enu_rotation(site: SiteLocation) -> np.ndarray:
     ])
 
 
-def ecef_to_enu(site: SiteLocation, point) -> tuple[np.ndarray, float, float]:
-    """ENU vector of an ECEF point about the site, plus elevation/azimuth in degrees."""
-    diff = np.asarray(point, dtype=float) - geodetic_to_ecef(site)
-    rng = np.linalg.norm(diff)
-    if rng == 0:
-        raise ValueError("point coincides with the site")
-    enu = enu_rotation(site) @ diff
-    elevation = math.degrees(math.asin(enu[2] / rng))
-    azimuth = math.degrees(math.atan2(enu[0], enu[1])) % 360.0
-    return enu, elevation, azimuth
+def ecef_to_enu(site: SiteLocation, point) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ENU vectors of ECEF points (shape (..., 3)) about the site, plus
+    elevation and azimuth in degrees (shape (...)).
 
-
-def visible_satellites(ephemerides: Sequence[EphemerisRecord],
-                       site: SiteLocation, t: GpsTime,
-                       mask: float = 15.0) -> list[VisibleSat]:
-    """Satellites above the elevation mask at GPS time t.
-
-    For each satellite the record with the nearest toe inside its validity
-    window is used; satellites with no usable record are dropped.
+    A NaN point (no satellite position) gives NaN elevation and azimuth.
     """
-    if not ephemerides:
-        raise ValueError("empty ephemeris set")
-    if not 0 <= mask < 90:
-        raise ValueError("mask must be in [0, 90) degrees")
-
-    by_sat: dict[str, EphemerisRecord] = {}
-    for eph in ephemerides:
-        dt_cur = abs(t - eph.toe)
-        if dt_cur > eph.validity_window:
-            continue
-        prev = by_sat.get(eph.sat_id)
-        if prev is None or dt_cur < abs(t - prev.toe):
-            by_sat[eph.sat_id] = eph
-
-    out = []
-    for sat_id in sorted(by_sat):
-        pos = sat_position_ecef(by_sat[sat_id], t)
-        enu, elevation, azimuth = ecef_to_enu(site, pos)
-        if elevation >= mask:
-            out.append(VisibleSat(
-                sat_id=sat_id,
-                enu_unit_dir=enu / np.linalg.norm(enu),
-                elevation=elevation, azimuth=azimuth,
-            ))
-    return out
+    diff = np.asarray(point, dtype=float) - geodetic_to_ecef(site)
+    rng = np.linalg.norm(diff, axis=-1)
+    if np.any(rng == 0):
+        raise ValueError("point coincides with the site")
+    enu = diff @ enu_rotation(site).T
+    elevation = np.degrees(np.arcsin(enu[..., 2] / rng))
+    azimuth = np.degrees(np.arctan2(enu[..., 0], enu[..., 1])) % 360.0
+    return enu, elevation, azimuth
 
 
 # --- alternative CSV ingestion (sat_id,week,sow,x_m,y_m,z_m) ---------------
 
-@dataclass
+# A table row belongs to a requested epoch when their GPS times are this close.
+EPOCH_TOLERANCE = 1e-6
+
+
+@dataclass(frozen=True)
 class PositionTable:
-    """Precomputed ECEF satellite positions keyed by satellite and epoch."""
+    """Precomputed ECEF satellite positions on a dense epoch axis.
 
-    entries: dict = field(default_factory=dict)  # sat_id -> list[(GpsTime, ndarray)]
+    `epochs` holds the distinct row times (seconds since the GPS epoch),
+    sorted; `ecef[epoch, sat, 3]` is NaN where a satellite has no row.
+    """
 
-    def add(self, sat_id: str, t: GpsTime, pos: np.ndarray):
-        self.entries.setdefault(sat_id, []).append((t, pos))
-
-    def position(self, sat_id: str, t: GpsTime,
-                 tolerance: float = 1e-6) -> Optional[np.ndarray]:
-        for tt, pos in self.entries.get(sat_id, ()):
-            if abs(tt - t) <= tolerance:
-                return pos
-        return None
+    sat_ids: tuple[str, ...]
+    epochs: np.ndarray
+    ecef: np.ndarray
 
 
 def parse_position_csv(text: str) -> PositionTable:
-    """Parse the alternative `sat_id,week,sow,x_m,y_m,z_m` position format."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].lower().startswith("sat_id"):
+    """Parse the alternative `sat_id,week,sow,x_m,y_m,z_m` position format.
+
+    A row with the wrong field count or an unreadable field is skipped with
+    its line number logged. Of repeated (satellite, epoch) rows the first
+    is kept.
+    """
+    rows = ((n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip())
+    if not next(rows, (0, ""))[1].lower().startswith("sat_id"):
         raise ValueError("position CSV must start with a sat_id,... header row")
-    table = PositionTable()
-    for k, line in enumerate(lines[1:], start=2):
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 6:
-            log.warning("line %d: expected 6 CSV fields, skipped", k)
+    sat_of, values = [], array("d")  # values: seconds, x, y, z per kept row
+    for n, line in rows:
+        try:
+            sat_id, week, sow, x, y, z = (p.strip() for p in line.split(","))
+            row = [GpsTime(int(week), float(sow)).total_seconds(),
+                   float(x), float(y), float(z)]
+        except ValueError as exc:
+            log.warning("line %d: skipping malformed row: %s", n, exc)
             continue
-        sat_id, week, sow, x, y, z = parts
-        table.add(sat_id, GpsTime(int(week), float(sow)),
-                  np.array([float(x), float(y), float(z)]))
-    return table
+        sat_of.append(sat_id)
+        values.extend(row)
+    values = np.frombuffer(values).reshape(-1, 4)
+    sat_ids, sat_index = np.unique(np.array(sat_of, dtype=str), return_inverse=True)
+    epochs, epoch_index = np.unique(values[:, 0], return_inverse=True)
+    ecef = np.full((len(epochs), len(sat_ids), 3), np.nan)
+    cell = epoch_index * len(sat_ids) + sat_index
+    _, first = np.unique(cell, return_index=True)
+    ecef.reshape(-1, 3)[cell[first]] = values[first, 1:]
+    return PositionTable(tuple(sat_ids.tolist()), epochs, ecef)
 
 
-def visible_satellites_from_positions(table: PositionTable, site: SiteLocation,
-                                      t: GpsTime, mask: float = 15.0,
-                                      tolerance: float = 1e-6) -> list[VisibleSat]:
-    """Visibility filter over a precomputed position table (exact-epoch match)."""
-    if not table.entries:
-        raise ValueError("empty position table")
+PositionSource = Union[PositionTable, Sequence[EphemerisRecord]]
+
+
+def position_grid(source: PositionSource, epochs: Sequence[GpsTime],
+                  ) -> tuple[tuple[str, ...], np.ndarray]:
+    """ECEF position of every satellite of `source` at each epoch.
+
+    This is the one place that tells the two inputs apart. From a
+    PositionTable, the row within EPOCH_TOLERANCE of an epoch is used.
+    From broadcast ephemerides, each satellite uses its nearest-toe record
+    inside the validity window (the first in file order on ties),
+    propagated by `sat_position_ecef`. Returns the sorted satellite ids and
+    `ecef[epoch, sat, 3]`, NaN where a satellite has no position.
+    """
+    seconds = np.array([t.total_seconds() for t in epochs])
+    if isinstance(source, PositionTable):
+        if not source.sat_ids:
+            raise ValueError("empty position table")
+        k = np.minimum(np.searchsorted(source.epochs, seconds - EPOCH_TOLERANCE),
+                       len(source.epochs) - 1)
+        hit = np.abs(source.epochs[k] - seconds) <= EPOCH_TOLERANCE
+        grid = np.full((len(seconds), len(source.sat_ids), 3), np.nan)
+        grid[hit] = source.ecef[k[hit]]
+        return source.sat_ids, grid
+    if not source:
+        raise ValueError("empty ephemeris set")
+    by_sat: dict[str, list[EphemerisRecord]] = {}
+    for eph in source:
+        by_sat.setdefault(eph.sat_id, []).append(eph)
+    sat_ids = tuple(sorted(by_sat))
+    grid = np.full((len(seconds), len(sat_ids), 3), np.nan)
+    for s, sat_id in enumerate(sat_ids):
+        records = by_sat[sat_id]
+        dist = np.abs(seconds[:, None] - [r.toe.total_seconds() for r in records])
+        dist[dist > [r.validity_window for r in records]] = np.inf
+        nearest = dist.argmin(axis=1)
+        for e in np.flatnonzero(np.isfinite(dist.min(axis=1))):
+            grid[e, s] = sat_position_ecef(records[nearest[e]], epochs[e])
+    return sat_ids, grid
+
+
+def visible_satellites(source: PositionSource, site: SiteLocation, t: GpsTime,
+                       mask: float = 15.0) -> list[VisibleSat]:
+    """Satellites above the elevation mask at GPS time t, sorted by id.
+
+    Positions come from `position_grid` at the single epoch t; satellites
+    with no position there are dropped.
+    """
     if not 0 <= mask < 90:
         raise ValueError("mask must be in [0, 90) degrees")
-    out = []
-    for sat_id in sorted(table.entries):
-        pos = table.position(sat_id, t, tolerance)
-        if pos is None:
-            continue
-        enu, elevation, azimuth = ecef_to_enu(site, pos)
-        if elevation >= mask:
-            out.append(VisibleSat(
-                sat_id=sat_id,
-                enu_unit_dir=enu / np.linalg.norm(enu),
-                elevation=elevation, azimuth=azimuth,
-            ))
-    return out
+    sat_ids, ecef = position_grid(source, [t])
+    enu, elevation, azimuth = ecef_to_enu(site, ecef[0])
+    return [VisibleSat(sat_id=sat_id, enu_unit_dir=e / np.linalg.norm(e),
+                       elevation=float(el), azimuth=float(az))
+            for sat_id, e, el, az in zip(sat_ids, enu, elevation, azimuth)
+            if el >= mask]

@@ -12,14 +12,15 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass
+from itertools import compress
 from typing import Optional, Sequence
 
-from .orbits import (EphemerisRecord, GpsTime, PositionTable, SiteLocation,
-                     VisibleSat, visible_satellites,
-                     visible_satellites_from_positions)
-from .track import directional_cosines, frenet_frame
+import numpy as np
+
+from .orbits import (GpsTime, PositionSource, SiteLocation, ecef_to_enu,
+                     position_grid)
+from .track import frenet_frame
 
 
 @dataclass(frozen=True)
@@ -30,7 +31,6 @@ class ScanConfig:
     step: float
     start: GpsTime
     end: GpsTime
-    pair_policy: str = "best-pair"  # or "all-pairs"
 
     def __post_init__(self):
         if self.step <= 0:
@@ -39,8 +39,6 @@ class ScanConfig:
             raise ValueError("start must precede end")
         if not 0 <= self.mask < 90:
             raise ValueError("mask must be in [0, 90) degrees")
-        if self.pair_policy not in ("best-pair", "all-pairs"):
-            raise ValueError("pair_policy must be best-pair or all-pairs")
 
 
 @dataclass(frozen=True)
@@ -50,7 +48,6 @@ class EpochResult:
     visible_ids: tuple[str, ...]
     best_m_s: Optional[float] = None
     best_pair: Optional[tuple[str, str]] = None
-    all_pair_values: Optional[list] = None
 
 
 @dataclass(frozen=True)
@@ -60,64 +57,55 @@ class Histogram:
     overflow: float = 0.0
 
 
-def _epoch_pairs(visible: Sequence[VisibleSat], track_azimuth_deg: float):
-    """All admissible (m_s, id_a, id_b) pair values at one epoch, sorted."""
-    frame = frenet_frame([0.0, 0.0, 0.0], math.radians(track_azimuth_deg),
-                         "straight")
-    sats = directional_cosines([v.enu_unit_dir for v in visible], frame,
-                               sat_ids=[v.sat_id for v in visible])
-    values = []
-    for a, b in combinations(sats, 2):
-        if a.f * b.f < 0:
-            values.append((1.0 / min(abs(a.f), abs(b.f)), a.sat_id, b.sat_id))
-    values.sort()
-    return values
+# Epochs scored per array pass: bounds the (epoch, sat, 3) arrays for any
+# span and step.
+EPOCH_BLOCK = 256
 
 
-def _scan(config: ScanConfig, visibility) -> list[EpochResult]:
-    results = []
-    t = config.start
-    while t < config.end:
-        visible = visibility(t)
-        pairs = _epoch_pairs(visible, config.track_azimuth)
-        best = pairs[0] if pairs else None
-        results.append(EpochResult(
-            t=t,
-            n_visible=len(visible),
-            visible_ids=tuple(v.sat_id for v in visible),
-            best_m_s=best[0] if best else None,
-            best_pair=(best[1], best[2]) if best else None,
-            all_pair_values=pairs if config.pair_policy == "all-pairs" else None,
-        ))
-        t = t.add_seconds(config.step)
+def scan_ms(config: ScanConfig, source: PositionSource) -> list[EpochResult]:
+    """Sweep the epochs start + k * step (before end) over ephemerides or a
+    position table.
+
+    A pair (a, b) with opposite-sign cosines f scores
+    M_s = 1 / min(|f_a|, |f_b|) = max(r_a, r_b) with r = 1 / |f|, so the best
+    value is max(min r over f > 0, min r over f < 0). Of the pairs reaching
+    it, the first in sorted-id order is reported.
+    """
+    epochs = []
+    while (t := config.start.add_seconds(len(epochs) * config.step)) < config.end:
+        epochs.append(t)
+    tangent = frenet_frame([0.0, 0.0, 0.0], math.radians(config.track_azimuth),
+                           "straight").u
+    results, covered = [], False
+    for first in range(0, len(epochs), EPOCH_BLOCK):
+        block = epochs[first:first + EPOCH_BLOCK]
+        sat_ids, ecef = position_grid(source, block)
+        covered |= not np.isnan(ecef).all()
+        enu, elevation, _ = ecef_to_enu(config.site, ecef)
+        visible = elevation >= config.mask
+        enu /= np.linalg.norm(enu, axis=-1, keepdims=True)
+        f = -(enu @ tangent)
+        pos, neg = visible & (f > 0), visible & (f < 0)
+        with np.errstate(divide="ignore"):
+            r = 1.0 / np.abs(f)
+        best = np.maximum(np.where(pos, r, np.inf).min(axis=1),
+                          np.where(neg, r, np.inf).min(axis=1))
+        reach = (pos | neg) & (r <= best[:, None])
+        sat_a = reach.argmax(axis=1)
+        a_pos = pos[np.arange(len(block)), sat_a]
+        sat_b = (reach & (pos != a_pos[:, None])).argmax(axis=1)
+        for k, t in enumerate(block):
+            ok = math.isfinite(best[k])
+            results.append(EpochResult(
+                t=t,
+                n_visible=int(visible[k].sum()),
+                visible_ids=tuple(compress(sat_ids, visible[k])),
+                best_m_s=float(best[k]) if ok else None,
+                best_pair=(sat_ids[sat_a[k]], sat_ids[sat_b[k]]) if ok else None,
+            ))
+    if not covered:
+        raise ValueError("no satellite position in the scan span")
     return results
-
-
-def scan_ms(config: ScanConfig,
-            ephemerides: Sequence[EphemerisRecord]) -> list[EpochResult]:
-    """Sweep epochs using broadcast ephemerides."""
-    if not ephemerides:
-        raise ValueError("empty ephemeris set")
-    toes = [e.toe for e in ephemerides]
-    if max(toes).add_seconds(max(e.validity_window for e in ephemerides)) < config.start \
-            or min(toes) > config.end.add_seconds(max(e.validity_window for e in ephemerides)):
-        raise ValueError("ephemerides do not overlap the scan span")
-
-    def visibility(t):
-        return visible_satellites(ephemerides, config.site, t, config.mask)
-
-    return _scan(config, visibility)
-
-
-def scan_ms_positions(config: ScanConfig, table: PositionTable,
-                      tolerance: float = 1e-6) -> list[EpochResult]:
-    """Sweep epochs using a precomputed satellite position table."""
-
-    def visibility(t):
-        return visible_satellites_from_positions(table, config.site, t,
-                                                 config.mask, tolerance)
-
-    return _scan(config, visibility)
 
 
 def histogram(results: Sequence[EpochResult], bin_width: float = 0.1,
@@ -158,12 +146,9 @@ def series_csv(results: Sequence[EpochResult]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["week", "sow", "n_visible", "best_m_s", "sat_a", "sat_b"])
     for r in results:
-        if r.best_m_s is None:
-            writer.writerow([r.t.week, f"{r.t.seconds_of_week:.3f}",
-                             r.n_visible, "", "", ""])
-        else:
-            writer.writerow([r.t.week, f"{r.t.seconds_of_week:.3f}", r.n_visible,
-                             f"{r.best_m_s:.9f}", r.best_pair[0], r.best_pair[1]])
+        value = (["", "", ""] if r.best_m_s is None
+                 else [f"{r.best_m_s:.9f}", *r.best_pair])
+        writer.writerow([r.t.week, f"{r.t.seconds_of_week:.3f}", r.n_visible, *value])
     return buf.getvalue()
 
 

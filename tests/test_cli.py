@@ -1,10 +1,14 @@
+import hashlib
 import json
 import math
 import shutil
 
 import pytest
 
+from navbound import cli, orbits
 from navbound.cli import EXIT_DEGENERATE, EXIT_OK, EXIT_USAGE, run
+from navbound.orbits import EphemerisError
+from navbound.signal_model import DegenerateCurvatureError
 
 
 def write_geometry(tmp_path, sats, track_azimuth_deg=None):
@@ -58,6 +62,23 @@ class TestInterference:
         first = capsys.readouterr().out
         assert run(argv) == EXIT_OK
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("extra", [[], ["--sigma", "5"]])
+    def test_failed_estimate_exits_one(self, capsys, extra):
+        argv = ["interference", "--prn", "1", "--power", "1e3"] + extra
+        assert run(argv) == EXIT_DEGENERATE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+
+    def test_degenerate_curvature_exits_one(self, capsys, monkeypatch):
+        def degenerate(*args, **kwargs):
+            raise DegenerateCurvatureError("zero likelihood curvature")
+
+        monkeypatch.setattr(cli, "perturbation_experiment", degenerate)
+        assert run(["interference", "--prn", "1", "--power", "1e-4"]) \
+            == EXIT_DEGENERATE
+        assert capsys.readouterr().err == "zero likelihood curvature\n"
 
 
 class TestTrack:
@@ -143,6 +164,34 @@ class TestScanAndHist:
         assert run(argv + ["--output", str(a)]) == EXIT_OK
         assert run(argv + ["--output", str(b)]) == EXIT_OK
         assert a.read_text() == b.read_text()
+
+    def test_golden_full_day_csv(self, nav_path, tmp_path):
+        series = tmp_path / "series.csv"
+        assert run(["scan", "--nav", str(nav_path), "--lat", "34.75337",
+                    "--lon", "135.42783", "--height", "3.7", "--azimuth", "90",
+                    "--mask", "15", "--step", "60",
+                    "--output", str(series)]) == EXIT_OK
+        assert hashlib.sha256(series.read_bytes()).hexdigest() == \
+            "d3fd17a81918751215d7255e29ce91e4b4157ea9790da48259c845dabb128eb2"
+
+    def test_propagation_failure_exits_one(self, nav_path, capsys,
+                                           monkeypatch):
+        def diverge(eph, t):
+            raise EphemerisError("Kepler iteration did not converge")
+
+        monkeypatch.setattr(orbits, "sat_position_ecef", diverge)
+        assert run(["scan", "--nav", str(nav_path), "--lat", "34.75337",
+                    "--lon", "135.42783"]) == EXIT_DEGENERATE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "Kepler iteration did not converge\n"
+
+    def test_table_without_usable_rows(self, tmp_path, capsys):
+        table = tmp_path / "positions.csv"
+        table.write_text("sat_id,week,sow,x_m,y_m,z_m\nG01,1750,abc,1,2,3\n")
+        assert run(["scan", "--nav", str(table), "--lat", "34.75337",
+                    "--lon", "135.42783"]) == EXIT_DEGENERATE
+        assert "no usable position rows" in capsys.readouterr().err
 
     def test_hist_missing_column_fails_cleanly(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -10,8 +10,7 @@ from navbound.orbits import (EphemerisError, EphemerisRecord, GpsTime,
                              enu_rotation, geodetic_to_ecef,
                              parse_position_csv, parse_rinex_nav,
                              sat_position_ecef, solve_kepler,
-                             visible_satellites,
-                             visible_satellites_from_positions)
+                             visible_satellites)
 
 HEADER = (
     "     2.11           N: GPS NAV DATA                        "
@@ -329,7 +328,7 @@ class TestPositionCsv:
             x, y, z = sat_position_ecef(eph, t)
             rows.append(f"{sat_id},{t.week},{t.seconds_of_week},{x},{y},{z}")
         table = parse_position_csv("\n".join(rows))
-        vis_csv = visible_satellites_from_positions(table, site, t)
+        vis_csv = visible_satellites(table, site, t)
         assert [v.sat_id for v in vis_csv] == [v.sat_id for v in vis_direct]
 
     def test_header_required(self):

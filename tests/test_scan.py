@@ -1,15 +1,17 @@
 import datetime as dt
+import logging
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from navbound.orbits import (GpsTime, SiteLocation, parse_position_csv,
-                             parse_rinex_nav)
-from navbound.scan import (EpochResult, Histogram, ScanConfig, _epoch_pairs,
-                           hist_csv, hist_json, histogram, parse_series_csv,
-                           scan_ms, scan_ms_positions, series_csv,
-                           series_json)
+                             parse_rinex_nav, visible_satellites)
+from navbound.scan import (EpochResult, Histogram, ScanConfig, hist_csv,
+                           hist_json, histogram, parse_series_csv, scan_ms,
+                           series_csv, series_json)
+from navbound.track import directional_cosines, frenet_frame, magnification_s
 
 SITE = SiteLocation(34.75337, 135.42783, 3.7)
 
@@ -38,8 +40,6 @@ class TestConfig:
             make_config(end=GpsTime.from_utc(dt.datetime(2013, 7, 24)))
         with pytest.raises(ValueError):
             make_config(mask=90.0)
-        with pytest.raises(ValueError):
-            make_config(pair_policy="median")
 
 
 class TestTwoSatFromPositions:
@@ -52,7 +52,7 @@ class TestTwoSatFromPositions:
             rows.append(sat_row(sat_id, t, [-f, 0.0, up]))  # g = (f, 0, -up)
         table = parse_position_csv("\n".join(rows))
         cfg = make_config(start=t, end=t.add_seconds(60.0))
-        (result,) = scan_ms_positions(cfg, table)
+        (result,) = scan_ms(cfg, table)
         assert result.n_visible == 2
         assert result.best_m_s == pytest.approx(1.0 / 0.5, abs=1e-9)
         assert result.best_pair == ("G01", "G02")
@@ -65,25 +65,50 @@ class TestTwoSatFromPositions:
             rows.append(sat_row(sat_id, t, [-f, 0.0, up]))
         table = parse_position_csv("\n".join(rows))
         cfg = make_config(start=t, end=t.add_seconds(60.0))
-        (result,) = scan_ms_positions(cfg, table)
+        (result,) = scan_ms(cfg, table)
         assert result.n_visible == 2
         assert result.best_m_s is None
         assert result.best_pair is None
 
-    def test_all_pairs_policy(self):
+    def test_malformed_row_skipped(self, caplog):
         t = GpsTime.from_utc(dt.datetime(2013, 7, 25, 6))
         rows = ["sat_id,week,sow,x_m,y_m,z_m"]
-        for sat_id, f in (("G01", -0.5), ("G02", 0.8), ("G03", 0.4)):
+        for sat_id, f in (("G01", -0.5), ("G02", 0.8)):
+            up = math.sqrt(1 - f * f)
+            rows.append(sat_row(sat_id, t, [-f, 0.0, up]))
+        rows.insert(2, f"G03,{t.week},{t.seconds_of_week},1.0e7,oops,2.0e7")
+        with caplog.at_level(logging.WARNING, logger="navbound.orbits"):
+            table = parse_position_csv("\n".join(rows))
+        assert "line 3" in caplog.text
+        assert table.sat_ids == ("G01", "G02")
+        (result,) = scan_ms(make_config(start=t, end=t.add_seconds(60.0)), table)
+        assert result.best_m_s == pytest.approx(2.0, abs=1e-9)
+
+    def test_tie_reports_first_pair(self):
+        # G02 and G04 share a position, so their |f| tie exactly on the
+        # binding (negative) side; G01 also reaches the best value.
+        t = GpsTime.from_utc(dt.datetime(2013, 7, 25, 6))
+        rows = ["sat_id,week,sow,x_m,y_m,z_m"]
+        for sat_id, f in (("G01", 0.6), ("G02", -0.5), ("G03", 0.9),
+                          ("G04", -0.5)):
             up = math.sqrt(1 - f * f)
             rows.append(sat_row(sat_id, t, [-f, 0.0, up]))
         table = parse_position_csv("\n".join(rows))
-        cfg = make_config(start=t, end=t.add_seconds(60.0),
-                          pair_policy="all-pairs")
-        (result,) = scan_ms_positions(cfg, table)
-        values = [v for v, _, _ in result.all_pair_values]
-        assert values == sorted(values)
-        assert len(values) == 2  # G01-G02 and G01-G03
+        (result,) = scan_ms(make_config(start=t, end=t.add_seconds(60.0)), table)
         assert result.best_m_s == pytest.approx(2.0, abs=1e-9)
+        assert result.best_pair == ("G01", "G02")
+
+
+class TestEpochGrid:
+    def test_no_drift_with_fractional_step(self):
+        # one satellite at the start epoch is enough to scan the span
+        t = GpsTime.from_utc(dt.datetime(2013, 7, 25, 6))
+        table = parse_position_csv("sat_id,week,sow,x_m,y_m,z_m\n"
+                                   + sat_row("G01", t, [0.0, 0.0, 1.0]))
+        results = scan_ms(make_config(start=t, end=t.add_seconds(360.0),
+                                      step=0.1), table)
+        assert len(results) == 3600
+        assert results[-1].t - t == pytest.approx(3599 * 0.1, abs=1e-6)
 
 
 @pytest.fixture(scope="module")
@@ -128,15 +153,24 @@ class TestFullDayScan:
             scan_ms(make_config(start=far, end=far.add_seconds(3600.0)), ephs)
 
 
-class TestEpochPairs:
-    def test_order_independence(self, nav_text):
+class TestBestPairOracle:
+    def test_matches_brute_force_over_pairs(self, results, nav_text):
         ephs = parse_rinex_nav(nav_text)
-        from navbound.orbits import visible_satellites
-        vis = visible_satellites(ephs, SITE,
-                                 GpsTime.from_utc(dt.datetime(2013, 7, 25, 9)))
-        forward = _epoch_pairs(vis, 90.0)
-        values = sorted(v for v, _, _ in _epoch_pairs(vis[::-1], 90.0))
-        assert values == [v for v, _, _ in forward]
+        frame = frenet_frame([0.0, 0.0, 0.0], math.radians(90.0), "straight")
+        for r in results[::5]:
+            vis = visible_satellites(ephs, SITE, r.t, 15.0)
+            assert r.visible_ids == tuple(v.sat_id for v in vis)
+            sats = directional_cosines([v.enu_unit_dir for v in vis], frame,
+                                       sat_ids=[v.sat_id for v in vis])
+            pairs = sorted((magnification_s(a, b).m_s, a.sat_id, b.sat_id)
+                           for a, b in combinations(sats, 2)
+                           if magnification_s(a, b).admissible)
+            if not pairs:
+                assert r.best_m_s is None and r.best_pair is None
+                continue
+            m_s, sat_a, sat_b = pairs[0]
+            assert r.best_m_s == pytest.approx(m_s, rel=1e-12)
+            assert r.best_pair == (sat_a, sat_b)
 
 
 class TestHistogram:
