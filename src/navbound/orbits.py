@@ -96,6 +96,7 @@ class EphemerisRecord:
     cic: float = 0.0
     cis: float = 0.0
     validity_window: float = 4 * 3600.0
+    health: int = 0  # SV health word; nonzero excludes the record from grids
 
     def __post_init__(self):
         if not 0 <= self.e < 1:
@@ -189,7 +190,7 @@ def parse_rinex_nav(text: str, validity_window: float = 4 * 3600.0,
             break
         try:
             records.append(_parse_record_block(block, validity_window))
-        except (ValueError, IndexError) as exc:
+        except (ValueError, IndexError, OverflowError) as exc:
             log.warning("line %d: skipping malformed record: %s", i + 1, exc)
         i += 8
     return records
@@ -226,6 +227,7 @@ def _parse_record_block(block: list[str], validity_window: float) -> EphemerisRe
         crc=orbit[13], crs=orbit[1],
         cic=orbit[9], cis=orbit[11],
         validity_window=validity_window,
+        health=int(orbit[21]),
     )
 
 
@@ -240,6 +242,31 @@ def solve_kepler(mean_anomaly: float, e: float, tol: float = 1e-12,
         if abs(delta) <= tol:
             return ecc
     raise EphemerisError(f"Kepler iteration did not converge (e={e}, M={m})")
+
+
+def _kepler_array(mean_anomaly: np.ndarray, e: np.ndarray, tol: float = 1e-12,
+                  max_iter: int = 30) -> np.ndarray:
+    """`solve_kepler` over 1-D arrays, step for step: the same reduction,
+    starting guess and Newton update, each element stopping at its own
+    |delta| <= tol. Raises EphemerisError if any element does not converge.
+    """
+    two_pi = 2 * math.pi
+    # math.remainder: fmod is exact and one fold into [-pi, pi] is exact by
+    # Sterbenz. Only on an exact tie |m| = pi can the sign differ from
+    # math.remainder's; both name the same angle.
+    m = np.fmod(mean_anomaly, two_pi)
+    m = np.where(m > math.pi, m - two_pi, np.where(m < -math.pi, m + two_pi, m))
+    ecc = np.where(e < 0.8, m, math.pi)
+    todo = np.arange(m.size)
+    for _ in range(max_iter):
+        ea, ee = ecc[todo], e[todo]
+        delta = (ea - ee * np.sin(ea) - m[todo]) / (1 - ee * np.cos(ea))
+        ecc[todo] = ea - delta
+        todo = todo[~(np.abs(delta) <= tol)]
+        if not todo.size:
+            return ecc
+    k = todo[0]
+    raise EphemerisError(f"Kepler iteration did not converge (e={e[k]}, M={m[k]})")
 
 
 def sat_position_ecef(eph: EphemerisRecord, t: GpsTime) -> np.ndarray:
@@ -312,7 +339,8 @@ def ecef_to_enu(site: SiteLocation, point) -> tuple[np.ndarray, np.ndarray, np.n
     if np.any(rng == 0):
         raise ValueError("point coincides with the site")
     enu = diff @ enu_rotation(site).T
-    elevation = np.degrees(np.arcsin(enu[..., 2] / rng))
+    # rounding can put a zenith point's ratio just above 1
+    elevation = np.degrees(np.arcsin(np.clip(enu[..., 2] / rng, -1.0, 1.0)))
     azimuth = np.degrees(np.arctan2(enu[..., 0], enu[..., 1])) % 360.0
     return enu, elevation, azimuth
 
@@ -370,15 +398,27 @@ def parse_position_csv(text: str) -> PositionTable:
 PositionSource = Union[PositionTable, Sequence[EphemerisRecord]]
 
 
+def _elements(eph: EphemerisRecord) -> tuple[float, ...]:
+    """One record's row of the propagation table: selection keys, then the
+    per-record terms of `sat_position_ecef`, evaluated as it evaluates them."""
+    a = eph.sqrt_a ** 2
+    return (eph.toe.total_seconds(), eph.validity_window, eph.health,
+            a, math.sqrt(GM_EARTH / a ** 3) + eph.delta_n, eph.m0, eph.e,
+            math.sqrt(1 - eph.e ** 2), eph.w_arg, eph.cus, eph.cuc, eph.crs,
+            eph.crc, eph.i0, eph.idot, eph.cis, eph.cic, eph.omega0,
+            eph.omega_dot - OMEGA_EARTH, OMEGA_EARTH * eph.toe.seconds_of_week)
+
+
 def position_grid(source: PositionSource, epochs: Sequence[GpsTime],
                   ) -> tuple[tuple[str, ...], np.ndarray]:
     """ECEF position of every satellite of `source` at each epoch.
 
     This is the one place that tells the two inputs apart. From a
     PositionTable, the row within EPOCH_TOLERANCE of an epoch is used.
-    From broadcast ephemerides, each satellite uses its nearest-toe record
-    inside the validity window (the first in file order on ties),
-    propagated by `sat_position_ecef`. Returns the sorted satellite ids and
+    From broadcast ephemerides, each satellite uses its nearest-toe healthy
+    record inside the validity window (the first in file order on ties),
+    and every such cell is propagated in one array pass that repeats the
+    arithmetic of `sat_position_ecef`. Returns the sorted satellite ids and
     `ecef[epoch, sat, 3]`, NaN where a satellite has no position.
     """
     seconds = np.array([t.total_seconds() for t in epochs])
@@ -393,18 +433,39 @@ def position_grid(source: PositionSource, epochs: Sequence[GpsTime],
         return source.sat_ids, grid
     if not source:
         raise ValueError("empty ephemeris set")
-    by_sat: dict[str, list[EphemerisRecord]] = {}
-    for eph in source:
-        by_sat.setdefault(eph.sat_id, []).append(eph)
+    by_sat: dict[str, list[int]] = {}
+    for k, eph in enumerate(source):
+        by_sat.setdefault(eph.sat_id, []).append(k)
     sat_ids = tuple(sorted(by_sat))
-    grid = np.full((len(seconds), len(sat_ids), 3), np.nan)
+    table = np.array([_elements(eph) for eph in source]).T
+    toe, window, health = table[:3]
+
+    chosen = np.full((len(seconds), len(sat_ids)), -1)
     for s, sat_id in enumerate(sat_ids):
-        records = by_sat[sat_id]
-        dist = np.abs(seconds[:, None] - [r.toe.total_seconds() for r in records])
-        dist[dist > [r.validity_window for r in records]] = np.inf
-        nearest = dist.argmin(axis=1)
-        for e in np.flatnonzero(np.isfinite(dist.min(axis=1))):
-            grid[e, s] = sat_position_ecef(records[nearest[e]], epochs[e])
+        ks = np.array(by_sat[sat_id])
+        dist = np.abs(seconds[:, None] - toe[ks])
+        dist[(dist > window[ks]) | (health[ks] != 0)] = np.inf
+        chosen[:, s] = np.where(np.isfinite(dist.min(axis=1)),
+                                ks[dist.argmin(axis=1)], -1)
+
+    at_epoch, at_sat = np.nonzero(chosen >= 0)
+    (toe, _, _, a, n, m0, e, root_1me2, w_arg, cus, cuc, crs, crc, i0, idot,
+     cis, cic, omega0, node_rate, node_toe) = table[:, chosen[at_epoch, at_sat]]
+    tk = seconds[at_epoch] - toe
+    ecc_anom = _kepler_array(m0 + n * tk, e)
+    sin_e, cos_e = np.sin(ecc_anom), np.cos(ecc_anom)
+    phi = np.arctan2(root_1me2 * sin_e, cos_e - e) + w_arg
+    s2p, c2p = np.sin(2 * phi), np.cos(2 * phi)
+    u = phi + cus * s2p + cuc * c2p
+    r = a * (1 - e * cos_e) + crs * s2p + crc * c2p
+    inc = i0 + idot * tk + cis * s2p + cic * c2p
+    x_orb, y_orb = r * np.cos(u), r * np.sin(u)
+    node = omega0 + node_rate * tk - node_toe
+    sn, cn, ci = np.sin(node), np.cos(node), np.cos(inc)
+    grid = np.full((len(seconds), len(sat_ids), 3), np.nan)
+    grid[at_epoch, at_sat] = np.stack([x_orb * cn - y_orb * ci * sn,
+                                       x_orb * sn + y_orb * ci * cn,
+                                       y_orb * np.sin(inc)], axis=-1)
     return sat_ids, grid
 
 

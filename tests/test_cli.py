@@ -176,10 +176,10 @@ class TestScanAndHist:
 
     def test_propagation_failure_exits_one(self, nav_path, capsys,
                                            monkeypatch):
-        def diverge(eph, t):
+        def diverge(mean_anomaly, e):
             raise EphemerisError("Kepler iteration did not converge")
 
-        monkeypatch.setattr(orbits, "sat_position_ecef", diverge)
+        monkeypatch.setattr(orbits, "_kepler_array", diverge)
         assert run(["scan", "--nav", str(nav_path), "--lat", "34.75337",
                     "--lon", "135.42783"]) == EXIT_DEGENERATE
         captured = capsys.readouterr()

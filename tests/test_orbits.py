@@ -1,15 +1,18 @@
+import dataclasses
 import datetime as dt
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from navbound.constants import GM_EARTH, OMEGA_EARTH, WGS84_A, WGS84_B
 from navbound.orbits import (EphemerisError, EphemerisRecord, GpsTime,
-                             RinexParseError, SiteLocation, ecef_to_enu,
-                             enu_rotation, geodetic_to_ecef,
+                             RinexParseError, SiteLocation, _kepler_array,
+                             ecef_to_enu, enu_rotation, geodetic_to_ecef,
                              parse_position_csv, parse_rinex_nav,
-                             sat_position_ecef, solve_kepler,
+                             position_grid, sat_position_ecef, solve_kepler,
                              visible_satellites)
 
 HEADER = (
@@ -221,6 +224,28 @@ class TestEnu:
         with pytest.raises(ValueError):
             ecef_to_enu(self.SITE, geodetic_to_ecef(self.SITE))
 
+    def test_zenith_ratio_clamped(self):
+        # |up| / range can round just above 1 straight overhead; unclamped,
+        # arcsin gave NaN and the satellite was dropped as not visible
+        cases = [
+            (SiteLocation(2.1278924460462036, 162.17188430770406, 72.07980635981687),
+             [-26841032.91382887, 8632244.10520671, 1046021.90511038]),
+            (SiteLocation(54.90052627416844, 110.87789022616406, 257.662780521071),
+             [-6382526.99130173, 16733558.89957507, 25448065.204835523]),
+        ]
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            site = SiteLocation(float(rng.uniform(-90, 90)),
+                                float(rng.uniform(-179.9, 180)),
+                                float(rng.uniform(0, 500)))
+            points = (geodetic_to_ecef(site) + rng.uniform(2.0e7, 2.7e7, (30, 1))
+                      * enu_rotation(site)[2])
+            cases.append((site, points))
+        for site, point in cases:
+            _, el, _ = ecef_to_enu(site, np.array(point))
+            assert not np.isnan(el).any()
+            assert np.abs(el - 90.0).max() <= 1e-5
+
 
 class TestParser:
     def test_empty_body(self):
@@ -269,6 +294,27 @@ class TestParser:
 
     def test_determinism(self, nav_text):
         assert parse_rinex_nav(nav_text) == parse_rinex_nav(nav_text)
+
+    @pytest.mark.parametrize("row, col, width", [(0, 17, 5), (6, 22, 19)])
+    def test_infinite_field_skipped(self, nav_text, row, col, width):
+        # "inf" in the epoch seconds or the health word used to escape as
+        # OverflowError instead of skipping the record
+        lines = nav_text.splitlines()
+        start = next(i for i, l in enumerate(lines) if "END OF HEADER" in l) + 1
+        line = lines[start + row]
+        lines[start + row] = line[:col] + "inf".rjust(width) + line[col + width:]
+        records = parse_rinex_nav("\n".join(lines))
+        assert records == parse_rinex_nav(nav_text)[1:]
+
+    def test_health_word_read(self, nav_text):
+        lines = nav_text.splitlines()
+        # SV health is field 2 of orbit line 6 (line 7 of the record block)
+        start = next(i for i, l in enumerate(lines) if "END OF HEADER" in l) + 1
+        line = lines[start + 6]
+        lines[start + 6] = line[:22] + " 0.630000000000D+02" + line[41:]
+        records = parse_rinex_nav("\n".join(lines))
+        assert records[0].health == 63
+        assert all(r.health == 0 for r in records[1:])
 
 
 class TestVisibility:
@@ -334,3 +380,108 @@ class TestPositionCsv:
     def test_header_required(self):
         with pytest.raises(ValueError):
             parse_position_csv("G01,1750,0,1,2,3")
+
+
+def scalar_grid(records, epochs):
+    """Oracle for the ephemeris branch of `position_grid`: per cell, the
+    nearest-toe healthy record inside its window (first in file order on
+    ties), propagated by scalar `sat_position_ecef`."""
+    sat_ids = sorted({r.sat_id for r in records})
+    grid = np.full((len(epochs), len(sat_ids), 3), np.nan)
+    for s, sat_id in enumerate(sat_ids):
+        own = [r for r in records if r.sat_id == sat_id and r.health == 0]
+        for i, t in enumerate(epochs):
+            valid = [r for r in own if abs(t - r.toe) <= r.validity_window]
+            if valid:
+                nearest = min(valid, key=lambda r: abs(t - r.toe))
+                grid[i, s] = sat_position_ecef(nearest, t)
+    return tuple(sat_ids), grid
+
+
+class TestPositionGrid:
+    def test_matches_scalar_oracle_full_day(self, nav_text):
+        ephs = parse_rinex_nav(nav_text)
+        # the day at 60 s, plus 6 h either side so that stale cells occur
+        t0 = GpsTime.from_utc(dt.datetime(2013, 7, 24, 18))
+        epochs = [t0.add_seconds(60.0 * k) for k in range(2160)]
+        sat_ids, grid = position_grid(ephs, epochs)
+        oracle_ids, oracle = scalar_grid(ephs, epochs)
+        assert sat_ids == oracle_ids
+        assert np.array_equal(np.isnan(grid), np.isnan(oracle))
+        assert np.isnan(oracle).any() and not np.isnan(oracle).all()
+        assert np.nanmax(np.abs(grid - oracle)) <= 1e-6
+
+    def test_validity_window_edge(self):
+        eph = circular_record(m0=0.3, e=0.01)
+        window = eph.validity_window
+        epochs = [eph.toe.add_seconds(dt_s) for dt_s in
+                  (-window - 1e-3, -window, 0.0, window, window + 1e-3)]
+        _, grid = position_grid([eph], epochs)
+        assert np.isnan(grid[[0, 4], 0]).all()
+        for i in (1, 2, 3):
+            assert np.abs(grid[i, 0] - sat_position_ecef(eph, epochs[i])).max() <= 1e-6
+
+    def test_unhealthy_record_excluded(self, nav_text):
+        ephs = parse_rinex_nav(nav_text)
+        site = SiteLocation(34.75337, 135.42783, 3.7)
+        t = GpsTime.from_utc(dt.datetime(2013, 7, 25, 6))
+        seen = visible_satellites(ephs, site, t)[0]
+        nearest = min((r for r in ephs if r.sat_id == seen.sat_id),
+                      key=lambda r: abs(t - r.toe))
+        sick = dataclasses.replace(nearest, health=1)
+
+        sat_ids, grid = position_grid([sick], [t])
+        assert sat_ids == (seen.sat_id,) and np.isnan(grid).all()
+        others = [r for r in ephs if r.sat_id != seen.sat_id]
+        assert seen.sat_id not in {v.sat_id for v in
+                                   visible_satellites(others + [sick], site, t)}
+        # an older healthy record of the same satellite takes over
+        rest = [r for r in ephs if r is not nearest]
+        _, with_sick = position_grid(rest + [sick], [t])
+        _, without = position_grid(rest, [t])
+        assert np.array_equal(with_sick, without)
+
+    def test_kernel_matches_solve_kepler(self):
+        m = np.linspace(-40.0, 40.0, 801)
+        for e in (0.0, 0.01, 0.3, 0.85):
+            scalar = []
+            for mk in m:
+                try:
+                    scalar.append(solve_kepler(mk, e))
+                except EphemerisError:
+                    scalar.append(None)
+            ok = np.array([x is not None for x in scalar])
+            ecc = _kepler_array(m[ok], np.full(ok.sum(), e))
+            assert ecc.tolist() == [x for x in scalar if x is not None]
+            if not ok.all():  # e = 0.85 from the pi start fails in both
+                with pytest.raises(EphemerisError):
+                    _kepler_array(m, np.full_like(m, e))
+
+    def test_kernel_raises_on_nonconvergence(self):
+        with pytest.raises(EphemerisError):
+            solve_kepler(math.nan, 0.01)
+        with pytest.raises(EphemerisError):
+            _kepler_array(np.array([0.5, math.nan]), np.array([0.01, 0.01]))
+
+
+class TestParserFuzz:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+                              st.integers(0, 255)), min_size=1, max_size=8))
+    def test_corrupted_bytes(self, nav_text, edits):
+        data = bytearray(nav_text.encode("latin-1"))
+        for where, byte in edits:
+            data[int(where * len(data))] = byte
+        text = data.decode("latin-1")
+        try:
+            records = parse_rinex_nav(text)
+        except RinexParseError:
+            return
+        assert len(records) <= len(text.splitlines()) // 8
+        if not records:
+            return
+        t0 = GpsTime.from_utc(dt.datetime(2013, 7, 25))
+        try:
+            position_grid(records, [t0.add_seconds(3600.0 * k) for k in range(24)])
+        except (EphemerisError, ValueError):
+            pass
