@@ -213,6 +213,9 @@ def _parse_record_block(block: list[str], validity_window: float) -> EphemerisRe
     # orbit[0..]: IODE, Crs, Delta_n, M0 | Cuc, e, Cus, sqrtA
     #             Toe, Cic, OMEGA0, Cis | i0, Crc, omega, OMEGAdot
     #             IDOT, codesL2, week, L2Pflag | accuracy, health, TGD, IODC
+    bad = [k for k, value in enumerate(orbit) if not math.isfinite(value)]
+    if bad:
+        raise ValueError(f"non-finite orbit field(s) {bad}")
     week = int(orbit[18])
     toe_sow = orbit[8]
     return EphemerisRecord(
@@ -244,11 +247,15 @@ def solve_kepler(mean_anomaly: float, e: float, tol: float = 1e-12,
     raise EphemerisError(f"Kepler iteration did not converge (e={e}, M={m})")
 
 
-def _kepler_array(mean_anomaly: np.ndarray, e: np.ndarray, tol: float = 1e-12,
-                  max_iter: int = 30) -> np.ndarray:
+# The kernel's stop rule; must equal solve_kepler's defaults.
+_KEPLER_TOL, _KEPLER_MAX_ITER = 1e-12, 30
+
+
+def _kepler_array(mean_anomaly: np.ndarray, e: np.ndarray) -> np.ndarray:
     """`solve_kepler` over 1-D arrays, step for step: the same reduction,
     starting guess and Newton update, each element stopping at its own
-    |delta| <= tol. Raises EphemerisError if any element does not converge.
+    |delta| <= _KEPLER_TOL. Raises EphemerisError if any element has not
+    converged after _KEPLER_MAX_ITER steps.
     """
     two_pi = 2 * math.pi
     # math.remainder: fmod is exact and one fold into [-pi, pi] is exact by
@@ -258,11 +265,11 @@ def _kepler_array(mean_anomaly: np.ndarray, e: np.ndarray, tol: float = 1e-12,
     m = np.where(m > math.pi, m - two_pi, np.where(m < -math.pi, m + two_pi, m))
     ecc = np.where(e < 0.8, m, math.pi)
     todo = np.arange(m.size)
-    for _ in range(max_iter):
+    for _ in range(_KEPLER_MAX_ITER):
         ea, ee = ecc[todo], e[todo]
         delta = (ea - ee * np.sin(ea) - m[todo]) / (1 - ee * np.cos(ea))
         ecc[todo] = ea - delta
-        todo = todo[~(np.abs(delta) <= tol)]
+        todo = todo[~(np.abs(delta) <= _KEPLER_TOL)]
         if not todo.size:
             return ecc
     k = todo[0]
@@ -462,10 +469,16 @@ def position_grid(source: PositionSource, epochs: Sequence[GpsTime],
     x_orb, y_orb = r * np.cos(u), r * np.sin(u)
     node = omega0 + node_rate * tk - node_toe
     sn, cn, ci = np.sin(node), np.cos(node), np.cos(inc)
+    ecef = np.stack([x_orb * cn - y_orb * ci * sn, x_orb * sn + y_orb * ci * cn,
+                     y_orb * np.sin(inc)], axis=-1)
+    # where math.sin/cos would raise on an overflowed term, fail as loudly
+    bad = ~np.isfinite(ecef).all(axis=-1)
+    if bad.any():
+        k = np.flatnonzero(bad)[0]
+        raise EphemerisError(f"{sat_ids[at_sat[k]]}: non-finite position "
+                             f"propagated from its broadcast elements")
     grid = np.full((len(seconds), len(sat_ids), 3), np.nan)
-    grid[at_epoch, at_sat] = np.stack([x_orb * cn - y_orb * ci * sn,
-                                       x_orb * sn + y_orb * ci * cn,
-                                       y_orb * np.sin(inc)], axis=-1)
+    grid[at_epoch, at_sat] = ecef
     return sat_ids, grid
 
 

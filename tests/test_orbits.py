@@ -1,5 +1,6 @@
 import dataclasses
 import datetime as dt
+import inspect
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from navbound import orbits
 from navbound.constants import GM_EARTH, OMEGA_EARTH, WGS84_A, WGS84_B
 from navbound.orbits import (EphemerisError, EphemerisRecord, GpsTime,
                              RinexParseError, SiteLocation, _kepler_array,
@@ -295,14 +297,21 @@ class TestParser:
     def test_determinism(self, nav_text):
         assert parse_rinex_nav(nav_text) == parse_rinex_nav(nav_text)
 
-    @pytest.mark.parametrize("row, col, width", [(0, 17, 5), (6, 22, 19)])
-    def test_infinite_field_skipped(self, nav_text, row, col, width):
-        # "inf" in the epoch seconds or the health word used to escape as
-        # OverflowError instead of skipping the record
+    @pytest.mark.parametrize("row, col, width, value", [
+        (0, 17, 5, "inf"),            # epoch seconds
+        (6, 22, 19, "inf"),           # health word
+        (4, 41, 19, "0.1D999"),       # argument of perigee
+        (3, 41, 19, "-inf"),          # OMEGA0
+        (4, 22, 19, "nan"),           # Crc
+    ])
+    def test_infinite_field_skipped(self, nav_text, row, col, width, value):
+        # a non-finite field is a malformed record: inf in the epoch seconds
+        # or the health word used to escape as OverflowError, and inf in an
+        # orbit element used to propagate to a NaN position
         lines = nav_text.splitlines()
         start = next(i for i, l in enumerate(lines) if "END OF HEADER" in l) + 1
         line = lines[start + row]
-        lines[start + row] = line[:col] + "inf".rjust(width) + line[col + width:]
+        lines[start + row] = line[:col] + value.rjust(width) + line[col + width:]
         records = parse_rinex_nav("\n".join(lines))
         assert records == parse_rinex_nav(nav_text)[1:]
 
@@ -457,6 +466,21 @@ class TestPositionGrid:
                 with pytest.raises(EphemerisError):
                     _kepler_array(m, np.full_like(m, e))
 
+    def test_kernel_constants_match_solve_kepler(self):
+        defaults = inspect.signature(solve_kepler).parameters
+        assert orbits._KEPLER_TOL == defaults["tol"].default
+        assert orbits._KEPLER_MAX_ITER == defaults["max_iter"].default
+
+    def test_overflowing_record_raises(self):
+        # math.sin(inf) raised in the scalar path; the grid must not turn
+        # the same record into a quiet NaN (a satellite "not visible")
+        eph = dataclasses.replace(circular_record(m0=0.3, e=0.01), idot=1e306)
+        t = eph.toe.add_seconds(600.0)
+        with pytest.raises(ValueError):
+            sat_position_ecef(eph, t)
+        with pytest.raises(EphemerisError, match=eph.sat_id):
+            position_grid([eph], [t])
+
     def test_kernel_raises_on_nonconvergence(self):
         with pytest.raises(EphemerisError):
             solve_kepler(math.nan, 0.01)
@@ -481,7 +505,16 @@ class TestParserFuzz:
         if not records:
             return
         t0 = GpsTime.from_utc(dt.datetime(2013, 7, 25))
+        epochs = [t0.add_seconds(3600.0 * k) for k in range(24)]
         try:
-            position_grid(records, [t0.add_seconds(3600.0 * k) for k in range(24)])
+            sat_ids, grid = position_grid(records, epochs)
         except (EphemerisError, ValueError):
-            pass
+            return
+        # a cell is NaN exactly when its satellite has no healthy record
+        # inside the window, and finite otherwise
+        selectable = np.array([[any(r.sat_id == s and r.health == 0
+                                    and abs(t - r.toe) <= r.validity_window
+                                    for r in records) for s in sat_ids]
+                               for t in epochs])
+        assert np.isfinite(grid[selectable]).all()
+        assert np.isnan(grid[~selectable]).all()
