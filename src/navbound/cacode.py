@@ -1,6 +1,7 @@
 """GPS C/A (coarse/acquisition) Gold code generation."""
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,10 +49,17 @@ class ChipSequence:
 def generate_ca_code(prn: int) -> ChipSequence:
     """Generate the 1023-chip C/A Gold code for a GPS PRN (1..32).
 
-    Binary chips {0, 1} are mapped to {+1, -1}.
+    Binary chips {0, 1} are mapped to {+1, -1}. Each PRN's code is built
+    once, on first request, and the same object is returned after that;
+    its chips are read-only because every caller shares them.
     """
     if prn not in _G2_TAPS:
         raise ValueError(f"unsupported PRN {prn}: must be in 1..32")
+    return _ca_code(prn)
+
+
+@lru_cache(maxsize=None)
+def _ca_code(prn: int) -> ChipSequence:
     t1, t2 = _G2_TAPS[prn]
 
     g1 = np.ones(10, dtype=np.int8)
@@ -66,4 +74,6 @@ def generate_ca_code(prn: int) -> ChipSequence:
         g2[1:] = g2[:-1]
         g2[0] = fb2
 
-    return ChipSequence(chips=1 - 2 * out.astype(np.int8), prn_id=prn)
+    chips = 1 - 2 * out
+    chips.flags.writeable = False
+    return ChipSequence(chips=chips, prn_id=prn)

@@ -137,40 +137,52 @@ class TauPerturbation:
     m_tau: float
     delta_tau_bound: float
     delta_tau_empirical: Optional[float] = None
+    # (clean, perturbed) estimate: Newton passes, and the final
+    # |Re<w - z, w'>| / ||w'||^2 that the estimator accepted
+    iterations: Optional[tuple[int, int]] = None
+    residual: Optional[tuple[float, float]] = None
 
 
-def _smoothed_code(spec: WaveformSpec, t: np.ndarray, order: int) -> np.ndarray:
-    """Gaussian-smoothed periodic chip train (or its derivative) at times t.
+def _waveforms(spec: WaveformSpec, tau: float, orders) -> tuple:
+    """Complex samples of w, w' and/or w'' at kT - tau, k = 1..num_samples.
 
     The rectangular chip train convolved with a Gaussian of std s has the
     closed form sum_j c_j [Phi((t-jTc)/s) - Phi((t-(j+1)Tc)/s)]; only
     boundaries within a few s of t contribute, so the sum is truncated to
-    a window of neighbouring chips.
+    a window of neighbouring chips. Its delay derivatives are analytic
+    (Gaussian density terms). All requested orders share one set of
+    chip-boundary arguments b = (t - J Tc)/s, J = j0-half .. j0+half+1: a
+    chip's left argument is b[:, :-1] and its right argument b[:, 1:].
+    Order 0 needs only Phi(b), orders 1 and 2 only the density of b.
+    Returns one array per entry of `orders`, in that order.
     """
+    t = np.arange(1, spec.num_samples + 1) * spec.sampling_period - tau
     chips = spec.code.chips.astype(np.float64)
-    n_chips = len(chips)
     tc = spec.chip_duration
     s = spec.pulse_smoothing
 
     x = np.mod(t, spec.code_period)
     j0 = np.floor(x / tc).astype(np.int64)
     half = max(2, int(math.ceil(10.0 * s / tc)) + 1)
-    offsets = np.arange(-half, half + 1)
 
-    j = j0[:, None] + offsets[None, :]
-    c = chips[np.mod(j, n_chips)]
-    u = (x[:, None] - j * tc) / s          # left boundary argument
-    v = (x[:, None] - (j + 1) * tc) / s    # right boundary argument
+    jb = j0[:, None] + np.arange(-half, half + 2)[None, :]
+    c = chips[np.mod(jb[:, :-1], len(chips))]
+    b = (x[:, None] - jb * tc) / s
 
-    if order == 0:
-        return np.sum(c * (ndtr(u) - ndtr(v)), axis=1)
-    pu = np.exp(-0.5 * u * u) / _SQRT_2PI
-    pv = np.exp(-0.5 * v * v) / _SQRT_2PI
-    if order == 1:
-        return np.sum(c * (pu - pv), axis=1) / s
-    if order == 2:
-        return np.sum(c * (-u * pu + v * pv), axis=1) / (s * s)
-    raise ValueError(f"derivative_order must be 0, 1 or 2, got {order}")
+    m = {}
+    if 0 in orders:
+        cdf = ndtr(b)
+        m[0] = np.sum(c * (cdf[:, :-1] - cdf[:, 1:]), axis=1)
+    if 1 in orders or 2 in orders:
+        pdf = np.exp(-0.5 * b * b) / _SQRT_2PI
+        pu, pv = pdf[:, :-1], pdf[:, 1:]
+        if 1 in orders:
+            m[1] = np.sum(c * (pu - pv), axis=1) / s
+        if 2 in orders:
+            u, v = b[:, :-1], b[:, 1:]
+            m[2] = np.sum(c * (-u * pu + v * pv), axis=1) / (s * s)
+    factor = spec.amplitude * np.exp(1j * spec.phase)
+    return tuple(factor * m[k] for k in orders)
 
 
 def sample_waveform(spec: WaveformSpec, tau: float, derivative_order: int = 0) -> SampledSignal:
@@ -181,26 +193,23 @@ def sample_waveform(spec: WaveformSpec, tau: float, derivative_order: int = 0) -
     """
     if derivative_order not in (0, 1, 2):
         raise ValueError(f"derivative_order must be 0, 1 or 2, got {derivative_order}")
-    t = np.arange(1, spec.num_samples + 1) * spec.sampling_period - tau
-    m = _smoothed_code(spec, t, derivative_order)
-    factor = spec.amplitude * np.exp(1j * spec.phase)
-    return SampledSignal(factor * m, spec.sampling_period)
+    (samples,) = _waveforms(spec, tau, (derivative_order,))
+    return SampledSignal(samples, spec.sampling_period)
 
 
 def _stationarity(z: np.ndarray, spec: WaveformSpec, tau: float):
-    """Return (g, dg): the tau-derivative and curvature of the misfit ||z - w(tau)||^2 / 2.
+    """Return (g, dg, ||w'||^2, (w, w', w'')) of the misfit ||z - w(tau)||^2 / 2.
 
     g = Re<z - w, w'> is the (sigma-free, sign-flipped) delay derivative of
     the log-likelihood and vanishes at the ML delay; the curvature
     dg = ||w'||^2 + Re<w - z, w''> is positive at a proper minimum.
     """
-    w = sample_waveform(spec, tau, 0).samples
-    w1 = sample_waveform(spec, tau, 1).samples
-    w2 = sample_waveform(spec, tau, 2).samples
+    w, w1, w2 = _waveforms(spec, tau, (0, 1, 2))
     d = z - w
+    n1sq = float(np.real(np.vdot(w1, w1)))
     g = float(np.real(np.vdot(d, w1)))
-    dg = float(np.real(np.vdot(w1, w1)) - np.real(np.vdot(d, w2)))
-    return g, dg
+    dg = n1sq - float(np.real(np.vdot(d, w2)))
+    return g, dg, n1sq, (w, w1, w2)
 
 
 def _coarse_grid(z: np.ndarray, spec: WaveformSpec, lo: float, hi: float) -> float:
@@ -233,14 +242,12 @@ def _coarse_grid(z: np.ndarray, spec: WaveformSpec, lo: float, hi: float) -> flo
     return float(taus[int(np.argmax(objective))])
 
 
-def ml_delay_estimate(z: SampledSignal, spec: WaveformSpec,
-                      search_window: tuple[float, float],
-                      max_iter: int = 50) -> float:
-    """Maximum-likelihood delay: coarse correlation search plus Newton refinement.
+def _ml_delay(z: SampledSignal, spec: WaveformSpec,
+              search_window: tuple[float, float], max_iter: int = 50):
+    """ML delay with what the refinement saw at it.
 
-    The returned tau0 satisfies |Re<w - z, w'>| <= 1e-9 ||w'||^2 (iteration
-    continues below that threshold while it keeps improving, so small
-    perturbation-induced shifts are resolved to machine level).
+    Returns (tau0, (w, w', w'') at tau0, Newton passes, final residual
+    |Re<w - z, w'>| / ||w'||^2 with ||w'||^2 taken at the coarse delay).
     """
     lo, hi = search_window
     if hi - lo < 2 * spec.chip_duration:
@@ -252,17 +259,21 @@ def ml_delay_estimate(z: SampledSignal, spec: WaveformSpec,
 
     zs = z.samples
     tau = _coarse_grid(zs, spec, lo, hi)
+    if max_iter < 1:
+        raise DelayEstimationError(
+            f"no convergence after {max_iter} iterations", last_iterate=tau
+        )
 
-    w1 = sample_waveform(spec, tau, 1).samples
-    scale = float(np.real(np.vdot(w1, w1)))
-    tol = 1e-9 * scale
-    floor = 64 * np.finfo(float).eps * scale
-
-    best_tau, best_g = tau, math.inf
-    for _ in range(max_iter):
-        g, dg = _stationarity(zs, spec, tau)
+    best_tau, best_g, best_w = tau, math.inf, None
+    for iterations in range(1, max_iter + 1):
+        g, dg, n1sq, waveforms = _stationarity(zs, spec, tau)
+        if iterations == 1:
+            # ||w'||^2 at the coarse delay sets the convergence scale
+            scale = n1sq
+            tol = 1e-9 * scale
+            floor = 64 * np.finfo(float).eps * scale
         if abs(g) < abs(best_g):
-            best_tau, best_g = tau, g
+            best_tau, best_g, best_w = tau, g, waveforms
         if abs(g) <= floor:
             break
         if dg <= 0:
@@ -288,7 +299,19 @@ def ml_delay_estimate(z: SampledSignal, spec: WaveformSpec,
         raise DelayEstimationError(
             "stationarity residual above tolerance", last_iterate=best_tau
         )
-    return best_tau
+    return best_tau, best_w, iterations, abs(best_g) / scale
+
+
+def ml_delay_estimate(z: SampledSignal, spec: WaveformSpec,
+                      search_window: tuple[float, float],
+                      max_iter: int = 50) -> float:
+    """Maximum-likelihood delay: coarse correlation search plus Newton refinement.
+
+    The returned tau0 satisfies |Re<w - z, w'>| <= 1e-9 ||w'||^2 (iteration
+    continues below that threshold while it keeps improving, so small
+    perturbation-induced shifts are resolved to machine level).
+    """
+    return _ml_delay(z, spec, search_window, max_iter)[0]
 
 
 def magnification_tau(z: SampledSignal, w: SampledSignal,
@@ -343,22 +366,21 @@ def perturbation_experiment(spec: WaveformSpec, tau_true: float,
     clean = sample_waveform(spec, tau_true, 0)
     z = SampledSignal(clean.samples + noise.sample(spec.num_samples),
                       spec.sampling_period)
-    tau0 = ml_delay_estimate(z, spec, search_window)
-
-    w = sample_waveform(spec, tau0, 0)
-    w1 = sample_waveform(spec, tau0, 1)
-    w2 = sample_waveform(spec, tau0, 2)
-    m_tau = magnification_tau(z, w, w1, w2)
+    tau0, waveforms, iter0, res0 = _ml_delay(z, spec, search_window)
+    m_tau = magnification_tau(
+        z, *(SampledSignal(w, spec.sampling_period) for w in waveforms))
     bound = m_tau * interference.norm()
 
     z_pert = z + interference
-    tau_pert = ml_delay_estimate(z_pert, spec, search_window)
+    tau_pert, _, iter_pert, res_pert = _ml_delay(z_pert, spec, search_window)
 
     return TauPerturbation(
         tau0=tau0,
         m_tau=m_tau,
         delta_tau_bound=bound,
         delta_tau_empirical=tau_pert - tau0,
+        iterations=(iter0, iter_pert),
+        residual=(res0, res_pert),
     )
 
 

@@ -70,3 +70,17 @@ def test_unsupported_prn():
 def test_chip_sequence_rejects_non_pm1():
     with pytest.raises(ValueError):
         ChipSequence(chips=np.array([1, 0, -1]), prn_id=1)
+
+
+def test_code_cached_and_read_only():
+    code = generate_ca_code(13)
+    assert generate_ca_code(13) is code
+    assert generate_ca_code(14) is not code
+    with pytest.raises(ValueError):
+        code.chips[0] = -code.chips[0]
+
+
+def test_user_chip_array_stays_writeable():
+    chips = np.array([1, -1, 1], dtype=np.int8)
+    seq = ChipSequence(chips=chips, prn_id=1)
+    assert chips.flags.writeable and seq.chips.flags.writeable

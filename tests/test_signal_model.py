@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from scipy.special import ndtr
+
+from navbound.cacode import generate_ca_code
 from navbound.signal_model import (DegenerateCurvatureError,
                                    DelayEstimationError, NoiseConfig,
-                                   SampledSignal, WaveformSpec, default_spec,
-                                   magnification_tau, ml_delay_estimate,
-                                   perturbation_experiment, sample_waveform,
-                                   worst_interference)
+                                   SampledSignal, WaveformSpec, _waveforms,
+                                   default_spec, magnification_tau,
+                                   ml_delay_estimate, perturbation_experiment,
+                                   sample_waveform, worst_interference)
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +82,82 @@ class TestWaveform:
                          sampling_period=spec.sampling_period, num_samples=100)
 
 
+def _per_order_waveform(spec, tau, order):
+    """One order of w at kT - tau, from its own chip window and arguments.
+
+    Left and right chip-boundary arguments are computed separately and
+    each order is a separate pass: an independent reference for the
+    shared-argument kernel, which must reproduce it bit for bit.
+    """
+    t = np.arange(1, spec.num_samples + 1) * spec.sampling_period - tau
+    chips = spec.code.chips.astype(np.float64)
+    tc, s = spec.chip_duration, spec.pulse_smoothing
+    x = np.mod(t, spec.code_period)
+    j0 = np.floor(x / tc).astype(np.int64)
+    half = max(2, int(math.ceil(10.0 * s / tc)) + 1)
+    j = j0[:, None] + np.arange(-half, half + 1)[None, :]
+    c = chips[np.mod(j, len(chips))]
+    u = (x[:, None] - j * tc) / s
+    v = (x[:, None] - (j + 1) * tc) / s
+    if order == 0:
+        m = np.sum(c * (ndtr(u) - ndtr(v)), axis=1)
+    else:
+        pu = np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+        pv = np.exp(-0.5 * v * v) / math.sqrt(2.0 * math.pi)
+        if order == 1:
+            m = np.sum(c * (pu - pv), axis=1) / s
+        else:
+            m = np.sum(c * (-u * pu + v * pv), axis=1) / (s * s)
+    return spec.amplitude * np.exp(1j * spec.phase) * m
+
+
+def _fractional_spec():
+    """3000 samples over one period: 2.93... samples per chip."""
+    code = generate_ca_code(17)
+    return WaveformSpec(code=code, pulse_smoothing=0.25 * code.chip_duration,
+                        sampling_period=code.period / 3000, num_samples=3000)
+
+
+_KERNEL_CASES = {
+    "prn1": (lambda: default_spec(1), 0.3),
+    "prn7": (lambda: default_spec(7), 0.61),
+    "prn32": (lambda: default_spec(32), 0.05),
+    "chip_edge": (lambda: default_spec(4), 11 / 1023),
+    "wrap_zero": (lambda: default_spec(9), 0.0),
+    "wrap_period": (lambda: default_spec(9), 1.0),
+    "wrap_before": (lambda: default_spec(9), -1 / 4092),
+    "wide_smoothing": (lambda: default_spec(12, pulse_smoothing_chips=1.0), 0.27),
+    "fractional_rate": (_fractional_spec, 0.43),
+    "amplitude_phase": (lambda: default_spec(5, amplitude=2.5, phase=-1.1), 0.77),
+}
+
+
+class TestFusedKernel:
+    """The one-pass kernel against the per-order reference, compared bytewise."""
+
+    @pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
+    def test_bit_identical_to_per_order_formula(self, case):
+        make, frac = _KERNEL_CASES[case]
+        spec = make()
+        tau = frac * spec.code_period
+        ref = [_per_order_waveform(spec, tau, order) for order in (0, 1, 2)]
+        if case == "wide_smoothing":
+            assert spec.pulse_smoothing / spec.chip_duration == 1.0  # half > 2
+        for order in (0, 1, 2):
+            assert np.array_equal(sample_waveform(spec, tau, order).samples, ref[order])
+        fused = _waveforms(spec, tau, (0, 1, 2))
+        for got, want in zip(fused, ref):
+            assert np.array_equal(got, want)
+
+    def test_chip_edge_case_hits_boundaries(self):
+        # The chip_edge delay puts every fourth sample on a chip boundary.
+        spec = default_spec(4)
+        t = np.arange(1, spec.num_samples + 1) * spec.sampling_period \
+            - 11 / 1023 * spec.code_period
+        frac = np.mod(t, spec.code_period) / spec.chip_duration
+        assert np.sum(np.abs(frac - np.round(frac)) < 1e-9) >= spec.num_samples // 4
+
+
 class TestInnerProduct:
     def test_requires_equal_length(self, spec):
         a = SampledSignal(np.ones(4), 1.0)
@@ -118,6 +197,11 @@ class TestMlDelayEstimate:
         z = sample_waveform(spec, 0.0, 0)
         with pytest.raises(DelayEstimationError):
             ml_delay_estimate(z, spec, (0.0, spec.chip_duration))
+
+    def test_zero_iterations_raise(self, spec, tau_true):
+        z = sample_waveform(spec, tau_true, 0)
+        with pytest.raises(DelayEstimationError, match="after 0 iterations"):
+            ml_delay_estimate(z, spec, (0.0, spec.code_period), max_iter=0)
 
     def test_stationarity_residual(self, spec, tau_true):
         z = sample_waveform(spec, tau_true, 0)
@@ -254,3 +338,23 @@ class TestPerturbationExperiment:
         result = perturbation_experiment(spec, tau_true, NoiseConfig(0.0), dy)
         assert abs(result.delta_tau_empirical) / norm == pytest.approx(
             result.m_tau, rel=0.05)
+
+    def test_reports_iterations_and_residual(self, spec, tau_true):
+        w1 = sample_waveform(spec, tau_true, 1)
+        dy = worst_interference(w1, 1e-6)
+        result = perturbation_experiment(spec, tau_true,
+                                         NoiseConfig(0.02, seed=4), dy)
+        assert len(result.iterations) == len(result.residual) == 2
+        for iterations, residual in zip(result.iterations, result.residual):
+            assert 1 <= iterations <= 50
+            assert 0.0 <= residual <= 1e-9
+
+    def test_m_tau_uses_waveforms_at_tau0(self, spec, tau_true):
+        # The estimator's kept (w, w', w'') must equal a fresh synthesis at tau0.
+        noise = NoiseConfig(0.02, seed=6)
+        dy = worst_interference(sample_waveform(spec, tau_true, 1), 1e-6)
+        result = perturbation_experiment(spec, tau_true, noise, dy)
+        z = SampledSignal(sample_waveform(spec, tau_true, 0).samples
+                          + noise.sample(spec.num_samples), spec.sampling_period)
+        fresh = [sample_waveform(spec, result.tau0, k) for k in (0, 1, 2)]
+        assert result.m_tau == magnification_tau(z, *fresh)
