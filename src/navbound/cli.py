@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import datetime as dt
+import functools
 import json
 import logging
 import math
@@ -33,7 +34,7 @@ from .signal_model import (DegenerateCurvatureError, DelayEstimationError,
                            worst_interference, sample_waveform)
 from .track import (DegenerateGeometryError, SatGeometry, determinant_d,
                     directional_cosines, frenet_frame, magnification_s,
-                    magnification_uv, sign_condition)
+                    magnification_uv)
 
 EXIT_OK = 0
 EXIT_DEGENERATE = 1
@@ -83,21 +84,37 @@ def _cmd_interference(args) -> int:
     return EXIT_OK
 
 
+def _finite(value, name: str) -> float:
+    """A geometry field as a finite float; ValueError (exit 2) otherwise."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ValueError(f"geometry: {name} must be a finite number, got {value!r}")
+    return number
+
+
 def _load_geometry(path: str) -> list[SatGeometry]:
     with open(path) as f:
         data = json.load(f)
     if isinstance(data, dict):
-        track_azimuth = math.radians(data.get("track_azimuth_deg", 90.0))
-        sats_raw = data["satellites"]
+        track_azimuth = math.radians(_finite(data.get("track_azimuth_deg", 90.0),
+                                             "track_azimuth_deg"))
+        sats_raw = data.get("satellites")
     else:
         track_azimuth = math.radians(90.0)
         sats_raw = data
+    if not (isinstance(sats_raw, list)
+            and all(isinstance(rec, dict) for rec in sats_raw)):
+        raise ValueError("geometry must be a list of satellite objects or "
+                         "{\"satellites\": [...]}")
     frame = frenet_frame([0.0, 0.0, 0.0], track_azimuth, "straight")
     sats = []
     for rec in sats_raw:
         sat_id = str(rec.get("sat_id", len(sats) + 1))
         if "f" in rec:
-            f, h = float(rec["f"]), float(rec["h"])
+            f, h = _finite(rec.get("f"), "f"), _finite(rec.get("h"), "h")
             # reconstruct a consistent unit g from the cosines
             g = f * frame.u + h * frame.v
             rest = 1.0 - f * f - h * h
@@ -105,8 +122,8 @@ def _load_geometry(path: str) -> list[SatGeometry]:
             sats.append(SatGeometry(sat_id=sat_id, g=g / np.linalg.norm(g),
                                     f=f, h=h))
         else:
-            el = math.radians(float(rec["elevation"]))
-            az = math.radians(float(rec["azimuth"]))
+            el = math.radians(_finite(rec.get("elevation"), "elevation"))
+            az = math.radians(_finite(rec.get("azimuth"), "azimuth"))
             d = [math.sin(az) * math.cos(el), math.cos(az) * math.cos(el),
                  math.sin(el)]
             sats.extend(directional_cosines([d], frame, sat_ids=[sat_id]))
@@ -129,8 +146,8 @@ def _cmd_track(args) -> int:
         return EXIT_OK
     if len(sats) == 3:
         d = determinant_d(sats)
-        perm = sign_condition(sats)
         muv = magnification_uv(sats)
+        perm = muv.permutation
         if not muv.admissible:
             print("inadmissible: no satellite ordering satisfies the "
                   "orientation condition (or a cofactor vanishes)",
@@ -157,10 +174,14 @@ def _cmd_track(args) -> int:
 def _day_span(ephemerides, utc_offset: float) -> tuple[GpsTime, GpsTime]:
     """Full UTC day containing the median ephemeris issue epoch."""
     toes = sorted(e.toe for e in ephemerides)
-    mid_utc = toes[len(toes) // 2].to_utc(utc_offset)
-    day0 = dt.datetime(mid_utc.year, mid_utc.month, mid_utc.day)
-    return (GpsTime.from_utc(day0, utc_offset),
-            GpsTime.from_utc(day0 + dt.timedelta(days=1), utc_offset))
+    try:
+        mid_utc = toes[len(toes) // 2].to_utc(utc_offset)
+        day0 = dt.datetime(mid_utc.year, mid_utc.month, mid_utc.day)
+        return (GpsTime.from_utc(day0, utc_offset),
+                GpsTime.from_utc(day0 + dt.timedelta(days=1), utc_offset))
+    except OverflowError:
+        raise ValueError(f"GPS-UTC offset {utc_offset} s puts the scan day "
+                         "outside the calendar") from None
 
 
 def _cmd_scan(args) -> int:
@@ -204,6 +225,7 @@ def _cmd_hist(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="navbound",

@@ -117,6 +117,8 @@ class SiteLocation:
     height: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.latitude, self.longitude, self.height))):
+            raise ValueError("site coordinates must be finite")
         if abs(self.latitude) > 90:
             raise ValueError("latitude out of range")
         if not -180 < self.longitude <= 180:

@@ -33,6 +33,8 @@ class ScanConfig:
     end: GpsTime
 
     def __post_init__(self):
+        if not (math.isfinite(self.track_azimuth) and math.isfinite(self.step)):
+            raise ValueError("track azimuth and step must be finite")
         if self.step <= 0:
             raise ValueError("step must be positive")
         if not self.start < self.end:

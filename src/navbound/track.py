@@ -12,7 +12,6 @@ by magnification coefficients times the clock-bias error.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -146,8 +145,6 @@ def frenet_frame(base_point, track_azimuth: float,
         radius = math.inf
     elif not (radius > 0) or math.isinf(radius):
         raise ValueError("a curved track needs a finite positive radius")
-    if not (radius > 0):
-        raise ValueError("radius must be positive")
 
     u = np.array([math.sin(track_azimuth), math.cos(track_azimuth), 0.0])
     side = -1.0 if curvature_center_side == "right" else 1.0
@@ -192,18 +189,29 @@ def directional_cosines(sat_unit_dirs: Sequence, frame: FrenetFrame,
     return out
 
 
-def determinant_d(sats: Sequence[SatGeometry]) -> float:
-    """Configuration determinant D = f1 h2 - f2 h1 + f2 h3 - f3 h2 + f3 h1 - f1 h3."""
+def _cofactors(f, h):
+    """Cyclic cofactors (f2 h3 - f3 h2, f3 h1 - f1 h3, f1 h2 - f2 h1) and their
+    sum D, with the satellite on the leading axis: floats or (3, N) arrays."""
+    (f1, f2, f3), (h1, h2, h3) = f, h
+    c1, c2, c3 = f2 * h3 - f3 * h2, f3 * h1 - f1 * h3, f1 * h2 - f2 * h1
+    return c1, c2, c3, c1 + c2 + c3
+
+
+def _cosines(sats: Sequence[SatGeometry]):
     if len(sats) != 3:
         raise ValueError("exactly three satellites required")
-    (f1, h1), (f2, h2), (f3, h3) = ((s.f, s.h) for s in sats)
-    return f1 * h2 - f2 * h1 + f2 * h3 - f3 * h2 + f3 * h1 - f1 * h3
+    s1, s2, s3 = sats
+    return (s1.f, s2.f, s3.f), (s1.h, s2.h, s3.h)
 
 
-def _cofactors(sats: Sequence[SatGeometry]) -> tuple[float, float, float]:
-    """(f2 h3 - f3 h2, f3 h1 - f1 h3, f1 h2 - f2 h1)."""
-    (f1, h1), (f2, h2), (f3, h3) = ((s.f, s.h) for s in sats)
-    return (f2 * h3 - f3 * h2, f3 * h1 - f1 * h3, f1 * h2 - f2 * h1)
+def _orientation(c1, c2, c3) -> Optional[tuple[int, int, int]]:
+    return ((0, 1, 2) if c1 > 0 and c2 > 0 and c3 > 0
+            else (0, 2, 1) if c1 < 0 and c2 < 0 and c3 < 0 else None)
+
+
+def determinant_d(sats: Sequence[SatGeometry]) -> float:
+    """Configuration determinant D = f1 h2 - f2 h1 + f2 h3 - f3 h2 + f3 h1 - f1 h3."""
+    return _cofactors(*_cosines(sats))[3]
 
 
 def solve_three_sat(sats: Sequence[SatGeometry],
@@ -215,17 +223,14 @@ def solve_three_sat(sats: Sequence[SatGeometry],
     """
     if len(sats) != 3 or len(deltas) != 3:
         raise ValueError("exactly three satellites and three deltas required")
-    d = determinant_d(sats)
+    (f1, f2, f3), (h1, h2, h3) = f, h = _cosines(sats)
+    c1, c2, c3, d = _cofactors(f, h)
     if abs(d) <= DETERMINANT_TOL:
         raise DegenerateGeometryError(f"|D| = {abs(d)} below threshold")
-    (f1, h1), (f2, h2), (f3, h3) = ((s.f, s.h) for s in sats)
-    r = np.array([x.residual for x in deltas])
-    adj = np.array([
-        [h2 - h3, h3 - h1, h1 - h2],
-        [f3 - f2, f1 - f3, f2 - f1],
-        [f2 * h3 - f3 * h2, f3 * h1 - f1 * h3, f1 * h2 - f2 * h1],
-    ])
-    du, dv, db = adj @ r / d
+    r1, r2, r3 = (x.residual for x in deltas)
+    du = ((h2 - h3) * r1 + (h3 - h1) * r2 + (h1 - h2) * r3) / d
+    dv = ((f3 - f2) * r1 + (f1 - f3) * r2 + (f2 - f1) * r3) / d
+    db = (c1 * r1 + c2 * r2 + c3 * r3) / d
     return SolveResult(delta_u=float(du), delta_v=float(dv), delta_b=float(db),
                        determinant=d, kind="three-sat")
 
@@ -233,18 +238,11 @@ def solve_three_sat(sats: Sequence[SatGeometry],
 def sign_condition(sats: Sequence[SatGeometry]) -> Optional[tuple[int, int, int]]:
     """Find a satellite relabeling making the configuration counterclockwise.
 
-    With z_j = f_j + i h_j the condition is Im(z_j* z_{j+1}) > 0 for all
-    consecutive pairs, cyclically. All 6 suffix permutations are searched;
-    returns the first that works, or None.
+    With z_j = f_j + i h_j the condition is Im(z_j* z_{j+1}) > 0 cyclically;
+    Im(z_j* z_k) = f_j h_k - h_j f_k, so it holds for (0, 1, 2) when all
+    cyclic cofactors are > 0 and for (0, 2, 1) when all are < 0, else None.
     """
-    if len(sats) != 3:
-        raise ValueError("exactly three satellites required")
-    z = [complex(s.f, s.h) for s in sats]
-    for perm in itertools.permutations(range(3)):
-        zs = [z[i] for i in perm]
-        if all((zs[j].conjugate() * zs[(j + 1) % 3]).imag > 0 for j in range(3)):
-            return perm
-    return None
+    return _orientation(*_cofactors(*_cosines(sats))[:3])
 
 
 def magnification_uv(sats: Sequence[SatGeometry]) -> MagnificationUV:
@@ -255,13 +253,14 @@ def magnification_uv(sats: Sequence[SatGeometry]) -> MagnificationUV:
     condition holds and no cofactor vanishes; then positive residuals give
     |du| <= M_u |db| and |dv| <= M_v |db|.
     """
-    perm = sign_condition(sats)
-    (f1, h1), (f2, h2), (f3, h3) = ((s.f, s.h) for s in sats)
-    cof = [abs(c) for c in _cofactors(sats)]
-    if min(cof) == 0.0:
+    (f1, f2, f3), (h1, h2, h3) = f, h = _cosines(sats)
+    c1, c2, c3, _ = _cofactors(f, h)
+    perm = _orientation(c1, c2, c3)
+    cof = min(abs(c1), abs(c2), abs(c3))
+    if cof == 0.0:
         return MagnificationUV(m_u=None, m_v=None, admissible=False, permutation=perm)
-    m_u = max(abs(h2 - h3), abs(h3 - h1), abs(h1 - h2)) / min(cof)
-    m_v = max(abs(f2 - f3), abs(f3 - f1), abs(f1 - f2)) / min(cof)
+    m_u = max(abs(h2 - h3), abs(h3 - h1), abs(h1 - h2)) / cof
+    m_v = max(abs(f2 - f3), abs(f3 - f1), abs(f1 - f2)) / cof
     return MagnificationUV(m_u=m_u, m_v=m_v, admissible=perm is not None,
                            permutation=perm)
 

@@ -138,6 +138,33 @@ class TestTrack:
     def test_missing_file(self, capsys):
         assert run(["track", "--geometry", "/nonexistent.json"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("payload", [
+        5,
+        [1, 2],
+        {"satellites": 3},
+        {"track_azimuth_deg": 90.0},
+        [{"sat_id": "A", "f": 0.5, "h": None},
+         {"sat_id": "B", "f": -0.5, "h": 0.1}],
+        [{"sat_id": "A", "f": 0.5}, {"sat_id": "B", "f": -0.5, "h": 0.1}],
+        [{"sat_id": "A", "elevation": "high", "azimuth": 90.0},
+         {"sat_id": "B", "elevation": 60.0, "azimuth": 270.0}],
+        {"track_azimuth_deg": "east",
+         "satellites": [{"sat_id": "A", "f": 0.5, "h": 0.1},
+                        {"sat_id": "B", "f": -0.5, "h": 0.1}]},
+        [{"sat_id": "A", "f": float("nan"), "h": 0.1},
+         {"sat_id": "B", "f": -0.5, "h": 0.1}],
+    ], ids=["number", "list_of_numbers", "satellites_not_list",
+            "satellites_missing", "null_h", "missing_h", "string_elevation",
+            "string_azimuth", "nan_f"])
+    def test_malformed_geometry_exits_two(self, tmp_path, capsys, payload):
+        path = tmp_path / "geometry.json"
+        path.write_text(json.dumps(payload))
+        assert run(["track", "--geometry", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "geometry" in captured.err
+
 
 class TestScanAndHist:
     def test_full_pipeline(self, nav_path, tmp_path, capsys):
@@ -186,6 +213,19 @@ class TestScanAndHist:
         assert captured.out == ""
         assert captured.err == "Kepler iteration did not converge\n"
 
+    @pytest.mark.parametrize("option, value", [
+        ("--lat", "nan"), ("--height", "nan"), ("--height", "inf"),
+        ("--azimuth", "nan"), ("--utc-offset", "1e20"),
+        ("--utc-offset", "inf")])
+    def test_non_finite_or_overflowing_option_exits_two(self, nav_path, capsys,
+                                                        option, value):
+        argv = ["scan", "--nav", str(nav_path), "--lat", "34.75337",
+                "--lon", "135.42783", option, value]
+        assert run(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+
     def test_table_without_usable_rows(self, tmp_path, capsys):
         table = tmp_path / "positions.csv"
         table.write_text("sat_id,week,sow,x_m,y_m,z_m\nG01,1750,abc,1,2,3\n")
@@ -218,6 +258,22 @@ class TestUsage:
 
     def test_help_exits_zero(self):
         assert run(["--help"]) == 0
+
+    def test_cached_parser_parses_each_call_afresh(self, tmp_path, capsys):
+        out = tmp_path / "code.csv"
+        assert run(["code", "--prn", "3", "--format", "json",
+                    "--output", str(out)]) == EXIT_OK
+        path = write_geometry(tmp_path, [
+            {"sat_id": "A", "f": -0.5, "h": 0.1},
+            {"sat_id": "B", "f": 0.8, "h": -0.2},
+        ])
+        # --format and --output of the first call must not carry over
+        assert run(["track", "--geometry", path]) == EXIT_OK
+        assert capsys.readouterr().out == "field,value\nm_s,2.000000000\n"
+        assert json.loads(out.read_text())["prn"] == 3
+        assert run(["code", "--prn", "5", "--format", "json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["prn"] == 5
+        assert cli._build_parser() is cli._build_parser()
 
     def test_console_script_installed(self):
         assert shutil.which("navbound") is not None

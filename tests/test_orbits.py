@@ -194,6 +194,13 @@ class TestGeodetic:
         with pytest.raises(ValueError):
             SiteLocation(0.0, 200.0)
 
+    @pytest.mark.parametrize("lat, lon, height", [
+        (math.nan, 0.0, 0.0), (0.0, math.nan, 0.0), (0.0, 0.0, math.nan),
+        (0.0, 0.0, math.inf), (0.0, 0.0, -math.inf)])
+    def test_non_finite_site_rejected(self, lat, lon, height):
+        with pytest.raises(ValueError, match="finite"):
+            SiteLocation(lat, lon, height)
+
 
 class TestEnu:
     SITE = SiteLocation(34.75337, 135.42783, 3.7)

@@ -41,6 +41,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             make_config(mask=90.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("track_azimuth", math.nan), ("track_azimuth", math.inf),
+        ("step", math.nan), ("step", math.inf)])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            make_config(**{field: value})
+
 
 class TestTwoSatFromPositions:
     def test_known_pair_value(self):

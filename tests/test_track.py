@@ -1,4 +1,6 @@
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -6,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from navbound.track import (DegenerateGeometryError, FrenetFrame,
-                            PseudorangeDelta, SatGeometry, arc_project,
-                            determinant_d, directional_cosines, frenet_frame,
-                            magnification_s, magnification_uv, sign_condition,
-                            solve_three_sat, solve_two_sat,
+                            PseudorangeDelta, SatGeometry, _cofactors,
+                            arc_project, determinant_d, directional_cosines,
+                            frenet_frame, magnification_s, magnification_uv,
+                            sign_condition, solve_three_sat, solve_two_sat,
                             synthetic_geometry)
 
 SQ3 = math.sqrt(3.0)
@@ -256,7 +258,6 @@ class TestMagnificationUV:
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(17)
-        import itertools
         for _ in range(50):
             sats = random_cosines(rng)
             base = magnification_uv(sats)
@@ -308,6 +309,117 @@ class TestMagnificationUV:
                     best = max(best, abs(res.delta_u) / abs(res.delta_b))
             assert best >= 0.9 * sup
             assert sup <= m.m_u * (1 + 1e-12)
+
+
+def search_oracle(sats):
+    """The 6-permutation search in complex arithmetic that the closed-form
+    orientation test replaced: the first permutation, in itertools order,
+    with Im(z_j* z_{j+1}) > 0 for every consecutive pair, cyclically."""
+    z = [complex(s.f, s.h) for s in sats]
+    for perm in itertools.permutations(range(3)):
+        zs = [z[i] for i in perm]
+        if all((zs[j].conjugate() * zs[(j + 1) % 3]).imag > 0 for j in range(3)):
+            return perm
+    return None
+
+
+def magnification_oracle(sats, perm):
+    """(m_u, m_v, admissible) by the formula magnification_uv used before
+    the cofactor kernel, with its operand and min/max order; perm is
+    search_oracle(sats)."""
+    (f1, h1), (f2, h2), (f3, h3) = ((s.f, s.h) for s in sats)
+    cof = [abs(f2 * h3 - f3 * h2), abs(f3 * h1 - f1 * h3), abs(f1 * h2 - f2 * h1)]
+    if min(cof) == 0.0:
+        return None, None, False
+    return (max(abs(h2 - h3), abs(h3 - h1), abs(h1 - h2)) / min(cof),
+            max(abs(f2 - f3), abs(f3 - f1), abs(f1 - f2)) / min(cof),
+            perm is not None)
+
+
+def same_float(a, b):
+    """Equal as floats, NaN equal to NaN, None equal only to None."""
+    if a is None or b is None:
+        return a is b
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def assert_matches_oracles(sats):
+    """sign_condition and every magnification_uv field equal the oracles'."""
+    perm = search_oracle(sats)
+    assert sign_condition(sats) == perm
+    m = magnification_uv(sats)
+    m_u, m_v, admissible = magnification_oracle(sats, perm)
+    assert same_float(m.m_u, m_u) and same_float(m.m_v, m_v)
+    assert m.admissible == admissible and m.permutation == perm
+    return admissible
+
+
+class TestCofactorKernel:
+    EDGE_CASES = {
+        "zero_cofactor": [(0.5, 0.5), (0.25, 0.25), (-0.5, 0.2)],
+        "satellite_at_origin": [(0.0, 0.0), (0.3, 0.4), (-0.5, 0.1)],
+        "signed_zero": [(-0.0, 0.0), (0.3, -0.0), (-0.5, 0.1)],
+        "coincident": [(0.3, 0.4), (0.3, 0.4), (-0.5, 0.1)],
+        "all_coincident": [(0.3, 0.4)] * 3,
+        "counterclockwise": [(0.0, 1.0), (-SQ3 / 2, -0.5), (SQ3 / 2, -0.5)],
+        "reversed": [(0.0, 1.0), (SQ3 / 2, -0.5), (-SQ3 / 2, -0.5)],
+        "half_plane": [(0.9, 0.1), (0.5, 0.5), (0.8, -0.2)],
+        "origin_on_edge": [(0.5, 0.0), (-0.5, 0.0), (0.0, 0.5)],
+        "nan_f": [(math.nan, 0.1), (0.3, 0.4), (-0.5, -0.3)],
+        "nan_h": [(0.2, 0.1), (0.3, 0.4), (-0.5, math.nan)],
+        "infinite": [(math.inf, 0.1), (-0.3, 0.4), (-0.5, -0.3)],
+    }
+
+    @pytest.mark.parametrize("case", sorted(EDGE_CASES))
+    def test_edge_cases_match_oracles(self, case):
+        points = self.EDGE_CASES[case]
+        for order in itertools.permutations(range(3)):
+            assert_matches_oracles([geom(*points[i], str(i)) for i in order])
+
+    def test_seeded_triples_match_oracles(self):
+        # unit-disc cosines, plus cosines rounded to 0.1 so that exact zero
+        # cofactors, ties and coincident satellites occur often
+        rng = np.random.default_rng(2026)
+        n = 100_000
+        f, h = rng.uniform(-1.0, 1.0, (2, n, 3))
+        f[: n // 10], h[: n // 10] = (np.round(f[: n // 10], 1),
+                                      np.round(h[: n // 10], 1))
+        admissible = sum(
+            assert_matches_oracles([geom(fk[0], hk[0]), geom(fk[1], hk[1]),
+                                    geom(fk[2], hk[2])])
+            for fk, hk in zip(f.tolist(), h.tolist()))
+        assert 0.1 * n < admissible < 0.9 * n
+
+    def test_arrays_match_independent_rederivation(self):
+        rng = np.random.default_rng(6)
+        f, h = rng.uniform(-1.0, 1.0, (2, 3, 1_000_000))
+        start = time.perf_counter()
+        c1, c2, c3, d = _cofactors(f, h)
+        admissible = ((c1 > 0) & (c2 > 0) & (c3 > 0)) | ((c1 < 0) & (c2 < 0) & (c3 < 0))
+        elapsed = time.perf_counter() - start
+        # D as the first-column expansion of det [[f_j, h_j, 1]], and the
+        # orientation condition as Im(conj(z_j) z_{j+1}) > 0 in complex numbers
+        expansion = f[0] * (h[1] - h[2]) + f[1] * (h[2] - h[0]) + f[2] * (h[0] - h[1])
+        z = f + 1j * h
+        im = np.stack([(np.conj(z[j]) * z[(j + 1) % 3]).imag for j in range(3)])
+        oracle = (im > 0).all(axis=0) | (im < 0).all(axis=0)
+        assert np.abs(d - expansion).max() <= 1e-12
+        assert np.array_equal(admissible, oracle)
+        assert 0.2 < admissible.mean() < 0.3
+        assert elapsed < 0.3
+        # the scalar API takes the same path, element for element
+        for k in rng.integers(0, f.shape[1], 20):
+            scalar = _cofactors(f[:, k].tolist(), h[:, k].tolist())
+            assert scalar == (c1[k], c2[k], c3[k], d[k])
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_wrong_count_raises(self, count):
+        sats = [geom(0.1 * j, 0.2 - 0.1 * j, str(j)) for j in range(count)]
+        for fn in (determinant_d, sign_condition, magnification_uv):
+            with pytest.raises(ValueError, match="exactly three"):
+                fn(sats)
+        with pytest.raises(ValueError, match="exactly three"):
+            solve_three_sat(sats, deltas([0.1] * count))
 
 
 class TestTwoSat:
