@@ -22,19 +22,17 @@ import logging
 import math
 import sys
 
-import numpy as np
-
 from . import scan as scan_mod
 from .cacode import generate_ca_code
 from .orbits import (DEFAULT_GPS_UTC_OFFSET, EphemerisError, GpsTime,
                      SiteLocation, parse_position_csv, parse_rinex_nav)
-from .scan import ScanConfig, histogram, scan_ms
+from .scan import EmptySeriesError, ScanConfig, histogram, scan_ms
 from .signal_model import (DegenerateCurvatureError, DelayEstimationError,
                            NoiseConfig, default_spec, perturbation_experiment,
                            worst_interference, sample_waveform)
-from .track import (DegenerateGeometryError, SatGeometry, determinant_d,
-                    directional_cosines, frenet_frame, magnification_s,
-                    magnification_uv)
+from .track import (DegenerateGeometryError, SatGeometry, check_unit_disc,
+                    determinant_d, directional_cosines, frenet_frame,
+                    magnification_s, magnification_uv)
 
 EXIT_OK = 0
 EXIT_DEGENERATE = 1
@@ -109,18 +107,14 @@ def _load_geometry(path: str) -> list[SatGeometry]:
             and all(isinstance(rec, dict) for rec in sats_raw)):
         raise ValueError("geometry must be a list of satellite objects or "
                          "{\"satellites\": [...]}")
-    frame = frenet_frame([0.0, 0.0, 0.0], track_azimuth, "straight")
+    frame = frenet_frame(track_azimuth, "straight")
     sats = []
     for rec in sats_raw:
         sat_id = str(rec.get("sat_id", len(sats) + 1))
         if "f" in rec:
             f, h = _finite(rec.get("f"), "f"), _finite(rec.get("h"), "h")
-            # reconstruct a consistent unit g from the cosines
-            g = f * frame.u + h * frame.v
-            rest = 1.0 - f * f - h * h
-            g = g - math.sqrt(max(rest, 0.0)) * frame.w
-            sats.append(SatGeometry(sat_id=sat_id, g=g / np.linalg.norm(g),
-                                    f=f, h=h))
+            check_unit_disc(f, h, sat_id)
+            sats.append(SatGeometry(sat_id=sat_id, f=f, h=h))
         else:
             el = math.radians(_finite(rec.get("elevation"), "elevation"))
             az = math.radians(_finite(rec.get("azimuth"), "azimuth"))
@@ -213,12 +207,8 @@ def _cmd_scan(args) -> int:
 def _cmd_hist(args) -> int:
     with open(args.series) as f:
         results = scan_mod.parse_series_csv(f.read())
-    try:
-        hist = histogram(results, bin_width=args.bin_width,
-                         value_range=(args.range[0], args.range[1]))
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_DEGENERATE
+    hist = histogram(results, bin_width=args.bin_width,
+                     value_range=(args.range[0], args.range[1]))
     text = (scan_mod.hist_json(hist) + "\n" if args.format == "json"
             else scan_mod.hist_csv(hist))
     _emit(text, args.output)
@@ -294,7 +284,7 @@ def run(argv=None) -> int:
     try:
         return args.func(args)
     except (DegenerateGeometryError, DegenerateCurvatureError,
-            DelayEstimationError, EphemerisError) as exc:
+            DelayEstimationError, EmptySeriesError, EphemerisError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_DEGENERATE
     except (OSError, ValueError, KeyError) as exc:

@@ -132,10 +132,6 @@ class VisibleSat:
     elevation: float
     azimuth: float
 
-    @property
-    def g(self) -> np.ndarray:
-        return -self.enu_unit_dir
-
 
 def _rinex_floats(line: str, start: int, count: int) -> list[float]:
     """Parse `count` D19.12 fields from a (possibly trimmed) RINEX line."""
@@ -148,8 +144,7 @@ def _rinex_floats(line: str, start: int, count: int) -> list[float]:
     return out
 
 
-def parse_rinex_nav(text: str, validity_window: float = 4 * 3600.0,
-                    ) -> list[EphemerisRecord]:
+def parse_rinex_nav(text: str) -> list[EphemerisRecord]:
     """Parse a RINEX 2.x GPS navigation file into ephemeris records.
 
     Malformed records are skipped with a logged diagnostic; a bad header
@@ -191,14 +186,14 @@ def parse_rinex_nav(text: str, validity_window: float = 4 * 3600.0,
             log.warning("line %d: truncated record block, skipped", i + 1)
             break
         try:
-            records.append(_parse_record_block(block, validity_window))
+            records.append(_parse_record_block(block))
         except (ValueError, IndexError, OverflowError) as exc:
             log.warning("line %d: skipping malformed record: %s", i + 1, exc)
         i += 8
     return records
 
 
-def _parse_record_block(block: list[str], validity_window: float) -> EphemerisRecord:
+def _parse_record_block(block: list[str]) -> EphemerisRecord:
     head = block[0]
     prn = int(head[0:2])
     # Epoch (toc) is parsed only to sanity-check the two-digit year mapping;
@@ -231,26 +226,24 @@ def _parse_record_block(block: list[str], validity_window: float) -> EphemerisRe
         cuc=orbit[4], cus=orbit[6],
         crc=orbit[13], crs=orbit[1],
         cic=orbit[9], cis=orbit[11],
-        validity_window=validity_window,
         health=int(orbit[21]),
     )
 
 
-def solve_kepler(mean_anomaly: float, e: float, tol: float = 1e-12,
-                 max_iter: int = 30) -> float:
+# Newton stop rule of both Kepler solvers.
+_KEPLER_TOL, _KEPLER_MAX_ITER = 1e-12, 30
+
+
+def solve_kepler(mean_anomaly: float, e: float) -> float:
     """Eccentric anomaly from M = E - e sin E by Newton iteration."""
     m = math.remainder(mean_anomaly, 2 * math.pi)
     ecc = m if e < 0.8 else math.pi
-    for _ in range(max_iter):
+    for _ in range(_KEPLER_MAX_ITER):
         delta = (ecc - e * math.sin(ecc) - m) / (1 - e * math.cos(ecc))
         ecc -= delta
-        if abs(delta) <= tol:
+        if abs(delta) <= _KEPLER_TOL:
             return ecc
     raise EphemerisError(f"Kepler iteration did not converge (e={e}, M={m})")
-
-
-# The kernel's stop rule; must equal solve_kepler's defaults.
-_KEPLER_TOL, _KEPLER_MAX_ITER = 1e-12, 30
 
 
 def _kepler_array(mean_anomaly: np.ndarray, e: np.ndarray) -> np.ndarray:

@@ -22,6 +22,13 @@ from .orbits import (GpsTime, PositionSource, SiteLocation, ecef_to_enu,
                      position_grid)
 from .track import frenet_frame
 
+# Largest scan: one day at a 1 s step. A scan holds every epoch's result
+# (about 0.5-0.7 kB each) in memory.
+MAX_SCAN_EPOCHS = 86_400
+
+# Largest histogram (the default has 20 bins); each bin is one output row.
+MAX_HIST_BINS = 100_000
+
 
 @dataclass(frozen=True)
 class ScanConfig:
@@ -39,8 +46,14 @@ class ScanConfig:
             raise ValueError("step must be positive")
         if not self.start < self.end:
             raise ValueError("start must precede end")
+        if (self.end - self.start) / self.step > MAX_SCAN_EPOCHS:
+            raise ValueError(f"span / step exceeds {MAX_SCAN_EPOCHS} epochs")
         if not 0 <= self.mask < 90:
             raise ValueError("mask must be in [0, 90) degrees")
+
+
+class EmptySeriesError(ValueError):
+    """A scan series with no epoch that has an admissible pair."""
 
 
 @dataclass(frozen=True)
@@ -76,8 +89,7 @@ def scan_ms(config: ScanConfig, source: PositionSource) -> list[EpochResult]:
     epochs = []
     while (t := config.start.add_seconds(len(epochs) * config.step)) < config.end:
         epochs.append(t)
-    tangent = frenet_frame([0.0, 0.0, 0.0], math.radians(config.track_azimuth),
-                           "straight").u
+    tangent = frenet_frame(math.radians(config.track_azimuth), "straight").u
     results, covered = [], False
     for first in range(0, len(epochs), EPOCH_BLOCK):
         block = epochs[first:first + EPOCH_BLOCK]
@@ -115,15 +127,23 @@ def histogram(results: Sequence[EpochResult], bin_width: float = 0.1,
     """Relative-frequency histogram of present best_m_s values.
 
     Frequencies are normalized by the number of epochs with a value;
-    values above the range fall in the overflow bin.
+    values above the range fall in the overflow bin. Raises EmptySeriesError
+    when no epoch has a value.
     """
-    if bin_width <= 0:
-        raise ValueError("bin_width must be positive")
+    lo, hi = value_range
+    if not (math.isfinite(bin_width) and bin_width > 0):
+        raise ValueError(f"bin width must be finite and positive, got {bin_width}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"range must be finite with low < high, got {lo} {hi}")
+    bins = (hi - lo) / bin_width
+    if not bins <= MAX_HIST_BINS:
+        raise ValueError(f"range / bin width exceeds {MAX_HIST_BINS} bins")
+    n_bins = int(round(bins))
+    if n_bins < 1:
+        raise ValueError("range is narrower than half a bin")
     values = [r.best_m_s for r in results if r.best_m_s is not None]
     if not values:
-        raise ValueError("no epochs with an admissible pair")
-    lo, hi = value_range
-    n_bins = int(round((hi - lo) / bin_width))
+        raise EmptySeriesError("no epochs with an admissible pair")
     edges = [lo + i * bin_width for i in range(n_bins + 1)]
     counts = [0] * n_bins
     overflow = 0

@@ -217,17 +217,16 @@ def _coarse_grid(z: np.ndarray, spec: WaveformSpec, lo: float, hi: float) -> flo
 
     When the sample grid spans an integer number of code periods, shifting
     tau by one sampling period circularly shifts the replica, so all
-    sample-spaced correlations come from a single FFT. Otherwise each grid
-    point is synthesized directly.
+    sample-spaced correlations come from a single FFT; that grid is used
+    when it is at least as fine as a quarter chip. Otherwise each
+    quarter-chip grid point is synthesized directly, and the search is
+    repeated at 1/16 and 1/64 chip about the best point: with fewer than
+    four samples per chip the misfit's convex basin about the true delay
+    can be narrower than a quarter chip, and Newton must start inside it.
     """
-    t_total = spec.num_samples * spec.sampling_period
-    periods = t_total / spec.code_period
-    step = min(spec.chip_duration / 4, spec.sampling_period)
-    fft_ok = (
-        abs(periods - round(periods)) < 1e-9
-        and abs(spec.sampling_period / step - round(spec.sampling_period / step)) < 1e-9
-    )
-    if fft_ok:
+    periods = spec.num_samples * spec.sampling_period / spec.code_period
+    step = spec.chip_duration / 4
+    if abs(periods - round(periods)) < 1e-9 and spec.sampling_period <= step:
         w0 = sample_waveform(spec, lo, 0).samples
         # Re<roll(w0, s), z> for all integer shifts s via circular correlation
         corr = np.real(np.fft.ifft(np.fft.fft(z) * np.conj(np.fft.fft(w0))))
@@ -235,11 +234,17 @@ def _coarse_grid(z: np.ndarray, spec: WaveformSpec, lo: float, hi: float) -> flo
         shifts = np.arange(0, min(n_steps, len(z) - 1) + 1)
         best = shifts[np.argmax(corr[shifts])]
         return lo + best * spec.sampling_period
-    taus = np.arange(lo, hi + 0.5 * step, step)
-    objective = [
-        -float(np.linalg.norm(z - sample_waveform(spec, tau, 0).samples)) for tau in taus
-    ]
-    return float(taus[int(np.argmax(objective))])
+
+    def best(taus):
+        objective = [-float(np.linalg.norm(z - sample_waveform(spec, tau, 0).samples))
+                     for tau in taus]
+        return float(taus[int(np.argmax(objective))])
+
+    tau = best(np.arange(lo, hi + 0.5 * step, step))
+    for _ in range(2):
+        step /= 4
+        tau = best(tau + step * np.arange(-4, 5))
+    return tau
 
 
 def _ml_delay(z: SampledSignal, spec: WaveformSpec,

@@ -36,27 +36,6 @@ class FrenetFrame:
     v: np.ndarray
     w: np.ndarray
     radius: float
-    base_point: np.ndarray
-
-    def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
-        v = np.asarray(self.v, dtype=float)
-        w = np.asarray(self.w, dtype=float)
-        for name, vec in (("u", u), ("v", v), ("w", w)):
-            if abs(np.linalg.norm(vec) - 1.0) > 1e-12:
-                raise ValueError(f"{name} is not a unit vector")
-        if abs(np.dot(u, v)) > 1e-12 or abs(np.dot(u, w)) > 1e-12 \
-                or abs(np.dot(v, w)) > 1e-12:
-            raise ValueError("frame vectors are not orthogonal")
-        if np.linalg.norm(np.cross(u, v) - w) > 1e-12:
-            raise ValueError("w must equal u x v")
-        if not (self.radius > 0):
-            raise ValueError("radius must be positive (math.inf for straight)")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "base_point",
-                           np.asarray(self.base_point, dtype=float))
 
     @property
     def is_straight(self) -> bool:
@@ -65,33 +44,32 @@ class FrenetFrame:
 
 @dataclass(frozen=True)
 class SatGeometry:
-    """Per-satellite geometry: g = -unit direction to the satellite, and its
-    directional cosines f = <g, U>, h = <g, V> against the track frame.
-
-    g may be None for a synthetic (virtual) satellite used in limit
-    analysis; physical-geometry invariants are then not enforced.
+    """A satellite's directional cosines f = <g, U>, h = <g, V> against the
+    track frame, g being minus the unit direction to the satellite. A
+    synthetic satellite (such as the virtual satellite of the track
+    constraint) may lie outside the unit disc; the cosines must be finite.
     """
 
     sat_id: str
-    g: Optional[np.ndarray]
     f: float
     h: float
 
     def __post_init__(self):
-        if self.g is None:
-            return
-        g = np.asarray(self.g, dtype=float)
-        if abs(np.linalg.norm(g) - 1.0) > 1e-9:
-            raise ValueError("g must be a unit vector")
-        if self.f * self.f + self.h * self.h > 1.0 + 1e-12:
-            raise ValueError("f^2 + h^2 exceeds 1")
-        object.__setattr__(self, "g", g)
+        if not (math.isfinite(self.f) and math.isfinite(self.h)):
+            raise ValueError(f"sat {self.sat_id}: cosines must be finite, "
+                             f"got f={self.f!r}, h={self.h!r}")
 
 
 def synthetic_geometry(sat_id: str, f: float, h: float) -> SatGeometry:
     """A satellite given by bare directional cosines (e.g. the virtual
     satellite of the track constraint, which has no physical direction)."""
-    return SatGeometry(sat_id=sat_id, g=None, f=f, h=h)
+    return SatGeometry(sat_id=sat_id, f=f, h=h)
+
+
+def check_unit_disc(f: float, h: float, sat_id: str) -> None:
+    """Physical cosines of a unit direction satisfy f^2 + h^2 <= 1."""
+    if f * f + h * h > 1.0 + 1e-12:
+        raise ValueError(f"sat {sat_id}: f^2 + h^2 exceeds 1")
 
 
 @dataclass(frozen=True)
@@ -130,15 +108,16 @@ class MagnificationS:
     admissible: bool
 
 
-def frenet_frame(base_point, track_azimuth: float,
-                 curvature_center_side: str = "straight",
+def frenet_frame(track_azimuth: float, curvature_center_side: str = "straight",
                  radius: float = math.inf) -> FrenetFrame:
     """Horizontal track frame in local ENU coordinates.
 
-    track_azimuth is measured clockwise from north, in radians. The
-    normal V points toward the curvature center; for a straight track its
-    direction is fixed to the left of travel.
+    track_azimuth is measured clockwise from north, in radians, and must be
+    finite. The normal V points toward the curvature center; for a straight
+    track its direction is fixed to the left of travel.
     """
+    if not math.isfinite(track_azimuth):
+        raise ValueError(f"track azimuth must be finite, got {track_azimuth!r}")
     if curvature_center_side not in ("left", "right", "straight"):
         raise ValueError("curvature_center_side must be left, right or straight")
     if curvature_center_side == "straight":
@@ -150,9 +129,7 @@ def frenet_frame(base_point, track_azimuth: float,
     side = -1.0 if curvature_center_side == "right" else 1.0
     # left of travel = azimuth - 90 degrees
     v = side * np.array([-math.cos(track_azimuth), math.sin(track_azimuth), 0.0])
-    w = np.cross(u, v)
-    return FrenetFrame(u=u, v=v, w=w, radius=radius,
-                       base_point=np.asarray(base_point, dtype=float))
+    return FrenetFrame(u=u, v=v, w=np.cross(u, v), radius=radius)
 
 
 def arc_project(u: float, v: float, radius: float) -> tuple[float, float, float]:
@@ -174,7 +151,7 @@ def arc_project(u: float, v: float, radius: float) -> tuple[float, float, float]
 
 def directional_cosines(sat_unit_dirs: Sequence, frame: FrenetFrame,
                         sat_ids: Optional[Sequence[str]] = None) -> list[SatGeometry]:
-    """Geometry vectors and track-frame cosines for unit site->satellite directions."""
+    """Track-frame cosines of unit site->satellite directions."""
     if sat_ids is None:
         sat_ids = [str(i + 1) for i in range(len(sat_unit_dirs))]
     out = []
@@ -183,9 +160,9 @@ def directional_cosines(sat_unit_dirs: Sequence, frame: FrenetFrame,
         if abs(np.linalg.norm(d) - 1.0) > 1e-9:
             raise ValueError(f"direction for sat {sid} is not a unit vector")
         g = -d
-        out.append(SatGeometry(sat_id=str(sid), g=g,
-                               f=float(np.dot(g, frame.u)),
-                               h=float(np.dot(g, frame.v))))
+        f, h = float(np.dot(g, frame.u)), float(np.dot(g, frame.v))
+        check_unit_disc(f, h, str(sid))
+        out.append(SatGeometry(sat_id=str(sid), f=f, h=h))
     return out
 
 

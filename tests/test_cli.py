@@ -4,6 +4,8 @@ import math
 import shutil
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from navbound import cli, orbits
 from navbound.cli import EXIT_DEGENERATE, EXIT_OK, EXIT_USAGE, run
@@ -165,6 +167,16 @@ class TestTrack:
         assert captured.err.count("\n") == 1
         assert "geometry" in captured.err
 
+    def test_cosines_off_unit_disc_exit_two(self, tmp_path, capsys):
+        path = write_geometry(tmp_path, [
+            {"sat_id": "A", "f": 0.8, "h": 0.6 + 1e-9},
+            {"sat_id": "B", "f": -0.5, "h": 0.1},
+        ])
+        assert run(["track", "--geometry", path]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "sat A: f^2 + h^2 exceeds 1\n"
+
 
 class TestScanAndHist:
     def test_full_pipeline(self, nav_path, tmp_path, capsys):
@@ -226,6 +238,16 @@ class TestScanAndHist:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("step", ["1e-9", "0.5"])
+    def test_scan_epoch_count_bound_exits_two(self, nav_path, capsys, step):
+        # a full day at these steps is 8.64e13 and 172800 epochs
+        argv = ["scan", "--nav", str(nav_path), "--lat", "34.75337",
+                "--lon", "135.42783", "--step", step]
+        assert run(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "span / step exceeds 86400 epochs\n"
+
     def test_table_without_usable_rows(self, tmp_path, capsys):
         table = tmp_path / "positions.csv"
         table.write_text("sat_id,week,sow,x_m,y_m,z_m\nG01,1750,abc,1,2,3\n")
@@ -244,6 +266,96 @@ class TestScanAndHist:
         series.write_text("week,sow,n_visible,best_m_s,sat_a,sat_b\n"
                           "1750,0.000,1,,,\n")
         assert run(["hist", "--series", str(series)]) == EXIT_DEGENERATE
+        assert capsys.readouterr().err == "no epochs with an admissible pair\n"
+
+    @pytest.mark.parametrize("options", [
+        ["--range", "3", "1"], ["--range", "1", "1"], ["--range", "1", "inf"],
+        ["--range", "nan", "3"], ["--bin-width", "inf"],
+        ["--bin-width", "nan"], ["--bin-width", "0"], ["--bin-width", "-0.1"],
+        ["--bin-width", "1e-9"], ["--bin-width", "10"]],
+        ids=["reversed_range", "empty_range", "infinite_range", "nan_range",
+             "infinite_width", "nan_width", "zero_width", "negative_width",
+             "too_many_bins", "wider_than_range"])
+    def test_hist_bad_bins_exit_two(self, tmp_path, capsys, options):
+        series = tmp_path / "series.csv"
+        series.write_text("week,sow,n_visible,best_m_s,sat_a,sat_b\n"
+                          "1750,0.000,2,1.500000000,G01,G02\n")
+        assert run(["hist", "--series", str(series)] + options) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+
+
+# Option values for the argv fuzz: plain, extreme, non-finite and unreadable.
+HOSTILE_VALUES = st.one_of(
+    st.sampled_from(["0", "1", "-1", "3", "32", "90", "-90", "181", "1e-9",
+                     "1e308", "-1e308", "nan", "inf", "-inf", "abc", ""]),
+    st.floats().map(repr), st.integers(-10**6, 10**6).map(str))
+
+# Per subcommand, each option with values that the command accepts; the
+# fuzz usually draws one of these so that runs get past the parser.
+FUZZ_OPTIONS = {
+    "code": {"--prn": ["1", "32"]},
+    "interference": {"--prn": ["1", "7"], "--power": ["1e-4", "1e3"],
+                     "--sigma": ["0", "0.01", "5"], "--seed": ["0", "42"],
+                     "--tau": ["0", "3e-4"]},
+    "track": {"--geometry": ["geometry.json"]},
+    "scan": {"--nav": ["brdc2060.13n", "positions.csv"],
+             "--lat": ["34.75337", "-60"], "--lon": ["135.42783", "180"],
+             "--height": ["3.7"], "--azimuth": ["90", "-45"],
+             "--mask": ["15", "0"], "--step": ["60", "600", "86400"],
+             "--utc-offset": ["16", "18"]},
+    "hist": {"--series": ["series.csv"], "--bin-width": ["0.1", "0.5"],
+             "--range": ["1", "3"]},
+}
+FUZZ_FILE_OPTIONS = ("--geometry", "--nav", "--series")
+
+
+def fuzz_files(tmp_path, nav_path):
+    """The files that file options may name, by name: fixtures of each
+    kind and a missing path."""
+    files = {"brdc2060.13n": nav_path, "missing.txt": tmp_path / "missing.txt"}
+    for name, text in (
+            ("geometry.json", json.dumps([{"sat_id": "A", "f": -0.5, "h": 0.1},
+                                          {"sat_id": "B", "f": 0.8, "h": -0.2}])),
+            ("series.csv", "week,sow,n_visible,best_m_s,sat_a,sat_b\n"
+                           "1750,0.000,2,1.500000000,G01,G02\n1750,60.000,1,,,\n"),
+            ("positions.csv", "sat_id,week,sow,x_m,y_m,z_m\n"
+                              "G01,1750,0,1.5e7,1.5e7,1.5e7\n"
+                              "G02,1750,60,-1.5e7,1.5e7,1.5e7\n")):
+        files[name] = tmp_path / name
+        files[name].write_text(text)
+    return {name: str(path) for name, path in files.items()}
+
+
+class TestArgvFuzz:
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_exits_with_documented_code(self, tmp_path, nav_path, capsys, data):
+        files = fuzz_files(tmp_path, nav_path)
+        command = data.draw(st.sampled_from(sorted(FUZZ_OPTIONS)))
+        argv = [command]
+        for option, plausible in FUZZ_OPTIONS[command].items():
+            kind = data.draw(st.sampled_from(["plausible"] * 5
+                                             + ["hostile", "absent"]))
+            if kind == "absent":
+                continue
+            if option in FUZZ_FILE_OPTIONS:
+                name = data.draw(st.sampled_from(plausible if kind == "plausible"
+                                                 else sorted(files)))
+                argv += [option, files[name]]
+                continue
+            values = (st.sampled_from(plausible) if kind == "plausible"
+                      else HOSTILE_VALUES)
+            argv += [option] + [data.draw(values)
+                                for _ in range(2 if option == "--range" else 1)]
+        if data.draw(st.booleans()):
+            argv += ["--format", data.draw(st.sampled_from(["csv", "json"]))]
+        if data.draw(st.booleans()):
+            argv += ["--output", str(tmp_path / "out.txt")]
+        assert run(argv) in (EXIT_OK, EXIT_DEGENERATE, EXIT_USAGE)
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestUsage:

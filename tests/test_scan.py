@@ -8,7 +8,8 @@ import pytest
 
 from navbound.orbits import (GpsTime, SiteLocation, parse_position_csv,
                              parse_rinex_nav, visible_satellites)
-from navbound.scan import (EpochResult, Histogram, ScanConfig, hist_csv,
+from navbound.scan import (MAX_HIST_BINS, MAX_SCAN_EPOCHS, EmptySeriesError,
+                           EpochResult, Histogram, ScanConfig, hist_csv,
                            hist_json, histogram, parse_series_csv, scan_ms,
                            series_csv, series_json)
 from navbound.track import directional_cosines, frenet_frame, magnification_s
@@ -47,6 +48,18 @@ class TestConfig:
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(ValueError, match="finite"):
             make_config(**{field: value})
+
+    def test_epoch_count_bound(self):
+        # one day at a 1 s step is the largest scan; the count is computed,
+        # never built
+        assert MAX_SCAN_EPOCHS == 86_400
+        make_config(step=1.0)
+        with pytest.raises(ValueError, match="exceeds 86400 epochs"):
+            make_config(step=1.0 - 1e-6)
+        with pytest.raises(ValueError, match="epochs"):
+            make_config(step=1e-9)
+        with pytest.raises(ValueError, match="epochs"):
+            make_config(step=5e-324)
 
 
 class TestTwoSatFromPositions:
@@ -163,7 +176,7 @@ class TestFullDayScan:
 class TestBestPairOracle:
     def test_matches_brute_force_over_pairs(self, results, nav_text):
         ephs = parse_rinex_nav(nav_text)
-        frame = frenet_frame([0.0, 0.0, 0.0], math.radians(90.0), "straight")
+        frame = frenet_frame(math.radians(90.0), "straight")
         for r in results[::5]:
             vis = visible_satellites(ephs, SITE, r.t, 15.0)
             assert r.visible_ids == tuple(v.sat_id for v in vis)
@@ -210,8 +223,39 @@ class TestHistogram:
         assert hist.overflow == 0.5
 
     def test_no_values_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(EmptySeriesError):
             histogram([EpochResult(GpsTime(1750, 0.0), 1, (), None, None)])
+
+    @pytest.mark.parametrize("bin_width, value_range, match", [
+        (0.1, (3.0, 1.0), "low < high"),
+        (0.1, (1.0, 1.0), "low < high"),
+        (0.1, (1.0, math.inf), "finite"),
+        (0.1, (math.nan, 3.0), "finite"),
+        (math.inf, (1.0, 3.0), "bin width"),
+        (math.nan, (1.0, 3.0), "bin width"),
+        (0.0, (1.0, 3.0), "bin width"),
+        (-0.1, (1.0, 3.0), "bin width"),
+        (1e-9, (1.0, 3.0), "bins"),
+        (1.0, (-1e308, 1e308), "bins"),
+        (10.0, (1.0, 3.0), "narrower"),
+    ])
+    def test_bad_options_rejected_before_values(self, bin_width, value_range,
+                                                match):
+        # checked before the empty-series test, so a usage error wins
+        for values in ((1.5,), ()):
+            results = [EpochResult(GpsTime(1750, 0.0), 2, (), v, ("A", "B"))
+                       for v in values]
+            with pytest.raises(ValueError, match=match) as info:
+                histogram(results, bin_width=bin_width, value_range=value_range)
+            assert not isinstance(info.value, EmptySeriesError)
+
+    def test_bin_count_limit(self):
+        t = GpsTime(1750, 0.0)
+        results = [EpochResult(t, 2, (), 1.5, ("A", "B"))]
+        hist = histogram(results, bin_width=1.0, value_range=(0.0, MAX_HIST_BINS))
+        assert len(hist.relative_frequency) == MAX_HIST_BINS
+        with pytest.raises(ValueError, match="bins"):
+            histogram(results, bin_width=1.0, value_range=(0.0, MAX_HIST_BINS + 1))
 
 
 class TestSerialization:

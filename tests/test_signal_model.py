@@ -193,6 +193,25 @@ class TestMlDelayEstimate:
         m_tau = magnification_tau(z0, z0, w1, w2)
         assert abs(est - tau_true) <= 1e-2 * m_tau * norm
 
+    def test_one_sample_per_chip(self):
+        # the FFT grid would be a whole chip apart here; the coarse search
+        # must step a quarter chip and narrow about its best point
+        spec = default_spec(1, samples_per_chip=1)
+        tau = 0.3 * spec.code_period
+        est = ml_delay_estimate(sample_waveform(spec, tau, 0), spec,
+                                (0.0, spec.code_period))
+        assert abs(est - tau) <= 1e-6 * spec.chip_duration
+
+    @pytest.mark.parametrize("samples_per_chip", [2, 3])
+    def test_seeded_delays_below_four_samples_per_chip(self, samples_per_chip):
+        spec = default_spec(3, samples_per_chip=samples_per_chip)
+        tc = spec.chip_duration
+        for frac in np.random.default_rng(5).uniform(0.0, 1.0, 20):
+            tau = frac * spec.code_period
+            est = ml_delay_estimate(sample_waveform(spec, tau, 0), spec,
+                                    (tau - 6.3 * tc, tau + 5.1 * tc))
+            assert abs(est - tau) <= 1e-6 * tc
+
     def test_window_too_narrow(self, spec):
         z = sample_waveform(spec, 0.0, 0)
         with pytest.raises(DelayEstimationError):

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from navbound.track import (DegenerateGeometryError, FrenetFrame,
-                            PseudorangeDelta, SatGeometry, _cofactors,
-                            arc_project, determinant_d, directional_cosines,
+from navbound.track import (DegenerateGeometryError, PseudorangeDelta,
+                            SatGeometry, _cofactors, arc_project,
+                            check_unit_disc, determinant_d, directional_cosines,
                             frenet_frame, magnification_s, magnification_uv,
                             sign_condition, solve_three_sat, solve_two_sat,
                             synthetic_geometry)
@@ -43,32 +43,37 @@ def random_cosines(rng, n=3, r_lo=0.1, r_hi=0.95):
 
 class TestFrenetFrame:
     def test_east_axis_aligned(self):
-        fr = frenet_frame([0, 0, 0], math.radians(90), "left", 300.0)
+        fr = frenet_frame(math.radians(90), "left", 300.0)
         assert np.allclose(fr.u, [1, 0, 0], atol=1e-15)
         assert np.allclose(fr.v, [0, 1, 0], atol=1e-15)
         assert np.allclose(fr.w, [0, 0, 1], atol=1e-15)
 
     def test_north_right_center(self):
-        fr = frenet_frame([0, 0, 0], 0.0, "right", 500.0)
+        fr = frenet_frame(0.0, "right", 500.0)
         assert np.allclose(fr.u, [0, 1, 0], atol=1e-15)
         assert np.allclose(fr.v, [1, 0, 0], atol=1e-15)
 
     @given(az=st.floats(0, 2 * math.pi), radius=st.floats(10.0, 1e6),
            side=st.sampled_from(["left", "right"]))
     def test_orthonormality(self, az, radius, side):
-        fr = frenet_frame([0, 0, 0], az, side, radius)
+        fr = frenet_frame(az, side, radius)
         basis = np.stack([fr.u, fr.v, fr.w])
         assert np.abs(basis @ basis.T - np.eye(3)).max() <= 1e-12
 
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError):
-            frenet_frame([0, 0, 0], 0.0, "left", -5.0)
+            frenet_frame(0.0, "left", -5.0)
         with pytest.raises(ValueError):
-            frenet_frame([0, 0, 0], 0.0, "left", 0.0)
+            frenet_frame(0.0, "left", 0.0)
 
     def test_straight_sentinel(self):
-        fr = frenet_frame([0, 0, 0], 0.3, "straight")
+        fr = frenet_frame(0.3, "straight")
         assert fr.is_straight
+
+    @pytest.mark.parametrize("az", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_azimuth(self, az):
+        with pytest.raises(ValueError, match="azimuth"):
+            frenet_frame(az)
 
 
 class TestArcProject:
@@ -106,25 +111,35 @@ class TestArcProject:
 
 class TestDirectionalCosines:
     def test_zenith(self):
-        fr = frenet_frame([0, 0, 0], 1.1, "straight")
+        fr = frenet_frame(1.1, "straight")
         [sat] = directional_cosines([np.array([0, 0, 1.0])], fr)
         assert sat.f == pytest.approx(0.0, abs=1e-15)
         assert sat.h == pytest.approx(0.0, abs=1e-15)
 
     def test_horizon_east(self):
-        fr = frenet_frame([0, 0, 0], math.radians(90), "straight")
+        fr = frenet_frame(math.radians(90), "straight")
         [sat] = directional_cosines([np.array([1.0, 0, 0])], fr)
         assert sat.f == pytest.approx(-1.0)
         assert sat.h == pytest.approx(0.0, abs=1e-15)
 
     def test_non_unit_rejected(self):
-        fr = frenet_frame([0, 0, 0], 0.0, "straight")
+        fr = frenet_frame(0.0, "straight")
         with pytest.raises(ValueError):
             directional_cosines([np.array([1.0, 1.0, 0.0])], fr)
 
+    def test_off_unit_disc_rejected(self):
+        # a unit direction cannot give f^2 + h^2 > 1; a rounding-level excess
+        # within the tolerance is kept, anything beyond it is rejected
+        fr = frenet_frame(0.0, "straight")
+        with pytest.raises(ValueError, match="exceeds 1"):
+            check_unit_disc(0.8, 0.6 + 1e-9, "x")
+        check_unit_disc(0.8, 0.6 + 1e-13, "x")
+        [sat] = directional_cosines([np.array([0.6, 0.8, 0.0])], fr)
+        assert sat.f ** 2 + sat.h ** 2 == pytest.approx(1.0)
+
     @given(az=st.floats(0, 2 * math.pi), el=st.floats(0, math.pi / 2))
     def test_projection_norm(self, az, el):
-        fr = frenet_frame([0, 0, 0], 0.7, "straight")
+        fr = frenet_frame(0.7, "straight")
         d = np.array([math.sin(az) * math.cos(el),
                       math.cos(az) * math.cos(el), math.sin(el)])
         [sat] = directional_cosines([d], fr)
@@ -365,6 +380,8 @@ class TestCofactorKernel:
         "reversed": [(0.0, 1.0), (SQ3 / 2, -0.5), (-SQ3 / 2, -0.5)],
         "half_plane": [(0.9, 0.1), (0.5, 0.5), (0.8, -0.2)],
         "origin_on_edge": [(0.5, 0.0), (-0.5, 0.0), (0.0, 0.5)],
+    }
+    NON_FINITE = {
         "nan_f": [(math.nan, 0.1), (0.3, 0.4), (-0.5, -0.3)],
         "nan_h": [(0.2, 0.1), (0.3, 0.4), (-0.5, math.nan)],
         "infinite": [(math.inf, 0.1), (-0.3, 0.4), (-0.5, -0.3)],
@@ -375,6 +392,13 @@ class TestCofactorKernel:
         points = self.EDGE_CASES[case]
         for order in itertools.permutations(range(3)):
             assert_matches_oracles([geom(*points[i], str(i)) for i in order])
+
+    @pytest.mark.parametrize("case", sorted(NON_FINITE))
+    def test_non_finite_cosines_rejected(self, case):
+        # past construction, such a triple reads as admissible with
+        # m_v = inf and solves to NaN, so it must fail where it is built
+        with pytest.raises(ValueError, match="finite"):
+            [geom(*p, str(i)) for i, p in enumerate(self.NON_FINITE[case])]
 
     def test_seeded_triples_match_oracles(self):
         # unit-disc cosines, plus cosines rounded to 0.1 so that exact zero
@@ -468,6 +492,17 @@ class TestTwoSat:
                         + abs(three.delta_b - two.delta_b)
                         + abs(three.delta_v))
         assert devs[1] < devs[0]
+
+
+class TestSatGeometry:
+    @pytest.mark.parametrize("f, h", [(math.nan, 0.1), (0.1, math.nan),
+                                      (math.inf, 0.1), (0.1, math.inf),
+                                      (-math.inf, 0.5), (0.5, -math.inf)])
+    def test_non_finite_cosines_rejected(self, f, h):
+        with pytest.raises(ValueError, match="finite"):
+            SatGeometry("a", f, h)
+        with pytest.raises(ValueError, match="finite"):
+            synthetic_geometry("a", f, h)
 
 
 class TestMagnificationS:
