@@ -63,6 +63,8 @@ def _cmd_code(args) -> int:
 def _cmd_interference(args) -> int:
     spec = default_spec(args.prn)
     tau_true = args.tau if args.tau is not None else 0.3 * spec.code_period
+    if not 0 <= tau_true < spec.code_period:  # NaN fails too
+        raise ValueError(f"--tau must be in [0, {spec.code_period}) s, got {tau_true}")
     w1 = sample_waveform(spec, tau_true, 1)
     dy = worst_interference(w1, args.power)
     result = perturbation_experiment(
@@ -197,18 +199,17 @@ def _cmd_scan(args) -> int:
         start, end = _day_span(source, args.utc_offset)
     config = ScanConfig(site=site, track_azimuth=args.azimuth, mask=args.mask,
                         step=args.step, start=start, end=end)
-    results = scan_ms(config, source)
-    text_out = (scan_mod.series_json(results) + "\n" if args.format == "json"
-                else scan_mod.series_csv(results))
+    series = scan_ms(config, source)
+    text_out = (scan_mod.series_json(series) + "\n" if args.format == "json"
+                else scan_mod.series_csv(series))
     _emit(text_out, args.output)
     return EXIT_OK
 
 
 def _cmd_hist(args) -> int:
     with open(args.series) as f:
-        results = scan_mod.parse_series_csv(f.read())
-    hist = histogram(results, bin_width=args.bin_width,
-                     value_range=(args.range[0], args.range[1]))
+        best_m_s = scan_mod.parse_series_csv(f.read())
+    hist = histogram(best_m_s, args.bin_width, tuple(args.range))
     text = (scan_mod.hist_json(hist) + "\n" if args.format == "json"
             else scan_mod.hist_csv(hist))
     _emit(text, args.output)

@@ -411,9 +411,9 @@ def _elements(eph: EphemerisRecord) -> tuple[float, ...]:
             eph.omega_dot - OMEGA_EARTH, OMEGA_EARTH * eph.toe.seconds_of_week)
 
 
-def position_grid(source: PositionSource, epochs: Sequence[GpsTime],
+def position_grid(source: PositionSource, seconds: Sequence[float],
                   ) -> tuple[tuple[str, ...], np.ndarray]:
-    """ECEF position of every satellite of `source` at each epoch.
+    """ECEF position of every satellite of `source` at each GPS-seconds epoch.
 
     This is the one place that tells the two inputs apart. From a
     PositionTable, the row within EPOCH_TOLERANCE of an epoch is used.
@@ -423,7 +423,7 @@ def position_grid(source: PositionSource, epochs: Sequence[GpsTime],
     arithmetic of `sat_position_ecef`. Returns the sorted satellite ids and
     `ecef[epoch, sat, 3]`, NaN where a satellite has no position.
     """
-    seconds = np.array([t.total_seconds() for t in epochs])
+    seconds = np.asarray(seconds, dtype=float)
     if isinstance(source, PositionTable):
         if not source.sat_ids:
             raise ValueError("empty position table")
@@ -486,7 +486,7 @@ def visible_satellites(source: PositionSource, site: SiteLocation, t: GpsTime,
     """
     if not 0 <= mask < 90:
         raise ValueError("mask must be in [0, 90) degrees")
-    sat_ids, ecef = position_grid(source, [t])
+    sat_ids, ecef = position_grid(source, [t.total_seconds()])
     enu, elevation, azimuth = ecef_to_enu(site, ecef[0])
     return [VisibleSat(sat_id=sat_id, enu_unit_dir=e / np.linalg.norm(e),
                        elevation=float(el), azimuth=float(az))

@@ -12,19 +12,19 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
-from itertools import compress
-from typing import Optional, Sequence
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .orbits import (GpsTime, PositionSource, SiteLocation, ecef_to_enu,
-                     position_grid)
+from .constants import SECONDS_PER_WEEK
+from .orbits import GpsTime, PositionSource, SiteLocation, ecef_to_enu, position_grid
 from .track import frenet_frame
 
-# Largest scan: one day at a 1 s step. A scan holds every epoch's result
-# (about 0.5-0.7 kB each) in memory.
+# Largest scan: one day at a 1 s step. A scan's columns take 32 B per epoch
+# plus one byte per satellite: 64 B with 32 satellites, 5.5 MB at this limit.
 MAX_SCAN_EPOCHS = 86_400
+
+SERIES_HEADER = ["week", "sow", "n_visible", "best_m_s", "sat_a", "sat_b"]
 
 # Largest histogram (the default has 20 bins); each bin is one output row.
 MAX_HIST_BINS = 100_000
@@ -56,13 +56,22 @@ class EmptySeriesError(ValueError):
     """A scan series with no epoch that has an admissible pair."""
 
 
-@dataclass(frozen=True)
-class EpochResult:
-    t: GpsTime
-    n_visible: int
-    visible_ids: tuple[str, ...]
-    best_m_s: Optional[float] = None
-    best_pair: Optional[tuple[str, str]] = None
+@dataclass(frozen=True, eq=False)
+class ScanSeries:
+    """A scan's result as columns, one row per epoch."""
+
+    sat_ids: tuple[str, ...]
+    seconds: np.ndarray   # GPS seconds of each epoch
+    visible: np.ndarray   # bool [epoch, sat]
+    best_m_s: np.ndarray  # NaN on a gap
+    pair: np.ndarray      # int [epoch, 2], indices into sat_ids; -1 on a gap
+
+    def __len__(self) -> int:
+        return len(self.seconds)
+
+    @property
+    def n_visible(self) -> np.ndarray:
+        return self.visible.sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -77,7 +86,7 @@ class Histogram:
 EPOCH_BLOCK = 256
 
 
-def scan_ms(config: ScanConfig, source: PositionSource) -> list[EpochResult]:
+def scan_ms(config: ScanConfig, source: PositionSource) -> ScanSeries:
     """Sweep the epochs start + k * step (before end) over ephemerides or a
     position table.
 
@@ -86,45 +95,42 @@ def scan_ms(config: ScanConfig, source: PositionSource) -> list[EpochResult]:
     value is max(min r over f > 0, min r over f < 0). Of the pairs reaching
     it, the first in sorted-id order is reported.
     """
-    epochs = []
-    while (t := config.start.add_seconds(len(epochs) * config.step)) < config.end:
-        epochs.append(t)
+    start, end = config.start.total_seconds(), config.end.total_seconds()
+    seconds = start + np.arange(int((end - start) / config.step) + 2) * config.step
+    seconds = seconds[seconds < end]  # a prefix, as the epochs increase with k
+    best_m_s, pair = np.empty_like(seconds), np.empty((len(seconds), 2), dtype=int)
     tangent = frenet_frame(math.radians(config.track_azimuth), "straight").u
-    results, covered = [], False
-    for first in range(0, len(epochs), EPOCH_BLOCK):
-        block = epochs[first:first + EPOCH_BLOCK]
-        sat_ids, ecef = position_grid(source, block)
+    covered = False
+    for first in range(0, len(seconds), EPOCH_BLOCK):
+        rows = slice(first, first + EPOCH_BLOCK)
+        sat_ids, ecef = position_grid(source, seconds[rows])
+        if first == 0:
+            visible = np.empty((len(seconds), len(sat_ids)), dtype=bool)
         covered |= not np.isnan(ecef).all()
         enu, elevation, _ = ecef_to_enu(config.site, ecef)
-        visible = elevation >= config.mask
+        vis = visible[rows] = elevation >= config.mask
         enu /= np.linalg.norm(enu, axis=-1, keepdims=True)
         f = -(enu @ tangent)
-        pos, neg = visible & (f > 0), visible & (f < 0)
+        pos, neg = vis & (f > 0), vis & (f < 0)
         with np.errstate(divide="ignore"):
             r = 1.0 / np.abs(f)
         best = np.maximum(np.where(pos, r, np.inf).min(axis=1),
                           np.where(neg, r, np.inf).min(axis=1))
         reach = (pos | neg) & (r <= best[:, None])
         sat_a = reach.argmax(axis=1)
-        a_pos = pos[np.arange(len(block)), sat_a]
+        a_pos = pos[np.arange(len(f)), sat_a]
         sat_b = (reach & (pos != a_pos[:, None])).argmax(axis=1)
-        for k, t in enumerate(block):
-            ok = math.isfinite(best[k])
-            results.append(EpochResult(
-                t=t,
-                n_visible=int(visible[k].sum()),
-                visible_ids=tuple(compress(sat_ids, visible[k])),
-                best_m_s=float(best[k]) if ok else None,
-                best_pair=(sat_ids[sat_a[k]], sat_ids[sat_b[k]]) if ok else None,
-            ))
+        gap = np.isinf(best)
+        best_m_s[rows] = np.where(gap, np.nan, best)
+        pair[rows] = np.where(gap[:, None], -1, np.stack([sat_a, sat_b], axis=1))
     if not covered:
         raise ValueError("no satellite position in the scan span")
-    return results
+    return ScanSeries(sat_ids, seconds, visible, best_m_s, pair)
 
 
-def histogram(results: Sequence[EpochResult], bin_width: float = 0.1,
+def histogram(best_m_s: np.ndarray, bin_width: float = 0.1,
               value_range: tuple[float, float] = (1.0, 3.0)) -> Histogram:
-    """Relative-frequency histogram of present best_m_s values.
+    """Relative-frequency histogram of a best_m_s column (NaN on a gap).
 
     Frequencies are normalized by the number of epochs with a value;
     values above the range fall in the overflow bin. Raises EmptySeriesError
@@ -141,66 +147,62 @@ def histogram(results: Sequence[EpochResult], bin_width: float = 0.1,
     n_bins = int(round(bins))
     if n_bins < 1:
         raise ValueError("range is narrower than half a bin")
-    values = [r.best_m_s for r in results if r.best_m_s is not None]
-    if not values:
+    values = best_m_s[~np.isnan(best_m_s)]
+    if not len(values):
         raise EmptySeriesError("no epochs with an admissible pair")
     edges = [lo + i * bin_width for i in range(n_bins + 1)]
-    counts = [0] * n_bins
-    overflow = 0
-    for v in values:
-        if v >= edges[-1]:
-            overflow += 1
-            continue
-        idx = int((v - lo) / bin_width)
-        counts[max(0, min(idx, n_bins - 1))] += 1
+    # values below the range count in the first bin, as a clamp of int() would
+    inside = np.maximum(values[values < edges[-1]], lo)
+    idx = np.minimum((inside - lo) / bin_width, n_bins - 1).astype(int)
     total = len(values)
-    return Histogram(
-        bin_edges=edges,
-        relative_frequency=[c / total for c in counts],
-        overflow=overflow / total,
-    )
+    return Histogram(edges, (np.bincount(idx, minlength=n_bins) / total).tolist(),
+                     (total - len(inside)) / total)
 
 
 # --- serialization ----------------------------------------------------------
 
-def series_csv(results: Sequence[EpochResult]) -> str:
+def _rows(series: ScanSeries):
+    """Series rows, with best_m_s, sat_a and sat_b None on a gap."""
+    week, sow = np.divmod(series.seconds, SECONDS_PER_WEEK)
+    ids = (*series.sat_ids, None)  # pair index -1 reads None
+    columns = (week.astype(int), sow, series.n_visible, series.best_m_s, series.pair)
+    for w, s, n, m, (a, b) in zip(*(column.tolist() for column in columns)):
+        yield w, s, n, (None if a < 0 else m), ids[a], ids[b]
+
+
+def series_csv(series: ScanSeries) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["week", "sow", "n_visible", "best_m_s", "sat_a", "sat_b"])
-    for r in results:
-        value = (["", "", ""] if r.best_m_s is None
-                 else [f"{r.best_m_s:.9f}", *r.best_pair])
-        writer.writerow([r.t.week, f"{r.t.seconds_of_week:.3f}", r.n_visible, *value])
+    writer.writerow(SERIES_HEADER)
+    writer.writerows([week, f"{sow:.3f}", n, None if m is None else f"{m:.9f}",
+                      a, b] for week, sow, n, m, a, b in _rows(series))
     return buf.getvalue()
 
 
-def series_json(results: Sequence[EpochResult]) -> str:
-    return json.dumps([
-        {
-            "week": r.t.week,
-            "sow": r.t.seconds_of_week,
-            "n_visible": r.n_visible,
-            "best_m_s": r.best_m_s,
-            "sat_a": r.best_pair[0] if r.best_pair else None,
-            "sat_b": r.best_pair[1] if r.best_pair else None,
-        }
-        for r in results
-    ], indent=2)
+def series_json(series: ScanSeries) -> str:
+    return json.dumps([dict(zip(SERIES_HEADER, row)) for row in _rows(series)],
+                      indent=2)
 
 
-def parse_series_csv(text: str) -> list[EpochResult]:
-    reader = csv.DictReader(io.StringIO(text))
-    out = []
-    for row in reader:
-        has_value = row["best_m_s"] not in ("", None)
-        out.append(EpochResult(
-            t=GpsTime(int(row["week"]), float(row["sow"])),
-            n_visible=int(row["n_visible"]),
-            visible_ids=(),
-            best_m_s=float(row["best_m_s"]) if has_value else None,
-            best_pair=(row["sat_a"], row["sat_b"]) if has_value else None,
-        ))
-    return out
+def parse_series_csv(text: str) -> np.ndarray:
+    """The best_m_s column of a scan series CSV, NaN on a gap; a malformed
+    row raises ValueError with its line number."""
+    reader = csv.reader(io.StringIO(text))
+    if next(reader, None) != SERIES_HEADER:
+        raise ValueError("not a scan series: the header row does not match")
+    values = []
+    for row in filter(None, reader):  # blank lines are skipped
+        try:
+            week, sow, n_visible, best, _, _ = row
+            int(week), int(n_visible)  # checked, though only best_m_s is kept
+            value = float(best) if best else math.nan
+            if not (0 <= float(sow) < SECONDS_PER_WEEK
+                    and (math.isfinite(value) or not best)):
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"scan series line {reader.line_num}: malformed row") from None
+        values.append(value)
+    return np.array(values)
 
 
 def hist_csv(hist: Histogram) -> str:
@@ -215,8 +217,4 @@ def hist_csv(hist: Histogram) -> str:
 
 
 def hist_json(hist: Histogram) -> str:
-    return json.dumps({
-        "bin_edges": hist.bin_edges,
-        "relative_frequency": hist.relative_frequency,
-        "overflow": hist.overflow,
-    }, indent=2)
+    return json.dumps(asdict(hist), indent=2)

@@ -348,20 +348,21 @@ def test_criterion_8_full_day_reproduction(capsys, nav_text):
     t0 = GpsTime.from_utc(dt.datetime(2013, 7, 25))
     config = ScanConfig(site=SITE, track_azimuth=90.0, mask=15.0, step=60.0,
                         start=t0, end=GpsTime.from_utc(dt.datetime(2013, 7, 26)))
-    results = scan_ms(config, ephs)
+    series = scan_ms(config, ephs)
 
-    n_epochs = len(results)
-    values = [r.best_m_s for r in results if r.best_m_s is not None]
+    n_epochs = len(series)
+    values = [v for v in series.best_m_s.tolist() if not math.isnan(v)]
     frac_2 = sum(v < 2.0 for v in values) / len(values)
     frac_16 = sum(v < 1.6 for v in values) / len(values)
 
     transitions_ok = True
-    for prev, cur in zip(results, results[1:]):
-        if prev.best_m_s is None or cur.best_m_s is None:
+    for k in range(1, n_epochs):
+        prev, cur = series.best_m_s[k - 1], series.best_m_s[k]
+        if math.isnan(prev) or math.isnan(cur):
             continue
-        if abs(cur.best_m_s - prev.best_m_s) > 0.1:
-            if (prev.visible_ids == cur.visible_ids
-                    and prev.best_pair == cur.best_pair):
+        if abs(cur - prev) > 0.1:
+            if (np.array_equal(series.visible[k - 1], series.visible[k])
+                    and np.array_equal(series.pair[k - 1], series.pair[k])):
                 transitions_ok = False
 
     elapsed = time.monotonic() - start

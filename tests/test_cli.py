@@ -73,6 +73,18 @@ class TestInterference:
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("tau", ["nan", "inf", "-1e-9", "1e-3", "3.986e14"])
+    def test_tau_outside_code_period_exits_two(self, capsys, monkeypatch, tau):
+        def no_synthesis(*args, **kwargs):
+            raise AssertionError("waveform synthesized for a rejected --tau")
+
+        monkeypatch.setattr(cli, "sample_waveform", no_synthesis)
+        assert run(["interference", "--prn", "1", "--power", "1e-4",
+                    f"--tau={tau}"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"--tau must be in [0, 0.001) s, got {float(tau)}\n"
+
     def test_degenerate_curvature_exits_one(self, capsys, monkeypatch):
         def degenerate(*args, **kwargs):
             raise DegenerateCurvatureError("zero likelihood curvature")
@@ -261,6 +273,40 @@ class TestScanAndHist:
         assert run(["hist", "--series", str(bad)]) == EXIT_USAGE
         assert capsys.readouterr().err != ""
 
+    def test_hist_of_non_series_file_exits_two(self, nav_path, capsys):
+        assert run(["hist", "--series", str(nav_path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "not a scan series: the header row does not match\n"
+
+    @pytest.mark.filterwarnings("error")
+    def test_hist_value_far_below_range_in_first_bin(self, tmp_path, capsys):
+        # (v - low) / width would overflow; like any value below the range
+        # it counts in the first bin, with no warning on stderr
+        series = tmp_path / "series.csv"
+        series.write_text("week,sow,n_visible,best_m_s,sat_a,sat_b\n"
+                          "1750,0.000,2,-1e308,G01,G02\n")
+        assert run(["hist", "--series", str(series), "--format", "json"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["relative_frequency"][0] == 1.0
+
+    @pytest.mark.parametrize("row", [
+        "abc,0.000,2,1.5,G01,G02", "1750,,2,1.5,G01,G02",
+        "1750,604800.0,2,1.5,G01,G02", "1750,0.000,two,1.5,G01,G02",
+        "1750,0.000,2,x,G01,G02", "1750,0.000,2,nan,G01,G02",
+        "1750,0.000,2,1.5"],
+        ids=["week", "sow_empty", "sow_range", "n_visible", "best_m_s",
+             "best_m_s_nan", "short_row"])
+    def test_hist_malformed_row_exits_two(self, tmp_path, capsys, row):
+        series = tmp_path / "series.csv"
+        series.write_text("week,sow,n_visible,best_m_s,sat_a,sat_b\n"
+                          "1750,0.000,2,1.500000000,G01,G02\n" + row + "\n")
+        assert run(["hist", "--series", str(series)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "scan series line 3: malformed row\n"
+
     def test_hist_all_gaps(self, tmp_path, capsys):
         series = tmp_path / "gaps.csv"
         series.write_text("week,sow,n_visible,best_m_s,sat_a,sat_b\n"
@@ -298,7 +344,7 @@ FUZZ_OPTIONS = {
     "code": {"--prn": ["1", "32"]},
     "interference": {"--prn": ["1", "7"], "--power": ["1e-4", "1e3"],
                      "--sigma": ["0", "0.01", "5"], "--seed": ["0", "42"],
-                     "--tau": ["0", "3e-4"]},
+                     "--tau": ["0", "3e-4", "nan", "3.986e14"]},
     "track": {"--geometry": ["geometry.json"]},
     "scan": {"--nav": ["brdc2060.13n", "positions.csv"],
              "--lat": ["34.75337", "-60"], "--lon": ["135.42783", "180"],

@@ -395,6 +395,11 @@ class TestPositionCsv:
             parse_position_csv("G01,1750,0,1,2,3")
 
 
+def seconds(epochs):
+    """GPS seconds of each GpsTime, the epoch axis `position_grid` takes."""
+    return [t.total_seconds() for t in epochs]
+
+
 def scalar_grid(records, epochs):
     """Oracle for the ephemeris branch of `position_grid`: per cell, the
     nearest-toe healthy record inside its window (first in file order on
@@ -417,7 +422,7 @@ class TestPositionGrid:
         # the day at 60 s, plus 6 h either side so that stale cells occur
         t0 = GpsTime.from_utc(dt.datetime(2013, 7, 24, 18))
         epochs = [t0.add_seconds(60.0 * k) for k in range(2160)]
-        sat_ids, grid = position_grid(ephs, epochs)
+        sat_ids, grid = position_grid(ephs, seconds(epochs))
         oracle_ids, oracle = scalar_grid(ephs, epochs)
         assert sat_ids == oracle_ids
         assert np.array_equal(np.isnan(grid), np.isnan(oracle))
@@ -429,7 +434,7 @@ class TestPositionGrid:
         window = eph.validity_window
         epochs = [eph.toe.add_seconds(dt_s) for dt_s in
                   (-window - 1e-3, -window, 0.0, window, window + 1e-3)]
-        _, grid = position_grid([eph], epochs)
+        _, grid = position_grid([eph], seconds(epochs))
         assert np.isnan(grid[[0, 4], 0]).all()
         for i in (1, 2, 3):
             assert np.abs(grid[i, 0] - sat_position_ecef(eph, epochs[i])).max() <= 1e-6
@@ -443,15 +448,15 @@ class TestPositionGrid:
                       key=lambda r: abs(t - r.toe))
         sick = dataclasses.replace(nearest, health=1)
 
-        sat_ids, grid = position_grid([sick], [t])
+        sat_ids, grid = position_grid([sick], [t.total_seconds()])
         assert sat_ids == (seen.sat_id,) and np.isnan(grid).all()
         others = [r for r in ephs if r.sat_id != seen.sat_id]
         assert seen.sat_id not in {v.sat_id for v in
                                    visible_satellites(others + [sick], site, t)}
         # an older healthy record of the same satellite takes over
         rest = [r for r in ephs if r is not nearest]
-        _, with_sick = position_grid(rest + [sick], [t])
-        _, without = position_grid(rest, [t])
+        _, with_sick = position_grid(rest + [sick], [t.total_seconds()])
+        _, without = position_grid(rest, [t.total_seconds()])
         assert np.array_equal(with_sick, without)
 
     def test_kernel_matches_solve_kepler(self):
@@ -478,7 +483,7 @@ class TestPositionGrid:
         with pytest.raises(ValueError):
             sat_position_ecef(eph, t)
         with pytest.raises(EphemerisError, match=eph.sat_id):
-            position_grid([eph], [t])
+            position_grid([eph], [t.total_seconds()])
 
     def test_kernel_raises_on_nonconvergence(self):
         with pytest.raises(EphemerisError):
@@ -506,7 +511,7 @@ class TestParserFuzz:
         t0 = GpsTime.from_utc(dt.datetime(2013, 7, 25))
         epochs = [t0.add_seconds(3600.0 * k) for k in range(24)]
         try:
-            sat_ids, grid = position_grid(records, epochs)
+            sat_ids, grid = position_grid(records, seconds(epochs))
         except (EphemerisError, ValueError):
             return
         # a cell is NaN exactly when its satellite has no healthy record

@@ -1,15 +1,18 @@
 import datetime as dt
+import json
 import logging
 import math
-from itertools import combinations
+import tracemalloc
+from itertools import combinations, compress
 
 import numpy as np
 import pytest
 
-from navbound.orbits import (GpsTime, SiteLocation, parse_position_csv,
-                             parse_rinex_nav, visible_satellites)
+from navbound.orbits import (GpsTime, PositionTable, SiteLocation,
+                             parse_position_csv, parse_rinex_nav,
+                             visible_satellites)
 from navbound.scan import (MAX_HIST_BINS, MAX_SCAN_EPOCHS, EmptySeriesError,
-                           EpochResult, Histogram, ScanConfig, hist_csv,
+                           Histogram, ScanConfig, ScanSeries, hist_csv,
                            hist_json, histogram, parse_series_csv, scan_ms,
                            series_csv, series_json)
 from navbound.track import directional_cosines, frenet_frame, magnification_s
@@ -31,6 +34,28 @@ def sat_row(sat_id, t, enu):
     ecef = geodetic_to_ecef(SITE) + enu_rotation(SITE).T @ (
         2.2e7 * np.asarray(enu) / np.linalg.norm(enu))
     return f"{sat_id},{t.week},{t.seconds_of_week},{ecef[0]},{ecef[1]},{ecef[2]}"
+
+
+def epoch(series, k):
+    """Epoch k of a series as (n_visible, best_m_s, pair ids), with None for
+    the last two on a gap."""
+    if series.pair[k, 0] < 0:
+        assert math.isnan(series.best_m_s[k]) and (series.pair[k] == -1).all()
+        return int(series.n_visible[k]), None, None
+    return (int(series.n_visible[k]), float(series.best_m_s[k]),
+            tuple(series.sat_ids[i] for i in series.pair[k]))
+
+
+def make_series(values):
+    """A series of satellites A and B, both visible, with one epoch per
+    value (None for a gap), for the serialization tests."""
+    gap = np.array([v is None for v in values], dtype=bool)
+    return ScanSeries(
+        sat_ids=("A", "B"),
+        seconds=1750 * 604800.0 + 60.0 * np.arange(len(values)),
+        visible=np.ones((len(values), 2), dtype=bool),
+        best_m_s=np.array([math.nan if v is None else v for v in values]),
+        pair=np.where(gap[:, None], -1, np.array([0, 1])))
 
 
 class TestConfig:
@@ -72,10 +97,12 @@ class TestTwoSatFromPositions:
             rows.append(sat_row(sat_id, t, [-f, 0.0, up]))  # g = (f, 0, -up)
         table = parse_position_csv("\n".join(rows))
         cfg = make_config(start=t, end=t.add_seconds(60.0))
-        (result,) = scan_ms(cfg, table)
-        assert result.n_visible == 2
-        assert result.best_m_s == pytest.approx(1.0 / 0.5, abs=1e-9)
-        assert result.best_pair == ("G01", "G02")
+        series = scan_ms(cfg, table)
+        assert len(series) == 1
+        n_visible, m_s, pair = epoch(series, 0)
+        assert n_visible == 2
+        assert m_s == pytest.approx(1.0 / 0.5, abs=1e-9)
+        assert pair == ("G01", "G02")
 
     def test_same_sign_pair_is_gap(self):
         t = GpsTime.from_utc(dt.datetime(2013, 7, 25, 6))
@@ -85,10 +112,9 @@ class TestTwoSatFromPositions:
             rows.append(sat_row(sat_id, t, [-f, 0.0, up]))
         table = parse_position_csv("\n".join(rows))
         cfg = make_config(start=t, end=t.add_seconds(60.0))
-        (result,) = scan_ms(cfg, table)
-        assert result.n_visible == 2
-        assert result.best_m_s is None
-        assert result.best_pair is None
+        series = scan_ms(cfg, table)
+        assert len(series) == 1
+        assert epoch(series, 0) == (2, None, None)
 
     def test_malformed_row_skipped(self, caplog):
         t = GpsTime.from_utc(dt.datetime(2013, 7, 25, 6))
@@ -101,8 +127,9 @@ class TestTwoSatFromPositions:
             table = parse_position_csv("\n".join(rows))
         assert "line 3" in caplog.text
         assert table.sat_ids == ("G01", "G02")
-        (result,) = scan_ms(make_config(start=t, end=t.add_seconds(60.0)), table)
-        assert result.best_m_s == pytest.approx(2.0, abs=1e-9)
+        series = scan_ms(make_config(start=t, end=t.add_seconds(60.0)), table)
+        assert len(series) == 1
+        assert series.best_m_s[0] == pytest.approx(2.0, abs=1e-9)
 
     def test_tie_reports_first_pair(self):
         # G02 and G04 share a position, so their |f| tie exactly on the
@@ -114,9 +141,11 @@ class TestTwoSatFromPositions:
             up = math.sqrt(1 - f * f)
             rows.append(sat_row(sat_id, t, [-f, 0.0, up]))
         table = parse_position_csv("\n".join(rows))
-        (result,) = scan_ms(make_config(start=t, end=t.add_seconds(60.0)), table)
-        assert result.best_m_s == pytest.approx(2.0, abs=1e-9)
-        assert result.best_pair == ("G01", "G02")
+        series = scan_ms(make_config(start=t, end=t.add_seconds(60.0)), table)
+        assert len(series) == 1
+        _, m_s, pair = epoch(series, 0)
+        assert m_s == pytest.approx(2.0, abs=1e-9)
+        assert pair == ("G01", "G02")
 
 
 class TestEpochGrid:
@@ -125,38 +154,80 @@ class TestEpochGrid:
         t = GpsTime.from_utc(dt.datetime(2013, 7, 25, 6))
         table = parse_position_csv("sat_id,week,sow,x_m,y_m,z_m\n"
                                    + sat_row("G01", t, [0.0, 0.0, 1.0]))
-        results = scan_ms(make_config(start=t, end=t.add_seconds(360.0),
-                                      step=0.1), table)
-        assert len(results) == 3600
-        assert results[-1].t - t == pytest.approx(3599 * 0.1, abs=1e-6)
+        series = scan_ms(make_config(start=t, end=t.add_seconds(360.0),
+                                     step=0.1), table)
+        assert len(series) == 3600
+        assert series.seconds[-1] - t.total_seconds() == pytest.approx(
+            3599 * 0.1, abs=1e-6)
+
+    @pytest.mark.parametrize("step, hours", [
+        (60.0, 24), (7.3, 24), (0.1, 1), (1 / 3, 6), (86_399.9, 24)])
+    def test_epochs_match_add_seconds_loop(self, step, hours):
+        # oracle: start.add_seconds(k * step) over GpsTime while before end;
+        # a start with a fractional second of week makes the sums round
+        start = GpsTime(1750, 345_616.3)
+        end = start.add_seconds(3600.0 * hours)
+        oracle = []
+        while (t := start.add_seconds(len(oracle) * step)) < end:
+            oracle.append(t)
+        table = parse_position_csv("sat_id,week,sow,x_m,y_m,z_m\n"
+                                   + sat_row("G01", start, [0.0, 0.0, 1.0]))
+        series = scan_ms(make_config(start=start, end=end, step=step), table)
+        assert [s.hex() for s in series.seconds.tolist()] == \
+            [t.total_seconds().hex() for t in oracle]
+
+    def test_day_at_one_second_memory_is_bounded(self):
+        # two fixed satellites (f = -0.5 and 0.8) at every second of a day;
+        # the table is built before tracing, so the peak is the scan's own
+        t0 = GpsTime.from_utc(dt.datetime(2013, 7, 25))
+        table = parse_position_csv("\n".join(
+            ["sat_id,week,sow,x_m,y_m,z_m"]
+            + [sat_row(sat_id, t0, [-f, 0.0, math.sqrt(1 - f * f)])
+               for sat_id, f in (("G01", -0.5), ("G02", 0.8))]))
+        seconds = t0.total_seconds() + np.arange(86_400.0)
+        table = PositionTable(table.sat_ids, seconds,
+                              np.broadcast_to(table.ecef, (86_400, 2, 3)))
+        config = make_config(start=t0, end=t0.add_seconds(86_400.0), step=1.0)
+        tracemalloc.start()
+        try:
+            series = scan_ms(config, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(series) == 86_400
+        assert np.allclose(series.best_m_s, 2.0, rtol=0.0, atol=1e-9)
+        assert peak < 8e6
 
 
 @pytest.fixture(scope="module")
-def results(nav_text):
+def day(nav_text):
     return scan_ms(make_config(), parse_rinex_nav(nav_text))
 
 
 class TestFullDayScan:
-    def test_epoch_count_and_times(self, results):
-        assert len(results) == 1440
-        assert results[1].t - results[0].t == pytest.approx(60.0)
+    def test_epoch_count_and_times(self, day):
+        assert len(day) == 1440
+        assert day.seconds[1] - day.seconds[0] == pytest.approx(60.0)
 
-    def test_values_at_least_one(self, results):
-        for r in results:
-            if r.best_m_s is not None:
-                assert r.best_m_s >= 1.0
+    def test_values_at_least_one(self, day):
+        values = day.best_m_s[~np.isnan(day.best_m_s)]
+        assert len(values) and (values >= 1.0).all()
 
-    def test_visible_counts(self, results):
-        assert all(5 <= r.n_visible <= 14 for r in results)
+    def test_visible_counts(self, day):
+        assert ((5 <= day.n_visible) & (day.n_visible <= 14)).all()
 
-    def test_pair_ids_visible(self, results):
-        for r in results:
-            if r.best_pair is not None:
-                assert set(r.best_pair) <= set(r.visible_ids)
+    def test_pair_ids_visible(self, day):
+        for k in range(len(day)):
+            _, _, pair = epoch(day, k)
+            if pair is not None:
+                assert set(pair) <= set(compress(day.sat_ids, day.visible[k]))
 
-    def test_determinism(self, results, nav_text):
+    def test_determinism(self, day, nav_text):
         again = scan_ms(make_config(), parse_rinex_nav(nav_text))
-        assert again == results
+        assert again.sat_ids == day.sat_ids
+        for column in ("seconds", "visible", "best_m_s", "pair"):
+            assert np.array_equal(getattr(again, column),
+                                  getattr(day, column), equal_nan=True)
 
     def test_mask_monotone_visible_counts(self, nav_text):
         ephs = parse_rinex_nav(nav_text)
@@ -164,7 +235,8 @@ class TestFullDayScan:
         short = dict(start=t0, end=t0.add_seconds(3600.0))
         low = scan_ms(make_config(mask=10.0, **short), ephs)
         high = scan_ms(make_config(mask=25.0, **short), ephs)
-        assert all(a.n_visible >= b.n_visible for a, b in zip(low, high))
+        assert len(low) == len(high) == 60
+        assert (low.n_visible >= high.n_visible).all()
 
     def test_scan_span_must_overlap(self, nav_text):
         ephs = parse_rinex_nav(nav_text)
@@ -174,57 +246,77 @@ class TestFullDayScan:
 
 
 class TestBestPairOracle:
-    def test_matches_brute_force_over_pairs(self, results, nav_text):
+    def test_matches_brute_force_over_pairs(self, day, nav_text):
         ephs = parse_rinex_nav(nav_text)
         frame = frenet_frame(math.radians(90.0), "straight")
-        for r in results[::5]:
-            vis = visible_satellites(ephs, SITE, r.t, 15.0)
-            assert r.visible_ids == tuple(v.sat_id for v in vis)
+        for k in range(0, len(day), 5):
+            t = GpsTime.from_seconds(day.seconds[k])
+            vis = visible_satellites(ephs, SITE, t, 15.0)
+            assert tuple(compress(day.sat_ids, day.visible[k])) \
+                == tuple(v.sat_id for v in vis)
             sats = directional_cosines([v.enu_unit_dir for v in vis], frame,
                                        sat_ids=[v.sat_id for v in vis])
             pairs = sorted((magnification_s(a, b).m_s, a.sat_id, b.sat_id)
                            for a, b in combinations(sats, 2)
                            if magnification_s(a, b).admissible)
+            _, best_m_s, best_pair = epoch(day, k)
             if not pairs:
-                assert r.best_m_s is None and r.best_pair is None
+                assert best_m_s is None and best_pair is None
                 continue
             m_s, sat_a, sat_b = pairs[0]
-            assert r.best_m_s == pytest.approx(m_s, rel=1e-12)
-            assert r.best_pair == (sat_a, sat_b)
+            assert best_m_s == pytest.approx(m_s, rel=1e-12)
+            assert best_pair == (sat_a, sat_b)
 
 
 class TestHistogram:
     def test_worked_example(self):
-        t = GpsTime(1750, 0.0)
-        results = [EpochResult(t, 2, (), v, ("A", "B"))
-                   for v in (1.2, 1.2, 1.8, 2.6)]
-        hist = histogram(results, bin_width=1.0, value_range=(1.0, 3.0))
+        hist = histogram(np.array([1.2, 1.2, 1.8, 2.6]), bin_width=1.0,
+                         value_range=(1.0, 3.0))
         assert hist.bin_edges == [1.0, 2.0, 3.0]
         assert hist.relative_frequency == [0.75, 0.25]
         assert hist.overflow == 0.0
 
-    def test_frequencies_sum_to_one(self, nav_text):
-        results = scan_ms(make_config(), parse_rinex_nav(nav_text))
-        hist = histogram(results)
+    @pytest.mark.parametrize("bin_width, value_range", [
+        (0.1, (1.0, 3.0)), (0.05, (1.2, 2.9)), (0.3, (0.5, 5.0)),
+        (1 / 3, (1.0, 2.0))])
+    def test_matches_loop_oracle(self, day, bin_width, value_range):
+        # oracle: per value, overflow at or above the top edge, else int()
+        # truncation clamped to the bins
+        lo, hi = value_range
+        n_bins = int(round((hi - lo) / bin_width))
+        edges = [lo + i * bin_width for i in range(n_bins + 1)]
+        values = np.concatenate([day.best_m_s, edges, [-1e300, 1e300],
+                                 np.random.default_rng(7).uniform(0, 6, 2000)])
+        present = [v for v in values.tolist() if not math.isnan(v)]
+        counts, overflow = [0] * n_bins, 0
+        for v in present:
+            if v >= edges[-1]:
+                overflow += 1
+            else:
+                counts[max(0, min(int((v - lo) / bin_width), n_bins - 1))] += 1
+        hist = histogram(values, bin_width=bin_width, value_range=value_range)
+        assert hist.bin_edges == edges
+        assert hist.relative_frequency == [c / len(present) for c in counts]
+        assert hist.overflow == overflow / len(present)
+
+    def test_frequencies_sum_to_one(self, day):
+        hist = histogram(day.best_m_s)
         assert sum(hist.relative_frequency) + hist.overflow \
             == pytest.approx(1.0, abs=1e-12)
 
     def test_gaps_excluded_from_normalization(self):
-        t = GpsTime(1750, 0.0)
-        results = [EpochResult(t, 2, (), 1.5, ("A", "B")),
-                   EpochResult(t, 1, (), None, None)]
-        hist = histogram(results, bin_width=1.0, value_range=(1.0, 2.0))
+        hist = histogram(np.array([1.5, math.nan]), bin_width=1.0,
+                         value_range=(1.0, 2.0))
         assert hist.relative_frequency == [1.0]
 
     def test_overflow_bin(self):
-        t = GpsTime(1750, 0.0)
-        results = [EpochResult(t, 2, (), v, ("A", "B")) for v in (1.5, 7.0)]
-        hist = histogram(results, bin_width=1.0, value_range=(1.0, 3.0))
+        hist = histogram(np.array([1.5, 7.0]), bin_width=1.0,
+                         value_range=(1.0, 3.0))
         assert hist.overflow == 0.5
 
     def test_no_values_raises(self):
         with pytest.raises(EmptySeriesError):
-            histogram([EpochResult(GpsTime(1750, 0.0), 1, (), None, None)])
+            histogram(np.array([math.nan]))
 
     @pytest.mark.parametrize("bin_width, value_range, match", [
         (0.1, (3.0, 1.0), "low < high"),
@@ -243,42 +335,36 @@ class TestHistogram:
                                                 match):
         # checked before the empty-series test, so a usage error wins
         for values in ((1.5,), ()):
-            results = [EpochResult(GpsTime(1750, 0.0), 2, (), v, ("A", "B"))
-                       for v in values]
             with pytest.raises(ValueError, match=match) as info:
-                histogram(results, bin_width=bin_width, value_range=value_range)
+                histogram(np.array(values), bin_width=bin_width,
+                          value_range=value_range)
             assert not isinstance(info.value, EmptySeriesError)
 
     def test_bin_count_limit(self):
-        t = GpsTime(1750, 0.0)
-        results = [EpochResult(t, 2, (), 1.5, ("A", "B"))]
-        hist = histogram(results, bin_width=1.0, value_range=(0.0, MAX_HIST_BINS))
+        values = np.array([1.5])
+        hist = histogram(values, bin_width=1.0, value_range=(0.0, MAX_HIST_BINS))
         assert len(hist.relative_frequency) == MAX_HIST_BINS
         with pytest.raises(ValueError, match="bins"):
-            histogram(results, bin_width=1.0, value_range=(0.0, MAX_HIST_BINS + 1))
+            histogram(values, bin_width=1.0, value_range=(0.0, MAX_HIST_BINS + 1))
 
 
 class TestSerialization:
-    def test_series_csv_roundtrip(self, nav_text):
-        results = scan_ms(make_config(), parse_rinex_nav(nav_text))[:120]
-        parsed = parse_series_csv(series_csv(results))
-        assert len(parsed) == len(results)
-        for a, b in zip(parsed, results):
-            assert a.t == b.t and a.n_visible == b.n_visible
-            assert a.best_pair == b.best_pair
-            if b.best_m_s is None:
-                assert a.best_m_s is None
-            else:
-                assert a.best_m_s == pytest.approx(b.best_m_s, abs=1e-9)
+    def test_series_csv_roundtrip(self, day):
+        parsed = parse_series_csv(series_csv(day))
+        assert len(parsed) == len(day)
+        assert np.array_equal(np.isnan(parsed), np.isnan(day.best_m_s))
+        assert np.nanmax(np.abs(parsed - day.best_m_s)) <= 1e-9
+
+    def test_series_csv_rows(self):
+        lines = series_csv(make_series([1.5, None])).splitlines()
+        assert lines == ["week,sow,n_visible,best_m_s,sat_a,sat_b",
+                         "1750,0.000,2,1.500000000,A,B",
+                         "1750,60.000,2,,,"]
 
     def test_series_json_fields(self):
-        t = GpsTime(1750, 0.0)
-        import json
-        rows = json.loads(series_json([
-            EpochResult(t, 3, ("A", "B", "C"), 1.5, ("A", "B")),
-            EpochResult(t, 1, ("A",), None, None),
-        ]))
-        assert rows[0]["best_m_s"] == 1.5
+        rows = json.loads(series_json(make_series([1.5, None])))
+        assert rows[0] == {"week": 1750, "sow": 0.0, "n_visible": 2,
+                           "best_m_s": 1.5, "sat_a": "A", "sat_b": "B"}
         assert rows[1]["best_m_s"] is None
         assert rows[1]["sat_a"] is None
 
@@ -289,6 +375,5 @@ class TestSerialization:
         assert lines[0] == "bin_low,bin_high,rel_freq"
         assert len(lines) == 4  # header + 2 bins + overflow
         assert lines[-1].endswith("0.000000000")
-        import json
         payload = json.loads(hist_json(hist))
         assert payload["relative_frequency"] == [0.75, 0.25]
