@@ -22,7 +22,8 @@ from .track import (DegenerateGeometryError, FrenetFrame, MagnificationS,
 from .orbits import (EphemerisRecord, EphemerisError, GpsTime, PositionTable,
                      SiteLocation, VisibleSat, ecef_to_enu, geodetic_to_ecef,
                      parse_position_csv, parse_rinex_nav, position_grid,
-                     sat_position_ecef, solve_kepler, visible_satellites)
+                     prepare_grid, sat_position_ecef, solve_kepler,
+                     visible_satellites)
 from .scan import Histogram, ScanConfig, ScanSeries, histogram, scan_ms
 
 __version__ = "0.1.0"

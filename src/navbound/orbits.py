@@ -13,7 +13,8 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import total_ordering
-from typing import Sequence, Union
+from itertools import zip_longest
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -62,6 +63,8 @@ class GpsTime:
     @classmethod
     def from_seconds(cls, total: float) -> "GpsTime":
         """GPS time `total` seconds after the GPS epoch."""
+        if not math.isfinite(total):
+            raise ValueError(f"GPS time must be finite, got {total} s")
         week = int(total // SECONDS_PER_WEEK)
         return cls(week, float(total - week * SECONDS_PER_WEEK))
 
@@ -369,9 +372,9 @@ class PositionTable:
 def parse_position_csv(text: str) -> PositionTable:
     """Parse the alternative `sat_id,week,sow,x_m,y_m,z_m` position format.
 
-    A row with the wrong field count or an unreadable field is skipped with
-    its line number logged. Of repeated (satellite, epoch) rows the first
-    is kept.
+    A row with the wrong field count, an unreadable or non-finite field, or
+    a time outside the calendar is skipped with its line number logged. Of
+    repeated (satellite, epoch) rows the first is kept.
     """
     rows = ((n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip())
     if not next(rows, (0, ""))[1].lower().startswith("sat_id"):
@@ -379,14 +382,17 @@ def parse_position_csv(text: str) -> PositionTable:
     sat_of, values = [], array("d")  # values: seconds, x, y, z per kept row
     for n, line in rows:
         try:
-            sat_id, week, sow, x, y, z = (p.strip() for p in line.split(","))
-            row = [GpsTime(int(week), float(sow)).total_seconds(),
-                   float(x), float(y), float(z)]
-        except ValueError as exc:
+            sat_id, week, sow, x, y, z = line.split(",")
+            sow, x, y, z = float(sow), float(x), float(y), float(z)
+            if not 0 <= sow < SECONDS_PER_WEEK:
+                raise ValueError("seconds_of_week out of [0, 604800)")
+            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+                raise ValueError("non-finite coordinate")
+            values.extend((int(week) * SECONDS_PER_WEEK + sow, x, y, z))
+        except (ValueError, OverflowError) as exc:
             log.warning("line %d: skipping malformed row: %s", n, exc)
             continue
-        sat_of.append(sat_id)
-        values.extend(row)
+        sat_of.append(sat_id.strip())
     values = np.frombuffer(values).reshape(-1, 4)
     sat_ids, sat_index = np.unique(np.array(sat_of, dtype=str), return_inverse=True)
     epochs, epoch_index = np.unique(values[:, 0], return_inverse=True)
@@ -401,10 +407,10 @@ PositionSource = Union[PositionTable, Sequence[EphemerisRecord]]
 
 
 def _elements(eph: EphemerisRecord) -> tuple[float, ...]:
-    """One record's row of the propagation table: selection keys, then the
+    """One record's table row: validity window, health, then toe and the
     per-record terms of `sat_position_ecef`, evaluated as it evaluates them."""
     a = eph.sqrt_a ** 2
-    return (eph.toe.total_seconds(), eph.validity_window, eph.health,
+    return (eph.validity_window, eph.health, eph.toe.total_seconds(),
             a, math.sqrt(GM_EARTH / a ** 3) + eph.delta_n, eph.m0, eph.e,
             math.sqrt(1 - eph.e ** 2), eph.w_arg, eph.cus, eph.cuc, eph.crs,
             eph.crc, eph.i0, eph.idot, eph.cis, eph.cic, eph.omega0,
@@ -423,16 +429,26 @@ def position_grid(source: PositionSource, seconds: Sequence[float],
     arithmetic of `sat_position_ecef`. Returns the sorted satellite ids and
     `ecef[epoch, sat, 3]`, NaN where a satellite has no position.
     """
-    seconds = np.asarray(seconds, dtype=float)
+    sat_ids, grid_of = prepare_grid(source)
+    return sat_ids, grid_of(np.asarray(seconds, dtype=float))
+
+
+def prepare_grid(source: PositionSource,
+                 ) -> tuple[tuple[str, ...], Callable[[np.ndarray], np.ndarray]]:
+    """`position_grid` in two steps: the sorted satellite ids, and a function
+    from GPS seconds to the grid. What the epochs do not change is built here."""
     if isinstance(source, PositionTable):
         if not source.sat_ids:
             raise ValueError("empty position table")
-        k = np.minimum(np.searchsorted(source.epochs, seconds - EPOCH_TOLERANCE),
-                       len(source.epochs) - 1)
-        hit = np.abs(source.epochs[k] - seconds) <= EPOCH_TOLERANCE
-        grid = np.full((len(seconds), len(source.sat_ids), 3), np.nan)
-        grid[hit] = source.ecef[k[hit]]
-        return source.sat_ids, grid
+
+        def table_grid(seconds: np.ndarray) -> np.ndarray:
+            k = np.minimum(np.searchsorted(source.epochs, seconds - EPOCH_TOLERANCE),
+                           len(source.epochs) - 1)
+            hit = np.abs(source.epochs[k] - seconds) <= EPOCH_TOLERANCE
+            grid = np.full((len(seconds), len(source.sat_ids), 3), np.nan)
+            grid[hit] = source.ecef[k[hit]]
+            return grid
+        return source.sat_ids, table_grid
     if not source:
         raise ValueError("empty ephemeris set")
     by_sat: dict[str, list[int]] = {}
@@ -440,18 +456,38 @@ def position_grid(source: PositionSource, seconds: Sequence[float],
         by_sat.setdefault(eph.sat_id, []).append(k)
     sat_ids = tuple(sorted(by_sat))
     table = np.array([_elements(eph) for eph in source]).T
-    toe, window, health = table[:3]
+    # records[slot, sat]: each satellite's records in file order, -1 padded
+    records = np.array(list(zip_longest(*map(by_sat.get, sat_ids), fillvalue=-1)))
+    window, health, toe = table[:3, records]
+    toe[(records < 0) | (health != 0)] = np.nan  # a NaN distance is never chosen
 
-    chosen = np.full((len(seconds), len(sat_ids)), -1)
-    for s, sat_id in enumerate(sat_ids):
-        ks = np.array(by_sat[sat_id])
-        dist = np.abs(seconds[:, None] - toe[ks])
-        dist[(dist > window[ks]) | (health[ks] != 0)] = np.inf
-        chosen[:, s] = np.where(np.isfinite(dist.min(axis=1)),
-                                ks[dist.argmin(axis=1)], -1)
+    def ephemeris_grid(seconds: np.ndarray) -> np.ndarray:
+        chosen = _nearest(seconds, records, toe, window)
+        return _propagate(table[2:], chosen, seconds, sat_ids)
+    return sat_ids, ephemeris_grid
 
+
+def _nearest(seconds: np.ndarray, records: np.ndarray, toe: np.ndarray,
+             window: np.ndarray) -> np.ndarray:
+    """chosen[epoch, sat]: the `records[slot, sat]` entry with the nearest
+    `toe` within its `window` of each epoch, -1 where there is none."""
+    best = np.full((len(seconds), records.shape[1]), np.inf)
+    chosen = np.full(best.shape, -1)
+    for slot_records, slot_toe, slot_window in zip(records, toe, window):
+        dist = np.abs(seconds[:, None] - slot_toe)
+        # strict: on a tie the earlier slot, first in file order, stays
+        closer = ~(dist > slot_window) & (dist < best)
+        np.copyto(best, dist, where=closer)
+        np.copyto(chosen, slot_records, where=closer)
+    return chosen
+
+
+@np.errstate(over="ignore", invalid="ignore")  # the finite check below reports
+def _propagate(table: np.ndarray, chosen: np.ndarray, seconds: np.ndarray,
+               sat_ids: tuple[str, ...]) -> np.ndarray:
+    """The grid of `chosen[epoch, sat]` (a `table` column, -1 for none)."""
     at_epoch, at_sat = np.nonzero(chosen >= 0)
-    (toe, _, _, a, n, m0, e, root_1me2, w_arg, cus, cuc, crs, crc, i0, idot,
+    (toe, a, n, m0, e, root_1me2, w_arg, cus, cuc, crs, crc, i0, idot,
      cis, cic, omega0, node_rate, node_toe) = table[:, chosen[at_epoch, at_sat]]
     tk = seconds[at_epoch] - toe
     ecc_anom = _kepler_array(m0 + n * tk, e)
@@ -474,7 +510,7 @@ def position_grid(source: PositionSource, seconds: Sequence[float],
                              f"propagated from its broadcast elements")
     grid = np.full((len(seconds), len(sat_ids), 3), np.nan)
     grid[at_epoch, at_sat] = ecef
-    return sat_ids, grid
+    return grid
 
 
 def visible_satellites(source: PositionSource, site: SiteLocation, t: GpsTime,

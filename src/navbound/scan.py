@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .constants import SECONDS_PER_WEEK
-from .orbits import GpsTime, PositionSource, SiteLocation, ecef_to_enu, position_grid
+from .orbits import GpsTime, PositionSource, SiteLocation, ecef_to_enu, prepare_grid
 from .track import frenet_frame
 
 # Largest scan: one day at a 1 s step. A scan's columns take 32 B per epoch
@@ -96,16 +96,17 @@ def scan_ms(config: ScanConfig, source: PositionSource) -> ScanSeries:
     it, the first in sorted-id order is reported.
     """
     start, end = config.start.total_seconds(), config.end.total_seconds()
-    seconds = start + np.arange(int((end - start) / config.step) + 2) * config.step
+    with np.errstate(over="ignore"):  # an epoch past the float range is inf, past end
+        seconds = start + np.arange(int((end - start) / config.step) + 2) * config.step
     seconds = seconds[seconds < end]  # a prefix, as the epochs increase with k
     best_m_s, pair = np.empty_like(seconds), np.empty((len(seconds), 2), dtype=int)
+    sat_ids, grid_of = prepare_grid(source)
+    visible = np.empty((len(seconds), len(sat_ids)), dtype=bool)
     tangent = frenet_frame(math.radians(config.track_azimuth), "straight").u
     covered = False
     for first in range(0, len(seconds), EPOCH_BLOCK):
         rows = slice(first, first + EPOCH_BLOCK)
-        sat_ids, ecef = position_grid(source, seconds[rows])
-        if first == 0:
-            visible = np.empty((len(seconds), len(sat_ids)), dtype=bool)
+        ecef = grid_of(seconds[rows])
         covered |= not np.isnan(ecef).all()
         enu, elevation, _ = ecef_to_enu(config.site, ecef)
         vis = visible[rows] = elevation >= config.mask

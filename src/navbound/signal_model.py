@@ -126,7 +126,8 @@ class NoiseConfig:
         if self.sigma == 0:
             return np.zeros(n, dtype=np.complex128)
         rng = np.random.default_rng(self.seed)
-        return self.sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        with np.errstate(over="ignore"):  # SampledSignal rejects an overflowed sample
+            return self.sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
 
 @dataclass(frozen=True)
@@ -247,6 +248,7 @@ def _coarse_grid(z: np.ndarray, spec: WaveformSpec, lo: float, hi: float) -> flo
     return tau
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite iterate fails the checks
 def _ml_delay(z: SampledSignal, spec: WaveformSpec,
               search_window: tuple[float, float], max_iter: int = 50):
     """ML delay with what the refinement saw at it.
@@ -287,7 +289,7 @@ def _ml_delay(z: SampledSignal, spec: WaveformSpec,
             )
         step = g / dg
         tau = tau - step
-        if tau < lo - spec.chip_duration or tau > hi + spec.chip_duration:
+        if not lo - spec.chip_duration <= tau <= hi + spec.chip_duration:  # NaN too
             raise DelayEstimationError(
                 "Newton iterate left the search window: no stationary point inside",
                 last_iterate=tau,
@@ -343,8 +345,8 @@ def worst_interference(w1: SampledSignal, power: float) -> SampledSignal:
     The bound |delta_tau| <= M ||dy|| is achieved, to first order, by dy
     parallel to the waveform derivative; this returns sqrt(power) w'/||w'||.
     """
-    if power <= 0:
-        raise ValueError("power must be positive")
+    if not 0 < power < math.inf:
+        raise ValueError("power must be positive and finite")
     n1 = w1.norm()
     if n1 == 0:
         raise ValueError("zero derivative signal")

@@ -1,16 +1,31 @@
 import hashlib
 import json
 import math
+import os
+import pathlib
 import shutil
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import navbound
 from navbound import cli, orbits
 from navbound.cli import EXIT_DEGENERATE, EXIT_OK, EXIT_USAGE, run
 from navbound.orbits import EphemerisError
 from navbound.signal_model import DegenerateCurvatureError
+
+
+def navbound_process(*argv):
+    """The CLI run as its own process, so that its stderr is what a user
+    sees: logged warnings and numpy warnings included."""
+    src = str(pathlib.Path(navbound.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "navbound.cli", *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def write_geometry(tmp_path, sats, track_azimuth_deg=None):
@@ -72,6 +87,23 @@ class TestInterference:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("option, value, code, err", [
+        # the noise samples overflow
+        ("--sigma", "1e308", EXIT_USAGE, "samples must be finite\n"),
+        # the received signal's spectrum overflows; Newton steps go NaN
+        ("--sigma", "1.5e305", EXIT_DEGENERATE, None),
+        ("--power", "inf", EXIT_USAGE, "power must be positive and finite\n"),
+        ("--power", "nan", EXIT_USAGE, "power must be positive and finite\n")])
+    def test_overflowing_noise_or_power_one_line(self, capsys, option, value,
+                                                 code, err):
+        # these used to raise numpy RuntimeWarnings before the diagnostic
+        assert run(["interference", "--prn", "1", "--power", "1e-4",
+                    option, value]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert err is None or captured.err == err
 
     @pytest.mark.parametrize("tau", ["nan", "inf", "-1e-9", "1e-3", "3.986e14"])
     def test_tau_outside_code_period_exits_two(self, capsys, monkeypatch, tau):
@@ -259,6 +291,55 @@ class TestScanAndHist:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "span / step exceeds 86400 epochs\n"
+
+    def test_overflowing_record_one_line(self, nav_text, tmp_path):
+        # IDOT (first field of the record's fifth orbit line) of 1e306
+        # overflows the inclination; the scan used to print numpy
+        # RuntimeWarnings before its diagnostic
+        lines = nav_text.splitlines()
+        start = next(i for i, l in enumerate(lines) if "END OF HEADER" in l) + 1
+        idot = lines[start + 5]
+        lines[start + 5] = idot[:3] + "1.000000000000D+306".rjust(19) + idot[22:]
+        nav = tmp_path / "overflow.13n"
+        nav.write_text("\n".join(lines) + "\n")
+        result = navbound_process("scan", "--nav", str(nav), "--lat", "34.75337",
+                                  "--lon", "135.42783")
+        assert result.returncode == EXIT_DEGENERATE
+        assert result.stdout == ""
+        assert result.stderr == ("G01: non-finite position propagated from "
+                                 "its broadcast elements\n")
+
+    @pytest.mark.parametrize("row", [
+        f"G03,{'9' * 400},0,1.5e7,1.5e7,1.5e7",
+        "G03,1750,0,1e400,1.5e7,1.5e7", "G03,1750,0,1.5e7,nan,1.5e7"])
+    def test_malformed_table_row_one_warning(self, tmp_path, row):
+        # a week that overflows a float used to end the scan in an
+        # OverflowError traceback; a non-finite coordinate in numpy warnings
+        table = tmp_path / "positions.csv"
+        table.write_text("sat_id,week,sow,x_m,y_m,z_m\n"
+                         "G01,1750,0,1.5e7,1.5e7,1.5e7\n" + row + "\n"
+                         "G02,1750,60,-1.5e7,1.5e7,1.5e7\n")
+        result = navbound_process("scan", "--nav", str(table), "--lat", "34.75337",
+                                  "--lon", "135.42783")
+        assert result.returncode == EXIT_OK
+        assert len(result.stdout.splitlines()) == 3
+        [line] = result.stderr.splitlines()
+        assert line.startswith("WARNING:navbound.orbits:line 3: skipping malformed row")
+
+    @pytest.mark.parametrize("step, code, err", [
+        ("inf", EXIT_USAGE, "GPS time must be finite, got inf s\n"),
+        ("1e308", EXIT_OK, "")])
+    def test_table_scan_extreme_step(self, tmp_path, capsys, step, code, err):
+        # the table's scan ends one step after its last epoch; these steps
+        # used to raise numpy RuntimeWarnings there and in the epoch axis
+        table = tmp_path / "positions.csv"
+        table.write_text("sat_id,week,sow,x_m,y_m,z_m\n"
+                         "G01,1750,0,1.5e7,1.5e7,1.5e7\n")
+        assert run(["scan", "--nav", str(table), "--lat", "34.75337",
+                    "--lon", "135.42783", "--step", step]) == code
+        captured = capsys.readouterr()
+        assert captured.err == err
+        assert len(captured.out.splitlines()) == (2 if code == EXIT_OK else 0)
 
     def test_table_without_usable_rows(self, tmp_path, capsys):
         table = tmp_path / "positions.csv"

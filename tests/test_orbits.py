@@ -1,5 +1,6 @@
 import dataclasses
 import datetime as dt
+import logging
 import math
 
 import numpy as np
@@ -12,8 +13,8 @@ from navbound.orbits import (EphemerisError, EphemerisRecord, GpsTime,
                              RinexParseError, SiteLocation, _kepler_array,
                              ecef_to_enu, enu_rotation, geodetic_to_ecef,
                              parse_position_csv, parse_rinex_nav,
-                             position_grid, sat_position_ecef, solve_kepler,
-                             visible_satellites)
+                             position_grid, prepare_grid, sat_position_ecef,
+                             solve_kepler, visible_satellites)
 
 HEADER = (
     "     2.11           N: GPS NAV DATA                        "
@@ -44,6 +45,11 @@ class TestGpsTime:
     def test_sow_range_enforced(self):
         with pytest.raises(ValueError):
             GpsTime(1750, 604800.0)
+
+    @pytest.mark.parametrize("total", [math.inf, -math.inf, math.nan])
+    def test_non_finite_seconds_rejected(self, total):
+        with pytest.raises(ValueError, match="finite"):
+            GpsTime.from_seconds(total)
 
     def test_utc_roundtrip(self):
         utc = dt.datetime(2013, 7, 25, 12, 30)
@@ -394,6 +400,83 @@ class TestPositionCsv:
         with pytest.raises(ValueError):
             parse_position_csv("G01,1750,0,1,2,3")
 
+    @pytest.mark.parametrize("row, message", [
+        # week * 604800 does not fit a float: this used to escape as an
+        # OverflowError and end the scan in a traceback
+        (f"G01,{'9' * 400},0,1.5e7,1.5e7,1.5e7", "too large"),
+        # a non-finite coordinate used to be kept, and the satellite then
+        # dropped out of the scan behind numpy warnings
+        ("G01,1750,0,1e400,1.5e7,1.5e7", "non-finite"),
+        ("G01,1750,0,1.5e7,-1e400,1.5e7", "non-finite"),
+        ("G01,1750,0,1.5e7,1.5e7,nan", "non-finite"),
+        ("G01,1750,0,inf,1.5e7,1.5e7", "non-finite"),
+        ("G01,1750,604800,1.5e7,1.5e7,1.5e7", "out of [0, 604800)"),
+        ("G01,1750,nan,1.5e7,1.5e7,1.5e7", "out of [0, 604800)"),
+    ])
+    def test_malformed_row_skipped_with_line_number(self, caplog, row, message):
+        text = "\n".join(["sat_id,week,sow,x_m,y_m,z_m", row,
+                          "G02,1750,0,-1.5e7,1.5e7,1.5e7"])
+        with caplog.at_level(logging.WARNING, logger="navbound.orbits"):
+            table = parse_position_csv(text)
+        assert table.sat_ids == ("G02",) and np.isfinite(table.ecef).all()
+        [record] = caplog.records
+        assert record.getMessage().startswith("line 2: skipping malformed row")
+        assert message in record.getMessage()
+
+    def test_fields_stripped_and_time_as_gps_time(self):
+        table = parse_position_csv("sat_id,week,sow,x_m,y_m,z_m\n"
+                                   " G05 , 1750 ,\t345616.3 , 1.5e7,-2e7 ,3e6\n")
+        assert table.sat_ids == ("G05",)
+        assert table.epochs.tolist() == [GpsTime(1750, 345616.3).total_seconds()]
+        assert table.ecef.tolist() == [[[1.5e7, -2e7, 3e6]]]
+
+
+def csv_field():
+    """A position-CSV field: plausible, hostile or arbitrary text."""
+    return st.one_of(
+        st.sampled_from(["1e400", "-1e400", "nan", "inf", "9" * 400, "604800",
+                         "", "abc"]),
+        st.sampled_from(["G01", " G02 ", "1750", " 0", "345600.5", "-1",
+                         "1.5e7", "-2e7 ", "1_0"]),
+        st.floats().map(repr), st.integers(-10**20, 10**20).map(str),
+        st.text(max_size=6))
+
+
+VALID_ROW = st.tuples(
+    st.sampled_from(["G01", "G02", "G03"]), st.integers(0, 3000).map(str),
+    st.floats(0.0, 604800.0, exclude_max=True).map(repr),
+    *[st.floats(-3e7, 3e7).map(repr)] * 3).map(list)
+
+
+@st.composite
+def csv_row(draw):
+    """A valid row with some fields replaced, and then cut or extended to a
+    drawn field count."""
+    row = draw(VALID_ROW)
+    for k, value in draw(st.lists(st.tuples(st.integers(0, 7), csv_field()),
+                                  max_size=3)):
+        row[min(k, len(row) - 1)] = value
+    count = draw(st.one_of(st.just(6), st.integers(0, 8)))
+    return ",".join((row + draw(st.lists(csv_field(), min_size=2, max_size=2)))[:count])
+
+
+class TestPositionCsvFuzz:
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([True] * 3 + [False]),
+           st.lists(st.one_of(VALID_ROW.map(",".join), csv_row()), max_size=10))
+    def test_rows_are_skipped_or_kept_finite(self, header, rows):
+        text = "\n".join(["sat_id,week,sow,x_m,y_m,z_m"] * header + rows)
+        try:
+            table = parse_position_csv(text)
+        except ValueError as exc:
+            assert not header and "header row" in str(exc)
+            return
+        assert np.isfinite(table.epochs).all()
+        cells = table.ecef.reshape(-1, 3)
+        kept = np.isfinite(cells).all(axis=1)
+        assert (kept | np.isnan(cells).all(axis=1)).all()
+        assert kept.sum() <= len(rows)
+
 
 def seconds(epochs):
     """GPS seconds of each GpsTime, the epoch axis `position_grid` takes."""
@@ -458,6 +541,39 @@ class TestPositionGrid:
         _, with_sick = position_grid(rest + [sick], [t.total_seconds()])
         _, without = position_grid(rest, [t.total_seconds()])
         assert np.array_equal(with_sick, without)
+
+    def test_block_sizes_give_identical_grids(self, nav_text):
+        # the day at 60 s and 6 h either side (stale cells), with one record
+        # unhealthy where it is the nearest: grids in blocks of any size are
+        # the one-call grid, bit for bit
+        records = parse_rinex_nav(nav_text)
+        t0 = GpsTime.from_utc(dt.datetime(2013, 7, 24, 18))
+        secs = t0.total_seconds() + 60.0 * np.arange(2160)
+        sick = len(records) // 2
+        records[sick] = dataclasses.replace(records[sick], health=1)
+        _, whole = position_grid(records, secs)
+        _, healthy = position_grid(parse_rinex_nav(nav_text), secs)
+        assert np.isnan(whole).any() and not np.isnan(whole).all()
+        assert not np.array_equal(whole, healthy, equal_nan=True)
+        _, grid_of = prepare_grid(records)
+        for block in (1, 7, 256, len(secs)):
+            grid = np.concatenate([grid_of(secs[k:k + block])
+                                   for k in range(0, len(secs), block)])
+            assert grid.tobytes() == whole.tobytes()
+
+    def test_equidistant_records_first_in_file_order(self):
+        t = GpsTime(1750, 345600.0)
+        early = circular_record(toe_sow=t.seconds_of_week - 3600.0, m0=0.1)
+        late = circular_record(toe_sow=t.seconds_of_week + 3600.0, m0=0.7)
+        sick = circular_record(toe_sow=t.seconds_of_week, m0=1.3, health=1)
+        for records in ([early, late], [late, early], [sick, late, early]):
+            first = next(r for r in records if r.health == 0)
+            _, grid = position_grid(records, [t.total_seconds()])
+            _, alone = position_grid([first], [t.total_seconds()])
+            assert np.array_equal(grid, alone)
+            assert np.abs(grid[0, 0] - sat_position_ecef(first, t)).max() <= 1e-6
+        apart = sat_position_ecef(early, t) - sat_position_ecef(late, t)
+        assert np.abs(apart).max() > 1e6
 
     def test_kernel_matches_solve_kepler(self):
         m = np.linspace(-40.0, 40.0, 801)

@@ -8,6 +8,7 @@ from itertools import combinations, compress
 import numpy as np
 import pytest
 
+from navbound import orbits
 from navbound.orbits import (GpsTime, PositionTable, SiteLocation,
                              parse_position_csv, parse_rinex_nav,
                              visible_satellites)
@@ -237,6 +238,17 @@ class TestFullDayScan:
         high = scan_ms(make_config(mask=25.0, **short), ephs)
         assert len(low) == len(high) == 60
         assert (low.n_visible >= high.n_visible).all()
+
+    def test_elements_built_once_per_scan(self, nav_text, monkeypatch):
+        # the day is 6 epoch blocks; the element table is built once, so
+        # each record's row is computed once
+        records = parse_rinex_nav(nav_text)
+        built = []
+        elements = orbits._elements
+        monkeypatch.setattr(orbits, "_elements",
+                            lambda eph: built.append(eph) or elements(eph))
+        assert len(scan_ms(make_config(), records)) == 1440
+        assert built == records
 
     def test_scan_span_must_overlap(self, nav_text):
         ephs = parse_rinex_nav(nav_text)
