@@ -27,6 +27,9 @@ GPS_EPOCH = dt.datetime(1980, 1, 6)
 # GPS - UTC leap-second offset; 16 s was current through 2013-2015.
 DEFAULT_GPS_UTC_OFFSET = 16.0
 
+# Largest |site height| (m): 10 000 km, well below the GPS orbits (~20 200 km).
+MAX_SITE_HEIGHT = 1e7
+
 
 class RinexParseError(ValueError):
     """Fatal navigation-file format problem (bad header / version)."""
@@ -126,6 +129,9 @@ class SiteLocation:
             raise ValueError("latitude out of range")
         if not -180 < self.longitude <= 180:
             raise ValueError("longitude out of (-180, 180]")
+        if abs(self.height) > MAX_SITE_HEIGHT:
+            raise ValueError(f"height must be within ±{MAX_SITE_HEIGHT:g} m, "
+                             f"got {self.height!r}")
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,9 @@ from .cacode import ChipSequence, generate_ca_code
 from .constants import CA_CODE_PERIOD
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+# scipy's ndtr rounds to exactly 1.0 from about 8.29 up
+_PHI_IS_ONE = 9.0
+_ROUNDING = 64 * np.finfo(float).eps
 
 
 class DelayEstimationError(RuntimeError):
@@ -152,36 +155,57 @@ def _waveforms(spec: WaveformSpec, tau: float, orders) -> tuple:
     boundaries within a few s of t contribute, so the sum is truncated to
     a window of neighbouring chips. Its delay derivatives are analytic
     (Gaussian density terms). All requested orders share one set of
-    chip-boundary arguments b = (t - J Tc)/s, J = j0-half .. j0+half+1: a
-    chip's left argument is b[:, :-1] and its right argument b[:, 1:].
-    Order 0 needs only Phi(b), orders 1 and 2 only the density of b.
+    chip-boundary arguments b = (t - J Tc)/s, J = j0-half .. j0+half+1,
+    held boundary-major: a chip's left argument is b[:-1] and its right
+    argument b[1:]. Order 0 needs only Phi(b), orders 1 and 2 only the
+    density of b. Each order's chip terms are summed along contiguous
+    sample rows, so every sample is the same sum of the same terms in the
+    same order whatever the layout of the arithmetic before it.
     Returns one array per entry of `orders`, in that order.
     """
     t = np.arange(1, spec.num_samples + 1) * spec.sampling_period - tau
-    chips = spec.code.chips.astype(np.float64)
     tc = spec.chip_duration
     s = spec.pulse_smoothing
 
     x = np.mod(t, spec.code_period)
-    j0 = np.floor(x / tc).astype(np.int64)
+    j0 = np.floor(x / tc)
     half = max(2, int(math.ceil(10.0 * s / tc)) + 1)
+    offsets = np.arange(-half, half + 2)
 
-    jb = j0[:, None] + np.arange(-half, half + 2)[None, :]
-    c = chips[np.mod(jb[:, :-1], len(chips))]
-    b = (x[:, None] - jb * tc) / s
+    b = np.add.outer(offsets.astype(np.float64), j0)
+    b *= tc
+    np.subtract(x, b, out=b)
+    b /= s
+    # chip j0 + k - half for chip row k, read from a circularly padded copy
+    chips = spec.code.chips
+    padded = np.take(chips, np.arange(-half, len(chips) + half + 1), mode="wrap")
+    c = padded.astype(np.float64)[np.add.outer(np.arange(2 * half + 1),
+                                               j0.astype(np.intp))]
+    terms = np.empty_like(c)
+
+    def chip_sum(first, second):
+        np.subtract(first, second, out=terms)
+        np.multiply(terms, c, out=terms)
+        return np.ascontiguousarray(terms.T).sum(axis=1)
 
     m = {}
     if 0 in orders:
-        cdf = ndtr(b)
-        m[0] = np.sum(c * (cdf[:, :-1] - cdf[:, 1:]), axis=1)
+        # row k has b >= (half - k) Tc / s less rounding; from 9 up Phi is 1.0
+        ones = int(np.count_nonzero(-offsets * tc / s >= _PHI_IS_ONE))
+        cdf = np.empty_like(b)
+        cdf[:ones] = 1.0
+        ndtr(b[ones:], out=cdf[ones:])
+        m[0] = chip_sum(cdf[:-1], cdf[1:])
     if 1 in orders or 2 in orders:
-        pdf = np.exp(-0.5 * b * b) / _SQRT_2PI
-        pu, pv = pdf[:, :-1], pdf[:, 1:]
+        pdf = np.multiply(b, -0.5)
+        pdf *= b
+        np.exp(pdf, out=pdf)
+        pdf /= _SQRT_2PI
         if 1 in orders:
-            m[1] = np.sum(c * (pu - pv), axis=1) / s
+            m[1] = chip_sum(pdf[:-1], pdf[1:]) / s
         if 2 in orders:
-            u, v = b[:, :-1], b[:, 1:]
-            m[2] = np.sum(c * (-u * pu + v * pv), axis=1) / (s * s)
+            pdf *= b  # b * density: the chip term is -u pu + v pv
+            m[2] = chip_sum(pdf[1:], pdf[:-1]) / (s * s)
     factor = spec.amplitude * np.exp(1j * spec.phase)
     return tuple(factor * m[k] for k in orders)
 
@@ -198,14 +222,43 @@ def sample_waveform(spec: WaveformSpec, tau: float, derivative_order: int = 0) -
     return SampledSignal(samples, spec.sampling_period)
 
 
-def _stationarity(z: np.ndarray, spec: WaveformSpec, tau: float):
+class _Syntheses:
+    """The syntheses of one delay experiment, shared by its estimates.
+
+    A clean and a perturbed estimate search the same window, so they
+    correlate against the same reference spectra, and the perturbed
+    estimate's first Newton pass usually starts at the clean estimate's
+    first delay. Entries are keyed by the exact delay, so a hit returns
+    what a fresh synthesis would. Made per experiment and dropped with it.
+    """
+
+    def __init__(self, spec: WaveformSpec):
+        self.spec = spec
+        self._references = {}
+        self._orders = {}
+
+    def reference(self, tau: float) -> tuple:
+        """(w(tau), conj(fft(w(tau)))) for the coarse correlation."""
+        if tau not in self._references:
+            w = sample_waveform(self.spec, tau, 0).samples
+            self._references[tau] = (w, np.conj(np.fft.fft(w)))
+        return self._references[tau]
+
+    def orders(self, tau: float) -> tuple:
+        """(w, w', w'') at tau."""
+        if tau not in self._orders:
+            self._orders[tau] = _waveforms(self.spec, tau, (0, 1, 2))
+        return self._orders[tau]
+
+
+def _stationarity(z: np.ndarray, syntheses: _Syntheses, tau: float):
     """Return (g, dg, ||w'||^2, (w, w', w'')) of the misfit ||z - w(tau)||^2 / 2.
 
     g = Re<z - w, w'> is the (sigma-free, sign-flipped) delay derivative of
     the log-likelihood and vanishes at the ML delay; the curvature
     dg = ||w'||^2 + Re<w - z, w''> is positive at a proper minimum.
     """
-    w, w1, w2 = _waveforms(spec, tau, (0, 1, 2))
+    w, w1, w2 = syntheses.orders(tau)
     d = z - w
     n1sq = float(np.real(np.vdot(w1, w1)))
     g = float(np.real(np.vdot(d, w1)))
@@ -213,35 +266,68 @@ def _stationarity(z: np.ndarray, spec: WaveformSpec, tau: float):
     return g, dg, n1sq, (w, w1, w2)
 
 
-def _coarse_grid(z: np.ndarray, spec: WaveformSpec, lo: float, hi: float) -> float:
-    """Best grid point of -||z - w(tau)||^2 at (at most) quarter-chip spacing.
+def _correlation_search(z: np.ndarray, syntheses: _Syntheses,
+                        lo: float, hi: float, phases: int) -> float:
+    """Least-misfit delay lo + i T / phases + m T in [lo, hi], by FFT.
 
-    When the sample grid spans an integer number of code periods, shifting
-    tau by one sampling period circularly shifts the replica, so all
-    sample-spaced correlations come from a single FFT; that grid is used
-    when it is at least as fine as a quarter chip. Otherwise each
-    quarter-chip grid point is synthesized directly, and the search is
-    repeated at 1/16 and 1/64 chip about the best point: with fewer than
-    four samples per chip the misfit's convex basin about the true delay
-    can be narrower than a quarter chip, and Newton must start inside it.
+    Shifting tau by m sampling periods T circularly shifts the replica, so
+    Re<w(ref + m T), z> for every m comes from one circular correlation
+    against w(ref), and its peak is the phase's least misfit. The phases
+    are compared by their misfits themselves: where the misfit is flat
+    their correlations can differ by less than rounding.
     """
-    periods = spec.num_samples * spec.sampling_period / spec.code_period
-    step = spec.chip_duration / 4
-    if abs(periods - round(periods)) < 1e-9 and spec.sampling_period <= step:
-        w0 = sample_waveform(spec, lo, 0).samples
-        # Re<roll(w0, s), z> for all integer shifts s via circular correlation
-        corr = np.real(np.fft.ifft(np.fft.fft(z) * np.conj(np.fft.fft(w0))))
-        n_steps = int(math.floor((hi - lo) / spec.sampling_period))
+    period = syntheses.spec.sampling_period
+    zf = np.fft.fft(z)
+    peaks = []
+    for i in range(phases):
+        ref = lo + i * period / phases
+        w, spectrum = syntheses.reference(ref)
+        corr = np.real(np.fft.ifft(zf * spectrum))
+        n_steps = int(math.floor((hi - ref) / period))
         shifts = np.arange(0, min(n_steps, len(z) - 1) + 1)
-        best = shifts[np.argmax(corr[shifts])]
-        return lo + best * spec.sampling_period
+        m = shifts[np.argmax(corr[shifts])]
+        peaks.append((ref + m * period, w, m))
+    if phases == 1:
+        return peaks[0][0]
+    misfits = [np.linalg.norm(z - np.roll(w, m)) for _, w, m in peaks]
+    return peaks[int(np.argmin(misfits))][0]
+
+
+def _coarse_grid(z: np.ndarray, syntheses: _Syntheses, lo: float, hi: float) -> float:
+    """Best grid point of -||z - w(tau)||^2, where Newton can start.
+
+    At four or more samples per chip the grid is the sample grid, searched
+    by one FFT correlation when the samples span whole code periods, and
+    a quarter-chip grid synthesized point by point otherwise. Coarser
+    sampling leaves few sample phases per chip. When they all lie several
+    smoothings s from the nearest chip boundary the replica depends on the
+    delay only through Gaussian tails, and the misfit's dip at the true
+    delay can be a small fraction of s wide, beside a shoulder or a second
+    minimum that a quarter-chip grid would pick (past about 8.3 s the
+    tails round away and _ml_delay finds the delay unresolvable). There
+    the grid steps at most s / 4, one FFT per sub-sample phase over whole
+    periods, and the search is repeated at 1/4 and 1/16 of that step about
+    the best point, so that Newton starts inside the convex basin.
+    """
+    spec = syntheses.spec
+    period = spec.sampling_period
+    quarter = spec.chip_duration / 4
+    step = quarter if period <= quarter else min(quarter, spec.pulse_smoothing / 4)
 
     def best(taus):
         objective = [-float(np.linalg.norm(z - sample_waveform(spec, tau, 0).samples))
                      for tau in taus]
         return float(taus[int(np.argmax(objective))])
 
-    tau = best(np.arange(lo, hi + 0.5 * step, step))
+    periods = spec.num_samples * period / spec.code_period
+    if abs(periods - round(periods)) < 1e-9:
+        phases = 1 if period <= step else math.ceil(period / step)
+        tau = _correlation_search(z, syntheses, lo, hi, phases)
+        if phases == 1:
+            return tau
+        step = period / phases
+    else:
+        tau = best(np.arange(lo, hi + 0.5 * step, step))
     for _ in range(2):
         step /= 4
         tau = best(tau + step * np.arange(-4, 5))
@@ -249,13 +335,14 @@ def _coarse_grid(z: np.ndarray, spec: WaveformSpec, lo: float, hi: float) -> flo
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite iterate fails the checks
-def _ml_delay(z: SampledSignal, spec: WaveformSpec,
+def _ml_delay(z: SampledSignal, syntheses: _Syntheses,
               search_window: tuple[float, float], max_iter: int = 50):
     """ML delay with what the refinement saw at it.
 
     Returns (tau0, (w, w', w'') at tau0, Newton passes, final residual
     |Re<w - z, w'>| / ||w'||^2 with ||w'||^2 taken at the coarse delay).
     """
+    spec = syntheses.spec
     lo, hi = search_window
     if hi - lo < 2 * spec.chip_duration:
         raise DelayEstimationError(
@@ -265,7 +352,7 @@ def _ml_delay(z: SampledSignal, spec: WaveformSpec,
         raise ValueError("signal length does not match spec.num_samples")
 
     zs = z.samples
-    tau = _coarse_grid(zs, spec, lo, hi)
+    tau = _coarse_grid(zs, syntheses, lo, hi)
     if max_iter < 1:
         raise DelayEstimationError(
             f"no convergence after {max_iter} iterations", last_iterate=tau
@@ -273,12 +360,12 @@ def _ml_delay(z: SampledSignal, spec: WaveformSpec,
 
     best_tau, best_g, best_w = tau, math.inf, None
     for iterations in range(1, max_iter + 1):
-        g, dg, n1sq, waveforms = _stationarity(zs, spec, tau)
+        g, dg, n1sq, waveforms = _stationarity(zs, syntheses, tau)
         if iterations == 1:
             # ||w'||^2 at the coarse delay sets the convergence scale
             scale = n1sq
             tol = 1e-9 * scale
-            floor = 64 * np.finfo(float).eps * scale
+            floor = _ROUNDING * scale
         if abs(g) < abs(best_g):
             best_tau, best_g, best_w = tau, g, waveforms
         if abs(g) <= floor:
@@ -306,6 +393,16 @@ def _ml_delay(z: SampledSignal, spec: WaveformSpec,
         raise DelayEstimationError(
             "stationarity residual above tolerance", last_iterate=best_tau
         )
+    # A shift of a millionth of a chip moves the replica by about
+    # ||w'|| Tc 1e-6; below rounding the samples do not fix the delay, and
+    # Newton stops anywhere on a flat misfit (one sample per chip, with
+    # every sample many smoothings from a chip boundary).
+    w, w1, _ = best_w
+    if np.linalg.norm(w1) * (1e-6 * spec.chip_duration) <= _ROUNDING * np.linalg.norm(w):
+        raise DelayEstimationError(
+            "the samples do not resolve the delay: a millionth of a chip moves "
+            "the replica by less than rounding", last_iterate=best_tau
+        )
     return best_tau, best_w, iterations, abs(best_g) / scale
 
 
@@ -316,9 +413,11 @@ def ml_delay_estimate(z: SampledSignal, spec: WaveformSpec,
 
     The returned tau0 satisfies |Re<w - z, w'>| <= 1e-9 ||w'||^2 (iteration
     continues below that threshold while it keeps improving, so small
-    perturbation-induced shifts are resolved to machine level).
+    perturbation-induced shifts are resolved to machine level). Raises
+    DelayEstimationError when no such point is found, or when a millionth
+    of a chip moves the replica at tau0 by less than rounding.
     """
-    return _ml_delay(z, spec, search_window, max_iter)[0]
+    return _ml_delay(z, _Syntheses(spec), search_window, max_iter)[0]
 
 
 def magnification_tau(z: SampledSignal, w: SampledSignal,
@@ -373,13 +472,14 @@ def perturbation_experiment(spec: WaveformSpec, tau_true: float,
     clean = sample_waveform(spec, tau_true, 0)
     z = SampledSignal(clean.samples + noise.sample(spec.num_samples),
                       spec.sampling_period)
-    tau0, waveforms, iter0, res0 = _ml_delay(z, spec, search_window)
+    syntheses = _Syntheses(spec)
+    tau0, waveforms, iter0, res0 = _ml_delay(z, syntheses, search_window)
     m_tau = magnification_tau(
         z, *(SampledSignal(w, spec.sampling_period) for w in waveforms))
     bound = m_tau * interference.norm()
 
     z_pert = z + interference
-    tau_pert, _, iter_pert, res_pert = _ml_delay(z_pert, spec, search_window)
+    tau_pert, _, iter_pert, res_pert = _ml_delay(z_pert, syntheses, search_window)
 
     return TauPerturbation(
         tau0=tau0,

@@ -282,6 +282,18 @@ class TestScanAndHist:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("height", ["1.5e154", "1e156"])
+    def test_absurd_height_exits_two(self, nav_path, height):
+        # finite, so once accepted: the scan exited 0 after numpy
+        # RuntimeWarnings from the ENU norm
+        result = navbound_process("scan", "--nav", str(nav_path), "--lat",
+                                  "34.75337", "--lon", "135.42783",
+                                  "--height", height)
+        assert result.returncode == EXIT_USAGE
+        assert result.stdout == ""
+        assert result.stderr == (f"height must be within ±1e+07 m, "
+                                 f"got {float(height)!r}\n")
+
     @pytest.mark.parametrize("step", ["1e-9", "0.5"])
     def test_scan_epoch_count_bound_exits_two(self, nav_path, capsys, step):
         # a full day at these steps is 8.64e13 and 172800 epochs

@@ -205,6 +205,15 @@ class TestGeodetic:
         with pytest.raises(ValueError, match="finite"):
             SiteLocation(lat, lon, height)
 
+    @pytest.mark.parametrize("height", [-1e7, 1e7])
+    def test_height_range_edges_accepted(self, height):
+        assert SiteLocation(0.0, 0.0, height).height == height
+
+    @pytest.mark.parametrize("height", [1.0000001e7, -2e7, 1.5e154, -1e156])
+    def test_height_outside_range_rejected(self, height):
+        with pytest.raises(ValueError, match="height must be within"):
+            SiteLocation(0.0, 0.0, height)
+
 
 class TestEnu:
     SITE = SiteLocation(34.75337, 135.42783, 3.7)

@@ -2,16 +2,19 @@ import math
 
 import numpy as np
 import pytest
-
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from navbound.cacode import generate_ca_code
+from navbound import signal_model
+from navbound.cacode import ChipSequence, generate_ca_code
 from navbound.signal_model import (DegenerateCurvatureError,
                                    DelayEstimationError, NoiseConfig,
-                                   SampledSignal, WaveformSpec, _waveforms,
-                                   default_spec, magnification_tau,
-                                   ml_delay_estimate, perturbation_experiment,
-                                   sample_waveform, worst_interference)
+                                   SampledSignal, WaveformSpec, _ml_delay,
+                                   _Syntheses, _waveforms, default_spec,
+                                   magnification_tau, ml_delay_estimate,
+                                   perturbation_experiment, sample_waveform,
+                                   worst_interference)
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +152,30 @@ class TestFusedKernel:
         for got, want in zip(fused, ref):
             assert np.array_equal(got, want)
 
+    @settings(max_examples=50, deadline=None)
+    @given(prn=st.integers(1, 32), length=st.integers(5, 300),
+           smoothing=st.floats(0.05, 3.0), samples_per_chip=st.integers(1, 5),
+           amplitude=st.floats(0.1, 10.0), phase=st.floats(-math.pi, math.pi),
+           frac=st.floats(-1.0, 2.0), on_edge=st.booleans(),
+           orders=st.lists(st.sampled_from((0, 1, 2)), min_size=1, max_size=3,
+                           unique=True))
+    def test_bit_identical_property(self, prn, length, smoothing,
+                                    samples_per_chip, amplitude, phase, frac,
+                                    on_edge, orders):
+        # A truncated C/A code keeps each example small; codes shorter than
+        # the chip window wrap more than once.
+        code = ChipSequence(generate_ca_code(prn).chips[:length], prn)
+        tc = code.chip_duration
+        n = length * samples_per_chip
+        spec = WaveformSpec(code=code, amplitude=amplitude, phase=phase,
+                            pulse_smoothing=smoothing * tc,
+                            sampling_period=code.period / n, num_samples=n)
+        # tau in [-P, 2P], on a chip edge or anywhere
+        tau = round(frac * length) * tc if on_edge else frac * code.period
+        got = _waveforms(spec, tau, tuple(orders))
+        for order, samples in zip(orders, got):
+            assert np.array_equal(samples, _per_order_waveform(spec, tau, order))
+
     def test_chip_edge_case_hits_boundaries(self):
         # The chip_edge delay puts every fourth sample on a chip boundary.
         spec = default_spec(4)
@@ -201,6 +228,33 @@ class TestMlDelayEstimate:
         est = ml_delay_estimate(sample_waveform(spec, tau, 0), spec,
                                 (0.0, spec.code_period))
         assert abs(est - tau) <= 1e-6 * spec.chip_duration
+
+    def test_seeded_delays_one_sample_per_chip(self):
+        # At one sample per chip every sample sits at the same chip phase;
+        # the misfit's dip at the true delay can be far narrower than a
+        # quarter chip, beside a shoulder. Delays 8, 9 and 14 of this draw
+        # used to come back 0.60-0.69 chip off with no error.
+        spec = default_spec(3, samples_per_chip=1)
+        tc = spec.chip_duration
+        for frac in np.random.default_rng(11).uniform(0.0, 1.0, 200)[6:16]:
+            tau = frac * spec.code_period
+            est = ml_delay_estimate(sample_waveform(spec, tau, 0), spec,
+                                    (tau - 6.3 * tc, tau + 5.1 * tc))
+            assert abs(est - tau) <= 1e-6 * tc
+
+    def test_unresolvable_delay_raises(self):
+        # At 0.05-chip smoothing and one sample per chip, with every sample
+        # half a chip from the nearest boundary, the replica does not change
+        # with the delay to double precision: no delay can be told apart.
+        spec = default_spec(3, pulse_smoothing_chips=0.05, samples_per_chip=1)
+        tc = spec.chip_duration
+        tau = spec.sampling_period + 299.5 * tc
+        z = sample_waveform(spec, tau, 0)
+        for shift in (-0.05 * tc, 0.05 * tc):
+            assert np.array_equal(sample_waveform(spec, tau + shift, 0).samples,
+                                  z.samples)
+        with pytest.raises(DelayEstimationError, match="do not resolve the delay"):
+            ml_delay_estimate(z, spec, (tau - 6.3 * tc, tau + 5.1 * tc))
 
     @pytest.mark.parametrize("samples_per_chip", [2, 3])
     def test_seeded_delays_below_four_samples_per_chip(self, samples_per_chip):
@@ -377,3 +431,65 @@ class TestPerturbationExperiment:
                           + noise.sample(spec.num_samples), spec.sampling_period)
         fresh = [sample_waveform(spec, result.tau0, k) for k in (0, 1, 2)]
         assert result.m_tau == magnification_tau(z, *fresh)
+
+
+def _experiment_inputs(prn, tau_frac, seed):
+    """Spec, true delay, noise and worst-mode interference at 1e-4 ||w||."""
+    spec = default_spec(prn)
+    tau = tau_frac * spec.code_period
+    power = (1e-4 * sample_waveform(spec, tau, 0).norm()) ** 2
+    dy = worst_interference(sample_waveform(spec, tau, 1), power)
+    return spec, tau, NoiseConfig(0.01, seed=seed), dy
+
+
+class TestSharedSyntheses:
+    """One experiment synthesizes each reference and Newton triple once."""
+
+    def test_fewer_kernel_calls(self, monkeypatch):
+        spec, tau, noise, dy = _experiment_inputs(5, 0.41, 3)
+        kernel = signal_model._waveforms
+        calls = []
+
+        def counted(spec, tau, orders):
+            calls.append(tuple(orders))
+            return kernel(spec, tau, orders)
+
+        monkeypatch.setattr(signal_model, "_waveforms", counted)
+        result = perturbation_experiment(spec, tau, noise, dy)
+        # Without sharing: the clean signal, one coarse reference per
+        # estimate and one three-order synthesis per Newton pass.
+        unshared = 1 + 2 + sum(result.iterations)
+        assert len(calls) <= unshared - 2
+        assert calls.count((0,)) == 2  # the clean signal and one reference
+
+    def test_matches_independent_estimates(self):
+        spec, tau, noise, dy = _experiment_inputs(12, 0.73, 8)
+        result = perturbation_experiment(spec, tau, noise, dy)
+
+        z = SampledSignal(sample_waveform(spec, tau, 0).samples
+                          + noise.sample(spec.num_samples), spec.sampling_period)
+        window = (tau - spec.code_period / 2, tau + spec.code_period / 2)
+        tau0 = ml_delay_estimate(z, spec, window)
+        tau1 = ml_delay_estimate(z + dy, spec, window)
+        m_tau = magnification_tau(z, *(sample_waveform(spec, tau0, k)
+                                       for k in (0, 1, 2)))
+        _, _, iter0, res0 = _ml_delay(z, _Syntheses(spec), window)
+        _, _, iter1, res1 = _ml_delay(z + dy, _Syntheses(spec), window)
+        expected = [tau0, m_tau, m_tau * dy.norm(), tau1 - tau0,
+                    iter0, iter1, res0, res1]
+        got = [result.tau0, result.m_tau, result.delta_tau_bound,
+               result.delta_tau_empirical, *result.iterations, *result.residual]
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in expected]
+
+    def test_back_to_back_experiments_independent(self):
+        # Same delay and window on two PRNs: a synthesis kept across
+        # experiments, keyed by delay, would hand one PRN the other's.
+        a = _experiment_inputs(3, 0.37, 1)
+        b = _experiment_inputs(17, 0.37, 2)
+        first_a, then_b = (perturbation_experiment(*a),
+                           perturbation_experiment(*b))
+        first_b, then_a = (perturbation_experiment(*b),
+                           perturbation_experiment(*a))
+        assert first_a == then_a
+        assert first_b == then_b
+        assert first_a.tau0 != first_b.tau0 or first_a.m_tau != first_b.m_tau
