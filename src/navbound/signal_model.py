@@ -45,6 +45,8 @@ class WaveformSpec:
     pulse_smoothing is the standard deviation (seconds) of the Gaussian
     kernel convolved with the rectangular chip train; it must be strictly
     positive so the first and second delay derivatives exist everywhere.
+    The capture spans a whole number of code periods, so a delay shift of
+    m samples circularly shifts the replica.
     """
 
     code: ChipSequence
@@ -55,16 +57,23 @@ class WaveformSpec:
     num_samples: int = 4092
 
     def __post_init__(self):
-        if self.amplitude <= 0:
-            raise ValueError("amplitude must be positive")
-        if self.pulse_smoothing <= 0:
+        if not 0 < self.amplitude < math.inf:  # NaN fails too
+            raise ValueError("amplitude must be positive and finite")
+        if not math.isfinite(self.phase):
+            raise ValueError("phase must be finite")
+        if not 0 < self.pulse_smoothing < math.inf:
             raise ValueError(
-                "pulse_smoothing must be strictly positive: with ideal "
-                "rectangular chips the waveform derivative is undefined at "
-                "chip edges"
+                "pulse_smoothing must be strictly positive and finite: with "
+                "ideal rectangular chips the waveform derivative is undefined "
+                "at chip edges"
             )
-        if self.num_samples * self.sampling_period < self.code.period * (1 - 1e-12):
-            raise ValueError("num_samples * sampling_period must cover one code period")
+        if not 0 < self.sampling_period < math.inf:
+            raise ValueError("sampling_period must be positive and finite")
+        periods = self.num_samples * self.sampling_period / self.code.period
+        if not (math.isfinite(periods) and round(periods) >= 1
+                and abs(periods - round(periods)) < 1e-9):
+            raise ValueError("num_samples * sampling_period must span a whole "
+                             "number (>= 1) of code periods")
 
     @property
     def chip_duration(self) -> float:
@@ -122,8 +131,8 @@ class NoiseConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
+        if not 0 <= self.sigma < math.inf:  # NaN fails too
+            raise ValueError("sigma must be finite and non-negative")
 
     def sample(self, n: int) -> np.ndarray:
         if self.sigma == 0:
@@ -266,17 +275,30 @@ def _stationarity(z: np.ndarray, syntheses: _Syntheses, tau: float):
     return g, dg, n1sq, (w, w1, w2)
 
 
-def _correlation_search(z: np.ndarray, syntheses: _Syntheses,
-                        lo: float, hi: float, phases: int) -> float:
-    """Least-misfit delay lo + i T / phases + m T in [lo, hi], by FFT.
+def _coarse_grid(z: np.ndarray, syntheses: _Syntheses, lo: float, hi: float) -> float:
+    """Least-misfit grid delay lo + i T / phases + m T in [lo, hi] to start Newton.
 
-    Shifting tau by m sampling periods T circularly shifts the replica, so
-    Re<w(ref + m T), z> for every m comes from one circular correlation
-    against w(ref), and its peak is the phase's least misfit. The phases
-    are compared by their misfits themselves: where the misfit is flat
-    their correlations can differ by less than rounding.
+    The capture spans whole code periods, so shifting tau by m sampling
+    periods T circularly shifts the replica: Re<w(ref + m T), z> for every
+    m comes from one circular correlation against w(ref), and its peak is
+    the least misfit of that sub-sample phase. At four or more samples per
+    chip one phase (the sample grid) suffices. Coarser sampling leaves few
+    sample phases per chip. When they all lie several smoothings s from
+    the nearest chip boundary the replica depends on the delay only
+    through Gaussian tails, and the misfit's dip at the true delay can be
+    a small fraction of s wide, beside a shoulder or a second minimum that
+    a quarter-chip grid would pick (past about 8.3 s the tails round away
+    and _ml_delay finds the delay unresolvable). There the phases are at
+    most s / 4 apart and are compared by their misfits themselves (where
+    the misfit is flat their correlations can differ by less than
+    rounding); the search is then repeated at 1/4 and 1/16 of that step
+    about the best point, so that Newton starts inside the convex basin.
     """
-    period = syntheses.spec.sampling_period
+    spec = syntheses.spec
+    period = spec.sampling_period
+    quarter = spec.chip_duration / 4
+    step = quarter if period <= quarter else min(quarter, spec.pulse_smoothing / 4)
+    phases = 1 if period <= step else math.ceil(period / step)
     zf = np.fft.fft(z)
     peaks = []
     for i in range(phases):
@@ -290,47 +312,14 @@ def _correlation_search(z: np.ndarray, syntheses: _Syntheses,
     if phases == 1:
         return peaks[0][0]
     misfits = [np.linalg.norm(z - np.roll(w, m)) for _, w, m in peaks]
-    return peaks[int(np.argmin(misfits))][0]
-
-
-def _coarse_grid(z: np.ndarray, syntheses: _Syntheses, lo: float, hi: float) -> float:
-    """Best grid point of -||z - w(tau)||^2, where Newton can start.
-
-    At four or more samples per chip the grid is the sample grid, searched
-    by one FFT correlation when the samples span whole code periods, and
-    a quarter-chip grid synthesized point by point otherwise. Coarser
-    sampling leaves few sample phases per chip. When they all lie several
-    smoothings s from the nearest chip boundary the replica depends on the
-    delay only through Gaussian tails, and the misfit's dip at the true
-    delay can be a small fraction of s wide, beside a shoulder or a second
-    minimum that a quarter-chip grid would pick (past about 8.3 s the
-    tails round away and _ml_delay finds the delay unresolvable). There
-    the grid steps at most s / 4, one FFT per sub-sample phase over whole
-    periods, and the search is repeated at 1/4 and 1/16 of that step about
-    the best point, so that Newton starts inside the convex basin.
-    """
-    spec = syntheses.spec
-    period = spec.sampling_period
-    quarter = spec.chip_duration / 4
-    step = quarter if period <= quarter else min(quarter, spec.pulse_smoothing / 4)
-
-    def best(taus):
-        objective = [-float(np.linalg.norm(z - sample_waveform(spec, tau, 0).samples))
-                     for tau in taus]
-        return float(taus[int(np.argmax(objective))])
-
-    periods = spec.num_samples * period / spec.code_period
-    if abs(periods - round(periods)) < 1e-9:
-        phases = 1 if period <= step else math.ceil(period / step)
-        tau = _correlation_search(z, syntheses, lo, hi, phases)
-        if phases == 1:
-            return tau
-        step = period / phases
-    else:
-        tau = best(np.arange(lo, hi + 0.5 * step, step))
+    tau = peaks[int(np.argmin(misfits))][0]
+    step = period / phases
     for _ in range(2):
         step /= 4
-        tau = best(tau + step * np.arange(-4, 5))
+        taus = tau + step * np.arange(-4, 5)
+        misfits = [np.linalg.norm(z - sample_waveform(spec, t, 0).samples)
+                   for t in taus]
+        tau = float(taus[int(np.argmin(misfits))])
     return tau
 
 
@@ -344,6 +333,8 @@ def _ml_delay(z: SampledSignal, syntheses: _Syntheses,
     """
     spec = syntheses.spec
     lo, hi = search_window
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"search window [{lo}, {hi}] must be finite")
     if hi - lo < 2 * spec.chip_duration:
         raise DelayEstimationError(
             f"search window [{lo}, {hi}] narrower than two chips"
@@ -495,6 +486,8 @@ def default_spec(prn: int = 1, pulse_smoothing_chips: float = 0.1,
                  samples_per_chip: int = 4, amplitude: float = 1.0,
                  phase: float = 0.0) -> WaveformSpec:
     """One code period of a C/A code at the given oversampling."""
+    if not samples_per_chip >= 1:
+        raise ValueError(f"samples_per_chip must be at least 1, got {samples_per_chip}")
     code = generate_ca_code(prn)
     tc = code.chip_duration
     n = len(code) * samples_per_chip

@@ -91,6 +91,8 @@ class TestInterference:
     @pytest.mark.parametrize("option, value, code, err", [
         # the noise samples overflow
         ("--sigma", "1e308", EXIT_USAGE, "samples must be finite\n"),
+        ("--sigma", "nan", EXIT_USAGE, "sigma must be finite and non-negative\n"),
+        ("--sigma", "inf", EXIT_USAGE, "sigma must be finite and non-negative\n"),
         # the received signal's spectrum overflows; Newton steps go NaN
         ("--sigma", "1.5e305", EXIT_DEGENERATE, None),
         ("--power", "inf", EXIT_USAGE, "power must be positive and finite\n"),

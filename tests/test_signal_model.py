@@ -79,10 +79,34 @@ class TestWaveform:
         with pytest.raises(ValueError):
             sample_waveform(spec, 0.0, 3)
 
-    def test_rejects_short_capture(self, spec):
-        with pytest.raises(ValueError):
-            WaveformSpec(code=spec.code, pulse_smoothing=spec.pulse_smoothing,
-                         sampling_period=spec.sampling_period, num_samples=100)
+    @pytest.mark.parametrize("prn, per_period, num_samples", [
+        pytest.param(1, 4092, 100, id="short"),
+        # one and a half periods at one sample per chip: the FFT coarse
+        # search needs whole periods, so a delay shift is a circular shift
+        pytest.param(3, 1023, 1535, id="partial_period")])
+    def test_rejects_short_capture(self, prn, per_period, num_samples):
+        code = generate_ca_code(prn)
+        with pytest.raises(ValueError, match="whole number"):
+            WaveformSpec(code=code, pulse_smoothing=0.1 * code.chip_duration,
+                         sampling_period=code.period / per_period,
+                         num_samples=num_samples)
+
+    @pytest.mark.parametrize("field, value", [
+        ("amplitude", math.nan), ("amplitude", math.inf),
+        ("phase", math.nan), ("phase", -math.inf),
+        ("pulse_smoothing", math.nan), ("pulse_smoothing", math.inf),
+        ("sampling_period", math.nan), ("sampling_period", math.inf),
+        ("sampling_period", -1e-6), ("num_samples", -4092),
+        ("num_samples", 0), ("samples_per_chip", -1), ("samples_per_chip", 0)])
+    def test_rejects_nonfinite_or_nonpositive_field(self, spec, field, value):
+        # unchecked, these fail later in the kernel or the search with an
+        # IndexError, a NaN-to-integer ValueError or numpy warnings
+        with pytest.raises(ValueError, match=field):
+            if field == "samples_per_chip":
+                default_spec(1, samples_per_chip=value)
+            else:
+                WaveformSpec(**{"code": spec.code, "num_samples": spec.num_samples,
+                                "sampling_period": spec.sampling_period, field: value})
 
 
 def _per_order_waveform(spec, tau, order):
@@ -266,10 +290,35 @@ class TestMlDelayEstimate:
                                     (tau - 6.3 * tc, tau + 5.1 * tc))
             assert abs(est - tau) <= 1e-6 * tc
 
+    @pytest.mark.parametrize("samples_per_chip", [1, 2, 4])
+    def test_seeded_delays_two_period_capture(self, samples_per_chip):
+        # a delay shift of m samples is circular over any whole number of
+        # periods, so the FFT search serves multi-period captures too
+        code = generate_ca_code(3)
+        n = 2 * len(code) * samples_per_chip
+        spec = WaveformSpec(code=code, pulse_smoothing=0.1 * code.chip_duration,
+                            sampling_period=2 * code.period / n, num_samples=n)
+        tc = spec.chip_duration
+        for frac in np.random.default_rng(23).uniform(0.0, 1.0, 5):
+            tau = frac * spec.code_period
+            est = ml_delay_estimate(sample_waveform(spec, tau, 0), spec,
+                                    (tau - 6.3 * tc, tau + 5.1 * tc))
+            assert abs(est - tau) <= 1e-6 * tc
+
     def test_window_too_narrow(self, spec):
         z = sample_waveform(spec, 0.0, 0)
         with pytest.raises(DelayEstimationError):
             ml_delay_estimate(z, spec, (0.0, spec.chip_duration))
+
+    @pytest.mark.parametrize("window", [(0.0, math.inf), (0.0, math.nan),
+                                        (-math.inf, 1e-3), (math.nan, 1e-3)],
+                             ids=["hi_inf", "hi_nan", "lo_minus_inf", "lo_nan"])
+    def test_nonfinite_window_rejected(self, spec, window):
+        # unchecked, these reach the FFT search and fail there with an
+        # OverflowError, a NaN-to-integer ValueError or an IndexError
+        z = sample_waveform(spec, 0.0, 0)
+        with pytest.raises(ValueError, match="must be finite"):
+            ml_delay_estimate(z, spec, window)
 
     def test_zero_iterations_raise(self, spec, tau_true):
         z = sample_waveform(spec, tau_true, 0)
