@@ -47,6 +47,19 @@ def _emit(text: str, output: str | None):
         sys.stdout.write(text)
 
 
+def _emit_fields(args, fields: dict, fmt: str) -> int:
+    """Write fields as one JSON object, or as field,value rows with each
+    number in format fmt and a list joined by '-'."""
+    if args.format == "json":
+        text = json.dumps(fields, indent=2) + "\n"
+    else:
+        text = "field,value\n" + "".join(
+            f"{k},{'-'.join(map(str, v)) if isinstance(v, list) else format(v, fmt)}\n"
+            for k, v in fields.items())
+    _emit(text, args.output)
+    return EXIT_OK
+
+
 def _cmd_code(args) -> int:
     code = generate_ca_code(args.prn)
     if args.format == "json":
@@ -69,19 +82,12 @@ def _cmd_interference(args) -> int:
     dy = worst_interference(w1, args.power)
     result = perturbation_experiment(
         spec, tau_true, NoiseConfig(sigma=args.sigma, seed=args.seed), dy)
-    fields = {
+    return _emit_fields(args, {
         "tau0": result.tau0,
         "m_tau": result.m_tau,
         "delta_tau_bound": result.delta_tau_bound,
         "delta_tau_empirical": result.delta_tau_empirical,
-    }
-    if args.format == "json":
-        text = json.dumps(fields, indent=2) + "\n"
-    else:
-        text = "field,value\n" + "".join(
-            f"{k},{v:.12e}\n" for k, v in fields.items())
-    _emit(text, args.output)
-    return EXIT_OK
+    }, ".12e")
 
 
 def _finite(value, name: str) -> float:
@@ -115,14 +121,14 @@ def _load_geometry(path: str) -> list[SatGeometry]:
         sat_id = str(rec.get("sat_id", len(sats) + 1))
         if "f" in rec:
             f, h = _finite(rec.get("f"), "f"), _finite(rec.get("h"), "h")
-            check_unit_disc(f, h, sat_id)
-            sats.append(SatGeometry(sat_id=sat_id, f=f, h=h))
+            check_unit_disc(f, h, f"sat {sat_id}")
         else:
             el = math.radians(_finite(rec.get("elevation"), "elevation"))
             az = math.radians(_finite(rec.get("azimuth"), "azimuth"))
             d = [math.sin(az) * math.cos(el), math.cos(az) * math.cos(el),
                  math.sin(el)]
-            sats.extend(directional_cosines([d], frame, sat_ids=[sat_id]))
+            f, h = map(float, directional_cosines(d, frame))
+        sats.append(SatGeometry(sat_id=sat_id, f=f, h=h))
     return sats
 
 
@@ -134,34 +140,17 @@ def _cmd_track(args) -> int:
             print("inadmissible: along-track cosines do not have opposite signs",
                   file=sys.stderr)
             return EXIT_DEGENERATE
-        if args.format == "json":
-            text = json.dumps({"m_s": ms.m_s}, indent=2) + "\n"
-        else:
-            text = f"field,value\nm_s,{ms.m_s:.9f}\n"
-        _emit(text, args.output)
-        return EXIT_OK
+        return _emit_fields(args, {"m_s": ms.m_s}, ".9f")
     if len(sats) == 3:
-        d = determinant_d(sats)
         muv = magnification_uv(sats)
-        perm = muv.permutation
         if not muv.admissible:
             print("inadmissible: no satellite ordering satisfies the "
                   "orientation condition (or a cofactor vanishes)",
                   file=sys.stderr)
             return EXIT_DEGENERATE
-        fields = {"determinant": d,
-                  "permutation": list(perm),
-                  "m_u": muv.m_u, "m_v": muv.m_v}
-        if args.format == "json":
-            text = json.dumps(fields, indent=2) + "\n"
-        else:
-            text = ("field,value\n"
-                    f"determinant,{d:.9f}\n"
-                    f"permutation,{'-'.join(str(p) for p in perm)}\n"
-                    f"m_u,{muv.m_u:.9f}\n"
-                    f"m_v,{muv.m_v:.9f}\n")
-        _emit(text, args.output)
-        return EXIT_OK
+        return _emit_fields(args, {"determinant": determinant_d(sats),
+                                   "permutation": list(muv.permutation),
+                                   "m_u": muv.m_u, "m_v": muv.m_v}, ".9f")
     print(f"geometry file must contain 2 or 3 satellites, got {len(sats)}",
           file=sys.stderr)
     return EXIT_USAGE

@@ -2,7 +2,7 @@
 
 Handles RINEX 2.x navigation files (or a plain CSV of precomputed ECEF
 positions), propagates Kepler broadcast elements to ECEF, and converts
-to local East-North-Up directions with elevation masking.
+to local East-North-Up vectors and elevations.
 """
 
 from __future__ import annotations
@@ -132,14 +132,6 @@ class SiteLocation:
         if abs(self.height) > MAX_SITE_HEIGHT:
             raise ValueError(f"height must be within ±{MAX_SITE_HEIGHT:g} m, "
                              f"got {self.height!r}")
-
-
-@dataclass(frozen=True)
-class VisibleSat:
-    sat_id: str
-    enu_unit_dir: np.ndarray
-    elevation: float
-    azimuth: float
 
 
 def _rinex_floats(line: str, start: int, count: int) -> list[float]:
@@ -339,12 +331,9 @@ def enu_rotation(site: SiteLocation) -> np.ndarray:
     ])
 
 
-def ecef_to_enu(site: SiteLocation, point) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """ENU vectors of ECEF points (shape (..., 3)) about the site, plus
-    elevation and azimuth in degrees (shape (...)).
-
-    A NaN point (no satellite position) gives NaN elevation and azimuth.
-    """
+def ecef_to_enu(site: SiteLocation, point) -> tuple[np.ndarray, np.ndarray]:
+    """ENU vectors of ECEF points (shape (..., 3)) about the site, and their
+    elevations in degrees; a NaN point (no satellite position) gives NaN."""
     diff = np.asarray(point, dtype=float) - geodetic_to_ecef(site)
     rng = np.linalg.norm(diff, axis=-1)
     if np.any(rng == 0):
@@ -352,8 +341,7 @@ def ecef_to_enu(site: SiteLocation, point) -> tuple[np.ndarray, np.ndarray, np.n
     enu = diff @ enu_rotation(site).T
     # rounding can put a zenith point's ratio just above 1
     elevation = np.degrees(np.arcsin(np.clip(enu[..., 2] / rng, -1.0, 1.0)))
-    azimuth = np.degrees(np.arctan2(enu[..., 0], enu[..., 1])) % 360.0
-    return enu, elevation, azimuth
+    return enu, elevation
 
 
 # --- alternative CSV ingestion (sat_id,week,sow,x_m,y_m,z_m) ---------------
@@ -517,20 +505,3 @@ def _propagate(table: np.ndarray, chosen: np.ndarray, seconds: np.ndarray,
     grid = np.full((len(seconds), len(sat_ids), 3), np.nan)
     grid[at_epoch, at_sat] = ecef
     return grid
-
-
-def visible_satellites(source: PositionSource, site: SiteLocation, t: GpsTime,
-                       mask: float = 15.0) -> list[VisibleSat]:
-    """Satellites above the elevation mask at GPS time t, sorted by id.
-
-    Positions come from `position_grid` at the single epoch t; satellites
-    with no position there are dropped.
-    """
-    if not 0 <= mask < 90:
-        raise ValueError("mask must be in [0, 90) degrees")
-    sat_ids, ecef = position_grid(source, [t.total_seconds()])
-    enu, elevation, azimuth = ecef_to_enu(site, ecef[0])
-    return [VisibleSat(sat_id=sat_id, enu_unit_dir=e / np.linalg.norm(e),
-                       elevation=float(el), azimuth=float(az))
-            for sat_id, e, el, az in zip(sat_ids, enu, elevation, azimuth)
-            if el >= mask]

@@ -18,7 +18,7 @@ import numpy as np
 
 from .constants import SECONDS_PER_WEEK
 from .orbits import GpsTime, PositionSource, SiteLocation, ecef_to_enu, prepare_grid
-from .track import frenet_frame
+from .track import directional_cosines, frenet_frame
 
 # Largest scan: one day at a 1 s step. A scan's columns take 32 B per epoch
 # plus one byte per satellite: 64 B with 32 satellites, 5.5 MB at this limit.
@@ -102,16 +102,16 @@ def scan_ms(config: ScanConfig, source: PositionSource) -> ScanSeries:
     best_m_s, pair = np.empty_like(seconds), np.empty((len(seconds), 2), dtype=int)
     sat_ids, grid_of = prepare_grid(source)
     visible = np.empty((len(seconds), len(sat_ids)), dtype=bool)
-    tangent = frenet_frame(math.radians(config.track_azimuth), "straight").u
+    frame = frenet_frame(math.radians(config.track_azimuth), "straight")
     covered = False
     for first in range(0, len(seconds), EPOCH_BLOCK):
         rows = slice(first, first + EPOCH_BLOCK)
         ecef = grid_of(seconds[rows])
         covered |= not np.isnan(ecef).all()
-        enu, elevation, _ = ecef_to_enu(config.site, ecef)
+        enu, elevation = ecef_to_enu(config.site, ecef)
         vis = visible[rows] = elevation >= config.mask
         enu /= np.linalg.norm(enu, axis=-1, keepdims=True)
-        f = -(enu @ tangent)
+        f, _ = directional_cosines(enu, frame)
         pos, neg = vis & (f > 0), vis & (f < 0)
         with np.errstate(divide="ignore"):
             r = 1.0 / np.abs(f)

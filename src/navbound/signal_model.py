@@ -26,6 +26,11 @@ _PHI_IS_ONE = 9.0
 _ROUNDING = 64 * np.finfo(float).eps
 
 
+def _is_int(value) -> bool:
+    """An int or numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 class DelayEstimationError(RuntimeError):
     """ML delay search failed; carries the last iterate when available."""
 
@@ -69,6 +74,8 @@ class WaveformSpec:
             )
         if not 0 < self.sampling_period < math.inf:
             raise ValueError("sampling_period must be positive and finite")
+        if not (_is_int(self.num_samples) and self.num_samples >= 1):
+            raise ValueError("num_samples must be an integer >= 1")
         periods = self.num_samples * self.sampling_period / self.code.period
         if not (math.isfinite(periods) and round(periods) >= 1
                 and abs(periods - round(periods)) < 1e-9):
@@ -133,6 +140,8 @@ class NoiseConfig:
     def __post_init__(self):
         if not 0 <= self.sigma < math.inf:  # NaN fails too
             raise ValueError("sigma must be finite and non-negative")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     def sample(self, n: int) -> np.ndarray:
         if self.sigma == 0:
@@ -260,19 +269,18 @@ class _Syntheses:
         return self._orders[tau]
 
 
-def _stationarity(z: np.ndarray, syntheses: _Syntheses, tau: float):
-    """Return (g, dg, ||w'||^2, (w, w', w'')) of the misfit ||z - w(tau)||^2 / 2.
+def _misfit_derivatives(z, w, w1, w2) -> tuple[float, float, float]:
+    """(g, dg, ||w'||^2) of the misfit ||z - w||^2 / 2, given w, w' and w''.
 
     g = Re<z - w, w'> is the (sigma-free, sign-flipped) delay derivative of
     the log-likelihood and vanishes at the ML delay; the curvature
     dg = ||w'||^2 + Re<w - z, w''> is positive at a proper minimum.
     """
-    w, w1, w2 = syntheses.orders(tau)
     d = z - w
     n1sq = float(np.real(np.vdot(w1, w1)))
     g = float(np.real(np.vdot(d, w1)))
     dg = n1sq - float(np.real(np.vdot(d, w2)))
-    return g, dg, n1sq, (w, w1, w2)
+    return g, dg, n1sq
 
 
 def _coarse_grid(z: np.ndarray, syntheses: _Syntheses, lo: float, hi: float) -> float:
@@ -351,7 +359,8 @@ def _ml_delay(z: SampledSignal, syntheses: _Syntheses,
 
     best_tau, best_g, best_w = tau, math.inf, None
     for iterations in range(1, max_iter + 1):
-        g, dg, n1sq, waveforms = _stationarity(zs, syntheses, tau)
+        waveforms = syntheses.orders(tau)
+        g, dg, n1sq = _misfit_derivatives(zs, *waveforms)
         if iterations == 1:
             # ||w'||^2 at the coarse delay sets the convergence scale
             scale = n1sq
@@ -420,8 +429,7 @@ def magnification_tau(z: SampledSignal, w: SampledSignal,
     condition doubles the real component only). Units: seconds of delay
     per unit interference norm.
     """
-    n1sq = float(np.real(np.vdot(w1.samples, w1.samples)))
-    denom = n1sq + float(np.real(np.vdot(w.samples - z.samples, w2.samples)))
+    _, denom, n1sq = _misfit_derivatives(*(s.samples for s in (z, w, w1, w2)))
     if abs(denom) < 1e-12 * n1sq:
         raise DegenerateCurvatureError(
             "likelihood curvature vanishes; no first-order bound exists"
@@ -486,8 +494,9 @@ def default_spec(prn: int = 1, pulse_smoothing_chips: float = 0.1,
                  samples_per_chip: int = 4, amplitude: float = 1.0,
                  phase: float = 0.0) -> WaveformSpec:
     """One code period of a C/A code at the given oversampling."""
-    if not samples_per_chip >= 1:
-        raise ValueError(f"samples_per_chip must be at least 1, got {samples_per_chip}")
+    if not (_is_int(samples_per_chip) and samples_per_chip >= 1):
+        raise ValueError(f"samples_per_chip must be an integer >= 1, "
+                         f"got {samples_per_chip!r}")
     code = generate_ca_code(prn)
     tc = code.chip_duration
     n = len(code) * samples_per_chip

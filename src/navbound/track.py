@@ -66,10 +66,11 @@ def synthetic_geometry(sat_id: str, f: float, h: float) -> SatGeometry:
     return SatGeometry(sat_id=sat_id, f=f, h=h)
 
 
-def check_unit_disc(f: float, h: float, sat_id: str) -> None:
-    """Physical cosines of a unit direction satisfy f^2 + h^2 <= 1."""
-    if f * f + h * h > 1.0 + 1e-12:
-        raise ValueError(f"sat {sat_id}: f^2 + h^2 exceeds 1")
+def check_unit_disc(f, h, label: str) -> None:
+    """Physical cosines of a unit direction satisfy f^2 + h^2 <= 1 (floats or
+    arrays; a NaN passes)."""
+    if np.any(f * f + h * h > 1.0 + 1e-12):
+        raise ValueError(f"{label}: f^2 + h^2 exceeds 1")
 
 
 @dataclass(frozen=True)
@@ -149,21 +150,16 @@ def arc_project(u: float, v: float, radius: float) -> tuple[float, float, float]
     return s, radius * rv / denom, radius * u / denom
 
 
-def directional_cosines(sat_unit_dirs: Sequence, frame: FrenetFrame,
-                        sat_ids: Optional[Sequence[str]] = None) -> list[SatGeometry]:
-    """Track-frame cosines of unit site->satellite directions."""
-    if sat_ids is None:
-        sat_ids = [str(i + 1) for i in range(len(sat_unit_dirs))]
-    out = []
-    for sid, d in zip(sat_ids, sat_unit_dirs):
-        d = np.asarray(d, dtype=float)
-        if abs(np.linalg.norm(d) - 1.0) > 1e-9:
-            raise ValueError(f"direction for sat {sid} is not a unit vector")
-        g = -d
-        f, h = float(np.dot(g, frame.u)), float(np.dot(g, frame.v))
-        check_unit_disc(f, h, str(sid))
-        out.append(SatGeometry(sat_id=str(sid), f=f, h=h))
-    return out
+def directional_cosines(unit_dirs, frame: FrenetFrame) -> tuple[np.ndarray, np.ndarray]:
+    """Track-frame cosines f = <g, U> and h = <g, V> of unit site->satellite
+    directions (shape (..., 3)), g being minus the direction. A NaN row (a
+    satellite with no position) gives NaN cosines."""
+    d = np.asarray(unit_dirs, dtype=float)
+    if (np.abs(np.sqrt(np.einsum("...i,...i", d, d)) - 1.0) > 1e-9).any():
+        raise ValueError("a satellite direction is not a unit vector")
+    f, h = -(d @ frame.u), -(d @ frame.v)
+    check_unit_disc(f, h, "a satellite direction")
+    return f, h
 
 
 def _cofactors(f, h):

@@ -15,7 +15,7 @@ import navbound
 from navbound import cli, orbits
 from navbound.cli import EXIT_DEGENERATE, EXIT_OK, EXIT_USAGE, run
 from navbound.orbits import EphemerisError
-from navbound.signal_model import DegenerateCurvatureError
+from navbound.signal_model import DegenerateCurvatureError, TauPerturbation
 
 
 def navbound_process(*argv):
@@ -118,6 +118,15 @@ class TestInterference:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"--tau must be in [0, 0.001) s, got {float(tau)}\n"
+
+    @pytest.mark.parametrize("sigma", ["0", "0.01"])
+    def test_negative_seed_exits_two(self, capsys, sigma):
+        # the seed is checked whatever the noise level
+        assert run(["interference", "--prn", "1", "--power", "1e-4",
+                    "--sigma", sigma, "--seed", "-1"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "seed must be a non-negative integer, got -1\n"
 
     def test_degenerate_curvature_exits_one(self, capsys, monkeypatch):
         def degenerate(*args, **kwargs):
@@ -222,6 +231,62 @@ class TestTrack:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "sat A: f^2 + h^2 exceeds 1\n"
+
+
+class TestFieldTables:
+    """The exact field tables of interference and track, in both formats."""
+
+    TWO = [{"sat_id": "E", "elevation": 35.0, "azimuth": 100.0},
+           {"sat_id": "W", "elevation": 50.0, "azimuth": 250.0}]
+    THREE = {"track_azimuth_deg": 90.0,
+             "satellites": [{"sat_id": "A", "elevation": 30.0, "azimuth": 270.0},
+                            {"sat_id": "B", "elevation": 45.0, "azimuth": 150.0},
+                            {"sat_id": "C", "elevation": 20.0, "azimuth": 30.0}]}
+    TABLES = {
+        ("interference", "csv"): (
+            "field,value\n"
+            "tau0,3.000000367368e-04\n"
+            "m_tau,8.126761235757e-09\n"
+            "delta_tau_bound,8.126761235757e-11\n"
+            "delta_tau_empirical,-8.127828585950e-11\n"),
+        ("interference", "json"): (
+            '{\n  "tau0": 0.00030000003673682097,\n'
+            '  "m_tau": 8.126761235756757e-09,\n'
+            '  "delta_tau_bound": 8.126761235756752e-11,\n'
+            '  "delta_tau_empirical": -8.127828585949987e-11\n}\n'),
+        ("two", "csv"): "field,value\nm_s,1.655566717\n",
+        ("two", "json"): '{\n  "m_s": 1.655566716656015\n}\n',
+        ("three", "csv"): (
+            "field,value\ndeterminant,1.810541410\npermutation,0-1-2\n"
+            "m_u,2.689212162\nm_v,2.518943861\n"),
+        ("three", "json"): (
+            '{\n  "determinant": 1.8105414104753734,\n'
+            '  "permutation": [\n    0,\n    1,\n    2\n  ],\n'
+            '  "m_u": 2.6892121623686682,\n  "m_v": 2.518943861040351\n}\n'),
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_interference(self, capsys, monkeypatch, fmt):
+        # the experiment's result for --prn 7 --power 1e-4 --sigma 0.01
+        # --seed 3, fixed so that only the writer is under test
+        result = TauPerturbation(tau0=0.00030000003673682097,
+                                 m_tau=8.126761235756757e-09,
+                                 delta_tau_bound=8.126761235756752e-11,
+                                 delta_tau_empirical=-8.127828585949987e-11)
+        monkeypatch.setattr(cli, "perturbation_experiment",
+                            lambda *args: result)
+        assert run(["interference", "--prn", "7", "--power", "1e-4",
+                    "--sigma", "0.01", "--seed", "3", "--format", fmt]) == EXIT_OK
+        assert capsys.readouterr().out == self.TABLES["interference", fmt]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("case", ["two", "three"])
+    def test_track(self, tmp_path, capsys, case, fmt):
+        payload = self.TWO if case == "two" else self.THREE
+        path = tmp_path / "geometry.json"
+        path.write_text(json.dumps(payload))
+        assert run(["track", "--geometry", str(path), "--format", fmt]) == EXIT_OK
+        assert capsys.readouterr().out == self.TABLES[case, fmt]
 
 
 class TestScanAndHist:

@@ -14,7 +14,7 @@ from navbound.orbits import (EphemerisError, EphemerisRecord, GpsTime,
                              ecef_to_enu, enu_rotation, geodetic_to_ecef,
                              parse_position_csv, parse_rinex_nav,
                              position_grid, prepare_grid, sat_position_ecef,
-                             solve_kepler, visible_satellites)
+                             solve_kepler)
 
 HEADER = (
     "     2.11           N: GPS NAV DATA                        "
@@ -221,15 +221,15 @@ class TestEnu:
     def test_zenith(self):
         up = geodetic_to_ecef(self.SITE)
         up_dir = enu_rotation(self.SITE)[2]
-        enu, el, _ = ecef_to_enu(self.SITE, up + 1000.0 * up_dir)
+        enu, el = ecef_to_enu(self.SITE, up + 1000.0 * up_dir)
         assert np.allclose(enu, [0, 0, 1000.0], atol=1e-6)
         assert el == pytest.approx(90.0)
 
     def test_due_east_horizon(self):
         east = enu_rotation(self.SITE)[0]
-        enu, el, az = ecef_to_enu(self.SITE,
-                                  geodetic_to_ecef(self.SITE) + 5000.0 * east)
-        assert az == pytest.approx(90.0, abs=1e-9)
+        enu, el = ecef_to_enu(self.SITE,
+                              geodetic_to_ecef(self.SITE) + 5000.0 * east)
+        assert math.degrees(math.atan2(enu[0], enu[1])) == pytest.approx(90.0, abs=1e-9)
         assert el == pytest.approx(0.0, abs=1e-9)
 
     def test_rotation_orthonormal(self):
@@ -238,7 +238,7 @@ class TestEnu:
 
     def test_distance_preserved(self):
         point = geodetic_to_ecef(self.SITE) + np.array([1e6, -2e6, 1.5e6])
-        enu, _, _ = ecef_to_enu(self.SITE, point)
+        enu, _ = ecef_to_enu(self.SITE, point)
         ecef_range = np.linalg.norm(point - geodetic_to_ecef(self.SITE))
         assert np.linalg.norm(enu) == pytest.approx(ecef_range, rel=1e-6)
 
@@ -264,7 +264,7 @@ class TestEnu:
                       * enu_rotation(site)[2])
             cases.append((site, points))
         for site, point in cases:
-            _, el, _ = ecef_to_enu(site, np.array(point))
+            _, el = ecef_to_enu(site, np.array(point))
             assert not np.isnan(el).any()
             assert np.abs(el - 90.0).max() <= 1e-5
 
@@ -346,49 +346,11 @@ class TestParser:
         assert all(r.health == 0 for r in records[1:])
 
 
-class TestVisibility:
-    SITE = SiteLocation(34.75337, 135.42783, 3.7)
-
-    def test_real_day_counts(self, nav_text):
-        ephs = parse_rinex_nav(nav_text)
-        t0 = GpsTime.from_utc(dt.datetime(2013, 7, 25))
-        for k in range(0, 1440, 60):
-            vis = visible_satellites(ephs, self.SITE, t0.add_seconds(60.0 * k))
-            assert 5 <= len(vis) <= 14
-
-    def test_mask_monotonicity(self, nav_text):
-        ephs = parse_rinex_nav(nav_text)
-        t = GpsTime.from_utc(dt.datetime(2013, 7, 25, 6))
-        ids = {}
-        for mask in (5.0, 15.0, 30.0, 60.0):
-            ids[mask] = {v.sat_id for v in
-                         visible_satellites(ephs, self.SITE, t, mask)}
-        assert ids[60.0] <= ids[30.0] <= ids[15.0] <= ids[5.0]
-
-    def test_extreme_mask(self, nav_text):
-        ephs = parse_rinex_nav(nav_text)
-        t = GpsTime.from_utc(dt.datetime(2013, 7, 25, 6))
-        vis = visible_satellites(ephs, self.SITE, t, 89.99)
-        assert len(vis) <= 1
-
-    def test_unit_directions_and_g(self, nav_text):
-        ephs = parse_rinex_nav(nav_text)
-        t = GpsTime.from_utc(dt.datetime(2013, 7, 25, 12))
-        for v in visible_satellites(ephs, self.SITE, t):
-            assert np.linalg.norm(v.enu_unit_dir) == pytest.approx(1.0, abs=1e-9)
-            assert 15.0 <= v.elevation <= 90.0
-
-    def test_empty_ephemerides(self):
-        with pytest.raises(ValueError):
-            visible_satellites([], self.SITE, GpsTime(1750, 0.0))
-
-
 class TestPositionCsv:
     def test_roundtrip_against_kepler(self, nav_text):
         ephs = parse_rinex_nav(nav_text)
         site = SiteLocation(34.75337, 135.42783, 3.7)
         t = GpsTime.from_utc(dt.datetime(2013, 7, 25, 3))
-        vis_direct = visible_satellites(ephs, site, t)
 
         rows = ["sat_id,week,sow,x_m,y_m,z_m"]
         by_sat = {}
@@ -402,8 +364,16 @@ class TestPositionCsv:
             x, y, z = sat_position_ecef(eph, t)
             rows.append(f"{sat_id},{t.week},{t.seconds_of_week},{x},{y},{z}")
         table = parse_position_csv("\n".join(rows))
-        vis_csv = visible_satellites(table, site, t)
-        assert [v.sat_id for v in vis_csv] == [v.sat_id for v in vis_direct]
+        # the table holds the propagated positions; the same satellites clear the mask
+        ids_direct, ecef_direct = position_grid(ephs, [t.total_seconds()])
+        ids_csv, ecef_csv = position_grid(table, [t.total_seconds()])
+        assert ids_csv == tuple(sorted(by_sat))
+        at = [ids_direct.index(sat_id) for sat_id in ids_csv]
+        assert np.abs(ecef_csv[0] - ecef_direct[0, at]).max() <= 1e-6
+        _, el_direct = ecef_to_enu(site, ecef_direct[0])
+        _, el_csv = ecef_to_enu(site, ecef_csv[0])
+        assert ([i for i, el in zip(ids_csv, el_csv) if el >= 15.0]
+                == [i for i, el in zip(ids_direct, el_direct) if el >= 15.0])
 
     def test_header_required(self):
         with pytest.raises(ValueError):
@@ -521,6 +491,10 @@ class TestPositionGrid:
         assert np.isnan(oracle).any() and not np.isnan(oracle).all()
         assert np.nanmax(np.abs(grid - oracle)) <= 1e-6
 
+    def test_empty_ephemerides(self):
+        with pytest.raises(ValueError):
+            position_grid([], [GpsTime(1750, 0.0).total_seconds()])
+
     def test_validity_window_edge(self):
         eph = circular_record(m0=0.3, e=0.01)
         window = eph.validity_window
@@ -535,16 +509,19 @@ class TestPositionGrid:
         ephs = parse_rinex_nav(nav_text)
         site = SiteLocation(34.75337, 135.42783, 3.7)
         t = GpsTime.from_utc(dt.datetime(2013, 7, 25, 6))
-        seen = visible_satellites(ephs, site, t)[0]
-        nearest = min((r for r in ephs if r.sat_id == seen.sat_id),
+        ids, grid = position_grid(ephs, [t.total_seconds()])
+        _, elevation = ecef_to_enu(site, grid[0])
+        seen = ids[np.flatnonzero(elevation >= 15.0)[0]]
+        nearest = min((r for r in ephs if r.sat_id == seen),
                       key=lambda r: abs(t - r.toe))
         sick = dataclasses.replace(nearest, health=1)
 
         sat_ids, grid = position_grid([sick], [t.total_seconds()])
-        assert sat_ids == (seen.sat_id,) and np.isnan(grid).all()
-        others = [r for r in ephs if r.sat_id != seen.sat_id]
-        assert seen.sat_id not in {v.sat_id for v in
-                                   visible_satellites(others + [sick], site, t)}
+        assert sat_ids == (seen,) and np.isnan(grid).all()
+        # with its other records gone the satellite has no position
+        others = [r for r in ephs if r.sat_id != seen]
+        ids, grid = position_grid(others + [sick], [t.total_seconds()])
+        assert np.isnan(grid[0, ids.index(seen)]).all()
         # an older healthy record of the same satellite takes over
         rest = [r for r in ephs if r is not nearest]
         _, with_sick = position_grid(rest + [sick], [t.total_seconds()])

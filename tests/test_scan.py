@@ -10,13 +10,13 @@ import pytest
 
 from navbound import orbits
 from navbound.orbits import (GpsTime, PositionTable, SiteLocation,
-                             parse_position_csv, parse_rinex_nav,
-                             visible_satellites)
+                             ecef_to_enu, parse_position_csv, parse_rinex_nav,
+                             position_grid)
 from navbound.scan import (MAX_HIST_BINS, MAX_SCAN_EPOCHS, EmptySeriesError,
                            Histogram, ScanConfig, ScanSeries, hist_csv,
                            hist_json, histogram, parse_series_csv, scan_ms,
                            series_csv, series_json)
-from navbound.track import directional_cosines, frenet_frame, magnification_s
+from navbound.track import SatGeometry, frenet_frame, magnification_s
 
 SITE = SiteLocation(34.75337, 135.42783, 3.7)
 
@@ -236,8 +236,13 @@ class TestFullDayScan:
         short = dict(start=t0, end=t0.add_seconds(3600.0))
         low = scan_ms(make_config(mask=10.0, **short), ephs)
         high = scan_ms(make_config(mask=25.0, **short), ephs)
-        assert len(low) == len(high) == 60
+        top = scan_ms(make_config(mask=89.99, **short), ephs)
+        assert len(low) == len(high) == len(top) == 60
         assert (low.n_visible >= high.n_visible).all()
+        # a higher mask keeps a subset of the satellites
+        assert (high.visible <= low.visible).all()
+        assert (top.visible <= high.visible).all()
+        assert (top.n_visible <= 1).all()
 
     def test_elements_built_once_per_scan(self, nav_text, monkeypatch):
         # the day is 6 epoch blocks; the element table is built once, so
@@ -262,12 +267,17 @@ class TestBestPairOracle:
         ephs = parse_rinex_nav(nav_text)
         frame = frenet_frame(math.radians(90.0), "straight")
         for k in range(0, len(day), 5):
-            t = GpsTime.from_seconds(day.seconds[k])
-            vis = visible_satellites(ephs, SITE, t, 15.0)
-            assert tuple(compress(day.sat_ids, day.visible[k])) \
-                == tuple(v.sat_id for v in vis)
-            sats = directional_cosines([v.enu_unit_dir for v in vis], frame,
-                                       sat_ids=[v.sat_id for v in vis])
+            sat_ids, ecef = position_grid(ephs, [day.seconds[k]])
+            enu, elevation = ecef_to_enu(SITE, ecef[0])
+            vis = elevation >= 15.0
+            assert sat_ids == day.sat_ids
+            assert np.array_equal(vis, day.visible[k])
+            unit = enu[vis] / np.linalg.norm(enu[vis], axis=-1, keepdims=True)
+            # f = <g, U> with g = -unit, computed here rather than by the
+            # library's directional_cosines, which the scan calls
+            f = -(unit @ frame.u)
+            sats = [SatGeometry(sat_id, float(fj), 0.0)
+                    for sat_id, fj in zip(compress(sat_ids, vis), f)]
             pairs = sorted((magnification_s(a, b).m_s, a.sat_id, b.sat_id)
                            for a, b in combinations(sats, 2)
                            if magnification_s(a, b).admissible)

@@ -97,16 +97,24 @@ class TestWaveform:
         ("pulse_smoothing", math.nan), ("pulse_smoothing", math.inf),
         ("sampling_period", math.nan), ("sampling_period", math.inf),
         ("sampling_period", -1e-6), ("num_samples", -4092),
-        ("num_samples", 0), ("samples_per_chip", -1), ("samples_per_chip", 0)])
+        ("num_samples", 0), ("num_samples", 4092.5), ("num_samples", True),
+        ("samples_per_chip", -1), ("samples_per_chip", 0),
+        ("samples_per_chip", 1.5)])
     def test_rejects_nonfinite_or_nonpositive_field(self, spec, field, value):
         # unchecked, these fail later in the kernel or the search with an
-        # IndexError, a NaN-to-integer ValueError or numpy warnings
+        # IndexError, a NaN-to-integer ValueError or numpy warnings; a
+        # fractional sample count gave a spec whose own waveform (rounded
+        # up to whole samples) the estimator then refused
         with pytest.raises(ValueError, match=field):
             if field == "samples_per_chip":
                 default_spec(1, samples_per_chip=value)
             else:
-                WaveformSpec(**{"code": spec.code, "num_samples": spec.num_samples,
-                                "sampling_period": spec.sampling_period, field: value})
+                fields = {"code": spec.code, "num_samples": spec.num_samples,
+                          "sampling_period": spec.sampling_period, field: value}
+                if field == "num_samples" and value > 0:
+                    # one code period exactly, so that only the count is wrong
+                    fields["sampling_period"] = spec.code.period / value
+                WaveformSpec(**fields)
 
 
 def _per_order_waveform(spec, tau, order):
@@ -207,6 +215,14 @@ class TestFusedKernel:
             - 11 / 1023 * spec.code_period
         frac = np.mod(t, spec.code_period) / spec.chip_duration
         assert np.sum(np.abs(frac - np.round(frac)) < 1e-9) >= spec.num_samples // 4
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.01])
+@pytest.mark.parametrize("seed", [-1, 1.5, True, None])
+def test_noise_seed_must_be_non_negative_integer(sigma, seed):
+    # a negative seed used to pass at sigma 0 and fail inside numpy otherwise
+    with pytest.raises(ValueError, match="seed"):
+        NoiseConfig(sigma=sigma, seed=seed)
 
 
 class TestInnerProduct:

@@ -112,20 +112,20 @@ class TestArcProject:
 class TestDirectionalCosines:
     def test_zenith(self):
         fr = frenet_frame(1.1, "straight")
-        [sat] = directional_cosines([np.array([0, 0, 1.0])], fr)
-        assert sat.f == pytest.approx(0.0, abs=1e-15)
-        assert sat.h == pytest.approx(0.0, abs=1e-15)
+        f, h = directional_cosines(np.array([0, 0, 1.0]), fr)
+        assert f == pytest.approx(0.0, abs=1e-15)
+        assert h == pytest.approx(0.0, abs=1e-15)
 
     def test_horizon_east(self):
         fr = frenet_frame(math.radians(90), "straight")
-        [sat] = directional_cosines([np.array([1.0, 0, 0])], fr)
-        assert sat.f == pytest.approx(-1.0)
-        assert sat.h == pytest.approx(0.0, abs=1e-15)
+        f, h = directional_cosines(np.array([1.0, 0, 0]), fr)
+        assert f == pytest.approx(-1.0)
+        assert h == pytest.approx(0.0, abs=1e-15)
 
     def test_non_unit_rejected(self):
         fr = frenet_frame(0.0, "straight")
-        with pytest.raises(ValueError):
-            directional_cosines([np.array([1.0, 1.0, 0.0])], fr)
+        with pytest.raises(ValueError, match="not a unit vector"):
+            directional_cosines(np.array([[0.0, 0.0, 1.0], [1.0, 1.0, 0.0]]), fr)
 
     def test_off_unit_disc_rejected(self):
         # a unit direction cannot give f^2 + h^2 > 1; a rounding-level excess
@@ -134,16 +134,32 @@ class TestDirectionalCosines:
         with pytest.raises(ValueError, match="exceeds 1"):
             check_unit_disc(0.8, 0.6 + 1e-9, "x")
         check_unit_disc(0.8, 0.6 + 1e-13, "x")
-        [sat] = directional_cosines([np.array([0.6, 0.8, 0.0])], fr)
-        assert sat.f ** 2 + sat.h ** 2 == pytest.approx(1.0)
+        f, h = directional_cosines(np.array([0.6, 0.8, 0.0]), fr)
+        assert f ** 2 + h ** 2 == pytest.approx(1.0)
 
     @given(az=st.floats(0, 2 * math.pi), el=st.floats(0, math.pi / 2))
     def test_projection_norm(self, az, el):
         fr = frenet_frame(0.7, "straight")
         d = np.array([math.sin(az) * math.cos(el),
                       math.cos(az) * math.cos(el), math.sin(el)])
-        [sat] = directional_cosines([d], fr)
-        assert sat.f ** 2 + sat.h ** 2 <= 1 + 1e-12
+        f, h = directional_cosines(d, fr)
+        assert f ** 2 + h ** 2 <= 1 + 1e-12
+
+    def test_array_matches_rows_and_passes_nan(self):
+        # an (epoch, sat, 3) block gives the cosines of each row on its own;
+        # a NaN row (a satellite with no position) gives NaN cosines
+        rng = np.random.default_rng(2)
+        d = rng.normal(size=(4, 5, 3))
+        d /= np.linalg.norm(d, axis=-1, keepdims=True)
+        d[1, 2] = np.nan
+        fr = frenet_frame(0.3, "right", 500.0)
+        f, h = directional_cosines(d, fr)
+        assert f.shape == h.shape == (4, 5)
+        assert np.isnan(f[1, 2]) and np.isnan(h[1, 2])
+        for idx in np.ndindex(4, 5):
+            if idx != (1, 2):
+                fj, hj = directional_cosines(d[idx], fr)
+                assert abs(f[idx] - fj) <= 1e-15 and abs(h[idx] - hj) <= 1e-15
 
 
 class TestDeterminant:
