@@ -158,7 +158,7 @@ def _cmd_track(args) -> int:
 
 def _day_span(ephemerides, utc_offset: float) -> tuple[GpsTime, GpsTime]:
     """Full UTC day containing the median ephemeris issue epoch."""
-    toes = sorted(e.toe for e in ephemerides)
+    toes = sorted((e.toe for e in ephemerides), key=GpsTime.total_seconds)
     try:
         mid_utc = toes[len(toes) // 2].to_utc(utc_offset)
         day0 = dt.datetime(mid_utc.year, mid_utc.month, mid_utc.day)

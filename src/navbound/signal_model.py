@@ -176,16 +176,20 @@ def _waveforms(spec: WaveformSpec, tau: float, orders) -> tuple:
     chip-boundary arguments b = (t - J Tc)/s, J = j0-half .. j0+half+1,
     held boundary-major: a chip's left argument is b[:-1] and its right
     argument b[1:]. Order 0 needs only Phi(b), orders 1 and 2 only the
-    density of b. Each order's chip terms are summed along contiguous
-    sample rows, so every sample is the same sum of the same terms in the
-    same order whatever the layout of the arithmetic before it.
+    density of b. Each order's chip terms are accumulated row by row,
+    left to right, as numpy sums a row of fewer than 8 terms; windows of
+    8 or more terms keep numpy's (pairwise) row sum. Either way every
+    sample is the sum numpy gives for the same terms along a sample row.
     Returns one array per entry of `orders`, in that order.
     """
     t = np.arange(1, spec.num_samples + 1) * spec.sampling_period - tau
     tc = spec.chip_duration
     s = spec.pulse_smoothing
 
-    x = np.mod(t, spec.code_period)
+    # np.mod's result from a cheaper fmod: a negative remainder gains one
+    # period, and adding 0.0 to the others turns -0.0 into np.mod's +0.0
+    x = np.fmod(t, spec.code_period)
+    x += (x < 0) * spec.code_period
     j0 = np.floor(x / tc)
     half = max(2, int(math.ceil(10.0 * s / tc)) + 1)
     offsets = np.arange(-half, half + 2)
@@ -204,7 +208,15 @@ def _waveforms(spec: WaveformSpec, tau: float, orders) -> tuple:
     def chip_sum(first, second):
         np.subtract(first, second, out=terms)
         np.multiply(terms, c, out=terms)
-        return np.ascontiguousarray(terms.T).sum(axis=1)
+        if len(terms) >= 8:
+            # numpy sums a row of 8 or more terms pairwise: keep its row sum
+            return np.ascontiguousarray(terms.T).sum(axis=1)
+        # below 8 terms numpy's row sum adds left to right from +0.0
+        acc = terms[0] + terms[1]
+        for row in terms[2:]:
+            acc += row
+        acc += 0.0  # a row of -0.0 terms sums to +0.0
+        return acc
 
     m = {}
     if 0 in orders:

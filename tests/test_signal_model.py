@@ -117,6 +117,11 @@ class TestWaveform:
                 WaveformSpec(**fields)
 
 
+def _window_half(spec):
+    """Chips on each side of a sample's own chip in the truncated sum."""
+    return max(2, int(math.ceil(10.0 * spec.pulse_smoothing / spec.chip_duration)) + 1)
+
+
 def _per_order_waveform(spec, tau, order):
     """One order of w at kT - tau, from its own chip window and arguments.
 
@@ -129,7 +134,7 @@ def _per_order_waveform(spec, tau, order):
     tc, s = spec.chip_duration, spec.pulse_smoothing
     x = np.mod(t, spec.code_period)
     j0 = np.floor(x / tc).astype(np.int64)
-    half = max(2, int(math.ceil(10.0 * s / tc)) + 1)
+    half = _window_half(spec)
     j = j0[:, None] + np.arange(-half, half + 1)[None, :]
     c = chips[np.mod(j, len(chips))]
     u = (x[:, None] - j * tc) / s
@@ -161,10 +166,18 @@ _KERNEL_CASES = {
     "wrap_zero": (lambda: default_spec(9), 0.0),
     "wrap_period": (lambda: default_spec(9), 1.0),
     "wrap_before": (lambda: default_spec(9), -1 / 4092),
+    "seven_terms": (lambda: default_spec(14, pulse_smoothing_chips=0.2), 0.52),
     "wide_smoothing": (lambda: default_spec(12, pulse_smoothing_chips=1.0), 0.27),
+    "narrow_smoothing": (lambda: default_spec(6, pulse_smoothing_chips=0.01), 0.18),
     "fractional_rate": (_fractional_spec, 0.43),
     "amplitude_phase": (lambda: default_spec(5, amplitude=2.5, phase=-1.1), 0.77),
 }
+
+
+def _same_bytes(got, want):
+    """Equal shape, dtype and bytes: signs of zeros count, unlike ==."""
+    return got.shape == want.shape and got.dtype == want.dtype \
+        and got.tobytes() == want.tobytes()
 
 
 class TestFusedKernel:
@@ -178,11 +191,21 @@ class TestFusedKernel:
         ref = [_per_order_waveform(spec, tau, order) for order in (0, 1, 2)]
         if case == "wide_smoothing":
             assert spec.pulse_smoothing / spec.chip_duration == 1.0  # half > 2
+        # the two ways of summing a window's 2 half + 1 chip terms: the
+        # widest window below 8 terms, and the narrowest above it
+        if case == "seven_terms":
+            assert _window_half(spec) == 3  # 10 s / Tc is exactly 2.0
+        if case == "fractional_rate":
+            assert _window_half(spec) == 4
+        if case == "narrow_smoothing":
+            # densities underflow mid-chip, so w' is exactly zero there; in
+            # a run of -1 chips every term is -0.0, and the sum is +0.0
+            assert np.any(ref[1] == 0)
         for order in (0, 1, 2):
-            assert np.array_equal(sample_waveform(spec, tau, order).samples, ref[order])
+            assert _same_bytes(sample_waveform(spec, tau, order).samples, ref[order])
         fused = _waveforms(spec, tau, (0, 1, 2))
         for got, want in zip(fused, ref):
-            assert np.array_equal(got, want)
+            assert _same_bytes(got, want)
 
     @settings(max_examples=50, deadline=None)
     @given(prn=st.integers(1, 32), length=st.integers(5, 300),
@@ -206,7 +229,7 @@ class TestFusedKernel:
         tau = round(frac * length) * tc if on_edge else frac * code.period
         got = _waveforms(spec, tau, tuple(orders))
         for order, samples in zip(orders, got):
-            assert np.array_equal(samples, _per_order_waveform(spec, tau, order))
+            assert _same_bytes(samples, _per_order_waveform(spec, tau, order))
 
     def test_chip_edge_case_hits_boundaries(self):
         # The chip_edge delay puts every fourth sample on a chip boundary.
