@@ -10,10 +10,10 @@ from __future__ import annotations
 import datetime as dt
 import logging
 import math
-from array import array
 from dataclasses import dataclass
 from functools import total_ordering
-from itertools import zip_longest
+from itertools import compress, count, repeat, zip_longest
+from operator import itemgetter
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -134,15 +134,12 @@ class SiteLocation:
                              f"got {self.height!r}")
 
 
-def _rinex_floats(line: str, start: int, count: int) -> list[float]:
-    """Parse `count` D19.12 fields from a (possibly trimmed) RINEX line."""
-    line = line.rstrip("\r\n").ljust(start + 19 * count)
-    out = []
-    for i in range(count):
-        chunk = line[start + 19 * i: start + 19 * (i + 1)]
-        chunk = chunk.replace("D", "E").replace("d", "e").strip()
-        out.append(float(chunk) if chunk else 0.0)
-    return out
+# A record's seven orbit lines, each cut or padded to 79 columns, as one
+# string, and its 28 D19.12 fields in that string: four per line from column 3.
+_ORBIT_TEXT = "{:<79.79}" * 7
+_ORBIT_FIELDS = itemgetter(*(slice(79 * row + 3 + 19 * k, 79 * row + 22 + 19 * k)
+                             for row in range(7) for k in range(4)))
+_EXPONENT = str.maketrans("Dd", "Ee")
 
 
 def parse_rinex_nav(text: str) -> list[EphemerisRecord]:
@@ -197,22 +194,27 @@ def parse_rinex_nav(text: str) -> list[EphemerisRecord]:
 def _parse_record_block(block: list[str]) -> EphemerisRecord:
     head = block[0]
     prn = int(head[0:2])
+    if prn < 1:
+        raise ValueError(f"PRN {prn} below 1")
     # Epoch (toc) is parsed only to sanity-check the two-digit year mapping;
     # propagation keys on toe + GPS week from the orbit lines.
     yy = int(head[3:5])
     year = 2000 + yy if yy < 80 else 1900 + yy
-    month, day, hour, minute = (int(head[k:k + 3]) for k in (5, 8, 11, 14))
+    month, day, hour, minute = map(int, (head[5:8], head[8:11], head[11:14],
+                                         head[14:17]))
     second = float(head[17:22])
     dt.datetime(year, month, day, hour, minute) + dt.timedelta(seconds=second)
 
-    orbit = []
-    for line in block[1:]:
-        orbit.extend(_rinex_floats(line, 3, 4))
+    fields = _ORBIT_FIELDS(_ORBIT_TEXT.format(*block[1:]).translate(_EXPONENT))
+    try:
+        orbit = list(map(float, fields))
+    except ValueError:  # a blank field, which reads as 0.0, or a bad one
+        orbit = [float(field.strip() or 0) for field in fields]
     # orbit[0..]: IODE, Crs, Delta_n, M0 | Cuc, e, Cus, sqrtA
     #             Toe, Cic, OMEGA0, Cis | i0, Crc, omega, OMEGAdot
     #             IDOT, codesL2, week, L2Pflag | accuracy, health, TGD, IODC
-    bad = [k for k, value in enumerate(orbit) if not math.isfinite(value)]
-    if bad:
+    if not all(map(math.isfinite, orbit)):
+        bad = [k for k, value in enumerate(orbit) if not math.isfinite(value)]
         raise ValueError(f"non-finite orbit field(s) {bad}")
     week = int(orbit[18])
     toe_sow = orbit[8]
@@ -366,35 +368,92 @@ class PositionTable:
 def parse_position_csv(text: str) -> PositionTable:
     """Parse the alternative `sat_id,week,sow,x_m,y_m,z_m` position format.
 
-    A row with the wrong field count, an unreadable or non-finite field, or
-    a time outside the calendar is skipped with its line number logged. Of
-    repeated (satellite, epoch) rows the first is kept.
+    A row with the wrong field count, an unreadable or non-finite field, a
+    time outside the calendar, or a satellite id that is blank or holds an
+    unprintable character once stripped is skipped with its line number
+    logged. Of repeated (satellite, epoch) rows the first is kept.
+
+    The rows are read column by column: one split of the whole body, one
+    conversion pass per column and array checks. Row by row work runs only
+    to name the rows that fail.
     """
-    rows = ((n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip())
-    if not next(rows, (0, ""))[1].lower().startswith("sat_id"):
+    lines = text.splitlines()
+    stripped = list(map(str.strip, lines))
+    numbers = list(compress(count(1), stripped))
+    lines = list(compress(lines, stripped))
+    if not lines or not lines[0].lower().startswith("sat_id"):
         raise ValueError("position CSV must start with a sat_id,... header row")
-    sat_of, values = [], array("d")  # values: seconds, x, y, z per kept row
-    for n, line in rows:
-        try:
-            sat_id, week, sow, x, y, z = line.split(",")
-            sow, x, y, z = float(sow), float(x), float(y), float(z)
-            if not 0 <= sow < SECONDS_PER_WEEK:
-                raise ValueError("seconds_of_week out of [0, 604800)")
-            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-                raise ValueError("non-finite coordinate")
-            values.extend((int(week) * SECONDS_PER_WEEK + sow, x, y, z))
-        except (ValueError, OverflowError) as exc:
-            log.warning("line %d: skipping malformed row: %s", n, exc)
-            continue
-        sat_of.append(sat_id.strip())
-    values = np.frombuffer(values).reshape(-1, 4)
-    sat_ids, sat_index = np.unique(np.array(sat_of, dtype=str), return_inverse=True)
-    epochs, epoch_index = np.unique(values[:, 0], return_inverse=True)
+    del numbers[0], lines[0]
+    commas = np.fromiter(map(str.count, lines, repeat(",")), np.intp, len(lines))
+    whole = (commas == 5).tolist()
+    rows = list(compress(lines, whole))
+    fields = ",".join(rows).split(",") if rows else []
+    sat, week, sow, x, y, z = (fields[k::6] for k in range(6))
+    # reasons[row]: why a row of `rows` is skipped, the first failed check
+    # in the order sow, x, y, z, calendar, finiteness, week, id
+    reasons: dict[int, str] = {}
+    sow, x, y, z = (np.array(_column(c, _floats, reasons)) for c in (sow, x, y, z))
+    _flag(reasons, ~((0 <= sow) & (sow < SECONDS_PER_WEEK)),
+          "seconds_of_week out of [0, 604800)")
+    _flag(reasons, ~(np.isfinite(x) & np.isfinite(y) & np.isfinite(z)),
+          "non-finite coordinate")
+    seconds = np.array(_column(week, _week_seconds, reasons)) + sow
+    sat = list(map(str.strip, sat))
+    if not (all(sat) and "".join(sat).isprintable()):
+        _flag(reasons, [not (s and s.isprintable()) for s in sat],
+              "satellite id blank or unprintable")
+
+    skipped = {numbers[k]: f"expected 6 fields, got {commas[k] + 1}"
+               for k in np.flatnonzero(commas != 5).tolist()}
+    row_numbers = list(compress(numbers, whole))
+    skipped.update((row_numbers[k], reason) for k, reason in reasons.items())
+    for n in sorted(skipped):
+        log.warning("line %d: skipping malformed row: %s", n, skipped[n])
+
+    kept = np.ones(len(rows), dtype=bool)
+    kept[list(reasons)] = False
+    sat = list(compress(sat, kept.tolist()))
+    sat_ids = sorted(set(sat))
+    column_of = {sat_id: k for k, sat_id in enumerate(sat_ids)}
+    sat_index = np.fromiter(map(column_of.__getitem__, sat), np.intp, len(sat))
+    epochs, epoch_index = np.unique(seconds[kept], return_inverse=True)
     ecef = np.full((len(epochs), len(sat_ids), 3), np.nan)
     cell = epoch_index * len(sat_ids) + sat_index
     _, first = np.unique(cell, return_index=True)
-    ecef.reshape(-1, 3)[cell[first]] = values[first, 1:]
-    return PositionTable(tuple(sat_ids.tolist()), epochs, ecef)
+    ecef.reshape(-1, 3)[cell[first]] = np.stack([x, y, z], axis=-1)[kept][first]
+    return PositionTable(tuple(sat_ids), epochs, ecef)
+
+
+def _floats(strings: list[str]) -> list[float]:
+    return list(map(float, strings))
+
+
+def _week_seconds(strings: list[str]) -> list[float]:
+    """GPS seconds at the start of each week, `int(week) * 604800` rounded
+    to a float once, as `int(week) * SECONDS_PER_WEEK + sow` rounds it."""
+    return list(map(float, map(SECONDS_PER_WEEK.__mul__, map(int, strings))))
+
+
+def _column(strings: list[str], convert: Callable[[list[str]], list[float]],
+            reasons: dict[int, str], offset: int = 0) -> list[float]:
+    """`convert(strings)` in one pass. Where it raises, the column is halved
+    until each failing entry stands alone: NaN takes its place, and its
+    message goes to reasons[offset + index] unless that row already has one."""
+    try:
+        return convert(strings)
+    except (ValueError, OverflowError) as exc:
+        if len(strings) == 1:
+            reasons.setdefault(offset, str(exc))
+            return [math.nan]
+    half = len(strings) // 2
+    return (_column(strings[:half], convert, reasons, offset)
+            + _column(strings[half:], convert, reasons, offset + half))
+
+
+def _flag(reasons: dict[int, str], bad: np.ndarray, reason: str) -> None:
+    """Give each row where `bad` holds `reason`, unless it already has one."""
+    for k in np.flatnonzero(bad).tolist():
+        reasons.setdefault(k, reason)
 
 
 PositionSource = Union[PositionTable, Sequence[EphemerisRecord]]

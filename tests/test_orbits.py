@@ -335,6 +335,30 @@ class TestParser:
         records = parse_rinex_nav("\n".join(lines))
         assert records == parse_rinex_nav(nav_text)[1:]
 
+    @pytest.mark.parametrize("prn", ["-1", " 0"])
+    def test_prn_below_one_skipped(self, nav_text, caplog, prn):
+        # a PRN field below 1 used to give a record for satellite G-1 or G00
+        lines = nav_text.splitlines()
+        start = next(i for i, l in enumerate(lines) if "END OF HEADER" in l) + 1
+        lines[start] = prn + lines[start][2:]
+        with caplog.at_level(logging.WARNING, logger="navbound.orbits"):
+            records = parse_rinex_nav("\n".join(lines))
+        assert records == parse_rinex_nav(nav_text)[1:]
+        [record] = caplog.records
+        assert record.getMessage() == (f"line {start + 1}: skipping malformed "
+                                       f"record: PRN {int(prn)} below 1")
+
+    def test_blank_mid_line_field_reads_zero(self, nav_text):
+        # Cus is field 3 of orbit line 2, between e and sqrtA
+        lines = nav_text.splitlines()
+        start = next(i for i, l in enumerate(lines) if "END OF HEADER" in l) + 1
+        line = lines[start + 2]
+        lines[start + 2] = line[:41] + " " * 19 + line[60:]
+        records = parse_rinex_nav("\n".join(lines))
+        full = parse_rinex_nav(nav_text)
+        assert full[0].cus != 0.0
+        assert records == [dataclasses.replace(full[0], cus=0.0)] + full[1:]
+
     def test_health_word_read(self, nav_text):
         lines = nav_text.splitlines()
         # SV health is field 2 of orbit line 6 (line 7 of the record block)
@@ -391,6 +415,11 @@ class TestPositionCsv:
         ("G01,1750,0,inf,1.5e7,1.5e7", "non-finite"),
         ("G01,1750,604800,1.5e7,1.5e7,1.5e7", "out of [0, 604800)"),
         ("G01,1750,nan,1.5e7,1.5e7,1.5e7", "out of [0, 604800)"),
+        # a blank id used to be kept as satellite "", and a NUL-suffixed one
+        # merged into G01 (numpy's unicode dtype strips trailing NULs)
+        (" ,1750,0,1.5e7,1.5e7,1.5e7", "satellite id blank or unprintable"),
+        ("G01\x00,1750,0,1.5e7,1.5e7,1.5e7", "satellite id blank or unprintable"),
+        ("G01,1750,0,1.5e7,1.5e7", "expected 6 fields, got 5"),
     ])
     def test_malformed_row_skipped_with_line_number(self, caplog, row, message):
         text = "\n".join(["sat_id,week,sow,x_m,y_m,z_m", row,
@@ -409,12 +438,21 @@ class TestPositionCsv:
         assert table.epochs.tolist() == [GpsTime(1750, 345616.3).total_seconds()]
         assert table.ecef.tolist() == [[[1.5e7, -2e7, 3e6]]]
 
+    def test_week_seconds_rounded_once(self):
+        # the integer product week * 604800 is rounded to a float once; a
+        # float week times 604800.0 rounds twice and lands one ulp lower
+        week = 90771615935544260
+        table = parse_position_csv("sat_id,week,sow,x_m,y_m,z_m\n"
+                                   f"G05,{week},0,1.5e7,-2e7,3e6\n")
+        assert table.epochs.tolist() == [float(week * 604800)]
+        assert float(week * 604800) != float(week) * 604800.0
+
 
 def csv_field():
     """A position-CSV field: plausible, hostile or arbitrary text."""
     return st.one_of(
         st.sampled_from(["1e400", "-1e400", "nan", "inf", "9" * 400, "604800",
-                         "", "abc"]),
+                         "", "abc", " ", "\t", "G01\x00", "G\x0101", "-0"]),
         st.sampled_from(["G01", " G02 ", "1750", " 0", "345600.5", "-1",
                          "1.5e7", "-2e7 ", "1_0"]),
         st.floats().map(repr), st.integers(-10**20, 10**20).map(str),
@@ -439,22 +477,80 @@ def csv_row(draw):
     return ",".join((row + draw(st.lists(csv_field(), min_size=2, max_size=2)))[:count])
 
 
+# A valid row but for a blank or unprintable satellite id.
+BAD_ID_ROW = st.tuples(st.sampled_from([" ", "\t", "G01\x00", "G\x0101"]),
+                       VALID_ROW).map(lambda t: ",".join([t[0], *t[1][1:]]))
+
+
+def reference_position_csv(text):
+    """The position-table policy, one row at a time: the satellite ids, the
+    epochs and `ecef[epoch, sat]` of the kept rows (the first row of a
+    repeated satellite and epoch), and the line numbers of skipped rows."""
+    numbered = [(n, line) for n, line in enumerate(text.splitlines(), start=1)
+                if line.strip()]
+    cells, skipped = {}, set()
+    for n, line in numbered[1:]:
+        fields = line.split(",")
+        try:
+            if len(fields) != 6:
+                raise ValueError("field count")
+            sat_id = fields[0].strip()
+            sow, x, y, z = (float(f) for f in fields[2:])
+            seconds = int(fields[1]) * 604800 + sow
+        except (ValueError, OverflowError):
+            skipped.add(n)
+            continue
+        if (sat_id and sat_id.isprintable() and 0 <= sow < 604800
+                and all(math.isfinite(v) for v in (x, y, z))):
+            cells.setdefault((seconds, sat_id), (x, y, z))
+        else:
+            skipped.add(n)
+    epochs = sorted({seconds for seconds, _ in cells})
+    sat_ids = sorted({sat_id for _, sat_id in cells})
+    ecef = np.full((len(epochs), len(sat_ids), 3), np.nan)
+    for (seconds, sat_id), xyz in cells.items():
+        ecef[epochs.index(seconds), sat_ids.index(sat_id)] = xyz
+    return tuple(sat_ids), np.array(epochs, dtype=float), ecef, skipped
+
+
+class _Lines(logging.Handler):
+    """Collects the line number of each logged `line N: ...` message."""
+
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.numbers = set()
+
+    def emit(self, record):
+        self.numbers.add(int(record.getMessage().split(":")[0].split()[1]))
+
+
 class TestPositionCsvFuzz:
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(st.sampled_from([True] * 3 + [False]),
-           st.lists(st.one_of(VALID_ROW.map(",".join), csv_row()), max_size=10))
+           st.lists(st.one_of(VALID_ROW.map(",".join), csv_row(), BAD_ID_ROW,
+                              st.sampled_from(["", " \t"])), max_size=10))
     def test_rows_are_skipped_or_kept_finite(self, header, rows):
         text = "\n".join(["sat_id,week,sow,x_m,y_m,z_m"] * header + rows)
+        logger = logging.getLogger("navbound.orbits")
+        lines = _Lines()
+        logger.addHandler(lines)
         try:
             table = parse_position_csv(text)
         except ValueError as exc:
             assert not header and "header row" in str(exc)
             return
+        finally:
+            logger.removeHandler(lines)
         assert np.isfinite(table.epochs).all()
         cells = table.ecef.reshape(-1, 3)
         kept = np.isfinite(cells).all(axis=1)
         assert (kept | np.isnan(cells).all(axis=1)).all()
         assert kept.sum() <= len(rows)
+        sat_ids, epochs, ecef, skipped = reference_position_csv(text)
+        assert table.sat_ids == sat_ids
+        assert table.epochs.tobytes() == epochs.tobytes()
+        assert table.ecef.tobytes() == ecef.tobytes()
+        assert lines.numbers == skipped
 
 
 def seconds(epochs):
