@@ -139,14 +139,27 @@ class SiteLocation:
 _ORBIT_TEXT = "{:<79.79}" * 7
 _ORBIT_FIELDS = itemgetter(*(slice(79 * row + 3 + 19 * k, 79 * row + 22 + 19 * k)
                              for row in range(7) for k in range(4)))
-_EXPONENT = str.maketrans("Dd", "Ee")
+
+
+def _is_orbit_line(line: str) -> bool:
+    """A record's continuation line: columns 1-3 blank, text after them."""
+    return line[:3].isspace() and not line.isspace()
+
+
+def _is_epoch_line(line: str) -> bool:
+    """A line that can start a record: text in columns 1-3."""
+    return not line[:3].isspace() and bool(line.strip())
 
 
 def parse_rinex_nav(text: str) -> list[EphemerisRecord]:
     """Parse a RINEX 2.x GPS navigation file into ephemeris records.
 
-    Malformed records are skipped with a logged diagnostic; a bad header
-    or unsupported version is fatal.
+    A record is an epoch line followed by exactly seven orbit lines and
+    then by an epoch line, a blank line or the end of the file. Any other
+    record, or one that cannot be read, is skipped with a diagnostic
+    naming its first line, and parsing resumes at the next epoch line, so
+    a missing or extra line costs one record. A bad header or unsupported
+    version is fatal.
     """
     lines = text.splitlines()
     if not lines:
@@ -174,20 +187,25 @@ def parse_rinex_nav(text: str) -> list[EphemerisRecord]:
         raise RinexParseError("missing END OF HEADER")
 
     records: list[EphemerisRecord] = []
+    n = len(lines)
     i = body_start
-    while i < len(lines):
+    while i < n:
         if not lines[i].strip():
             i += 1
             continue
-        block = lines[i:i + 8]
-        if len(block) < 8:
-            log.warning("line %d: truncated record block, skipped", i + 1)
-            break
+        end = i + 1  # past the orbit lines, at a blank or epoch line
+        while end < n and _is_orbit_line(lines[end]):
+            end += 1
         try:
-            records.append(_parse_record_block(block))
+            if not _is_epoch_line(lines[i]):
+                raise ValueError("orbit line outside a record")
+            if end - i != 8:
+                raise ValueError(f"{end - i - 1} orbit lines, expected 7")
+            records.append(_parse_record_block(lines[i:end]))
         except (ValueError, IndexError, OverflowError) as exc:
             log.warning("line %d: skipping malformed record: %s", i + 1, exc)
-        i += 8
+            end = next((k for k in range(i + 1, n) if _is_epoch_line(lines[k])), n)
+        i = end
     return records
 
 
@@ -205,7 +223,8 @@ def _parse_record_block(block: list[str]) -> EphemerisRecord:
     second = float(head[17:22])
     dt.datetime(year, month, day, hour, minute) + dt.timedelta(seconds=second)
 
-    fields = _ORBIT_FIELDS(_ORBIT_TEXT.format(*block[1:]).translate(_EXPONENT))
+    fields = _ORBIT_FIELDS(_ORBIT_TEXT.format(*block[1:])
+                           .replace("D", "E").replace("d", "e"))
     try:
         orbit = list(map(float, fields))
     except ValueError:  # a blank field, which reads as 0.0, or a bad one

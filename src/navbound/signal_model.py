@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtr
 
 from .cacode import ChipSequence, generate_ca_code
 from .constants import CA_CODE_PERIOD
@@ -220,6 +219,10 @@ def _waveforms(spec: WaveformSpec, tau: float, orders) -> tuple:
 
     m = {}
     if 0 in orders:
+        # scipy is imported at the first Phi, so commands that never
+        # synthesize w itself start without it
+        from scipy.special import ndtr
+
         # row k has b >= (half - k) Tc / s less rounding; from 9 up Phi is 1.0
         ones = int(np.count_nonzero(-offsets * tc / s >= _PHI_IS_ONE))
         cdf = np.empty_like(b)

@@ -18,14 +18,19 @@ from navbound.orbits import EphemerisError
 from navbound.signal_model import DegenerateCurvatureError, TauPerturbation
 
 
+def python_process(*argv):
+    """A fresh interpreter that imports this navbound."""
+    src = str(pathlib.Path(navbound.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
 def navbound_process(*argv):
     """The CLI run as its own process, so that its stderr is what a user
     sees: logged warnings and numpy warnings included."""
-    src = str(pathlib.Path(navbound.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "navbound.cli", *argv],
-                          capture_output=True, text=True, timeout=120,
-                          env={**os.environ, "PYTHONPATH": path})
+    return python_process("-m", "navbound.cli", *argv)
 
 
 def write_geometry(tmp_path, sats, track_azimuth_deg=None):
@@ -562,6 +567,71 @@ class TestArgvFuzz:
             argv += ["--output", str(tmp_path / "out.txt")]
         assert run(argv) in (EXIT_OK, EXIT_DEGENERATE, EXIT_USAGE)
         assert "Traceback" not in capsys.readouterr().err
+
+
+# Runs CLI commands in one fresh interpreter and reports, after each, whether
+# scipy has been imported; argv[1] is a JSON object of the commands' inputs.
+COLD_START_SCRIPT = """
+import json, sys
+import navbound
+from navbound import cli
+
+given = json.loads(sys.argv[1])
+site = ["--lat", "34.75337", "--lon", "135.42783"]
+out = given["out"]
+commands = {
+    "scan_rinex": ["scan", "--nav", given["nav"], *site, "--output", given["series"]],
+    "scan_table": ["scan", "--nav", given["table"], *site, "--output", out],
+    "track_two": ["track", "--geometry", given["two"], "--output", out],
+    "track_three": ["track", "--geometry", given["three"], "--output", out],
+    "hist": ["hist", "--series", given["series"], "--output", out],
+    "code": ["code", "--prn", "7", "--output", out],
+    "interference": given["interference"] + ["--output", out],
+}
+report = {"import": {"exit": None, "scipy": "scipy" in sys.modules}}
+for name, argv in commands.items():
+    report[name] = {"exit": cli.run(argv), "scipy": "scipy" in sys.modules}
+report["interference"]["scipy.special"] = "scipy.special" in sys.modules
+with open(out) as f:
+    report["interference"]["fields"] = {k: float.hex(v) for k, v in json.load(f).items()}
+print(json.dumps(report))
+"""
+
+
+class TestColdStart:
+    def test_scipy_loaded_only_by_the_delay_model(self, nav_path, tmp_path,
+                                                  capsys):
+        # scipy's import is most of `import navbound`; only the delay model's
+        # Phi needs it, so the scan-side commands must start without it
+        table = tmp_path / "positions.csv"
+        table.write_text("sat_id,week,sow,x_m,y_m,z_m\n"
+                         "G01,1750,0,1.5e7,1.5e7,1.5e7\n"
+                         "G02,1750,60,-1.5e7,1.5e7,1.5e7\n")
+        two = write_geometry(tmp_path, [{"sat_id": "A", "f": -0.5, "h": 0.1},
+                                        {"sat_id": "B", "f": 0.8, "h": -0.2}])
+        three = tmp_path / "three.json"
+        three.write_text(json.dumps([
+            {"sat_id": str(j), "f": 0.5 * math.cos(a), "h": 0.5 * math.sin(a)}
+            for j, a in enumerate((math.pi / 2, math.pi / 2 + 2 * math.pi / 3,
+                                   math.pi / 2 + 4 * math.pi / 3))]))
+        interference = ["interference", "--prn", "5", "--power", "1e-4",
+                        "--sigma", "0.01", "--seed", "3", "--format", "json"]
+        given = {"nav": str(nav_path), "table": str(table), "two": two,
+                 "three": str(three), "series": str(tmp_path / "series.csv"),
+                 "out": str(tmp_path / "out.txt"), "interference": interference}
+        result = python_process("-c", COLD_START_SCRIPT, json.dumps(given))
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout)
+        interference_report = report.pop("interference")
+        assert report == {name: {"exit": None if name == "import" else EXIT_OK,
+                                 "scipy": False} for name in report}
+        assert interference_report["exit"] == EXIT_OK
+        assert interference_report["scipy.special"]
+
+        assert run(interference) == EXIT_OK
+        fields = json.loads(capsys.readouterr().out)
+        assert interference_report["fields"] == {
+            k: float.hex(v) for k, v in fields.items()}
 
 
 class TestUsage:

@@ -348,6 +348,45 @@ class TestParser:
         assert record.getMessage() == (f"line {start + 1}: skipping malformed "
                                        f"record: PRN {int(prn)} below 1")
 
+    @pytest.mark.parametrize("record, edit", [
+        (0, "delete"),          # third orbit line of the first record
+        (200, "delete"),        # mid-file
+        (0, "duplicate"),
+        (371, "delete"),        # last record, followed by the end of the file
+    ])
+    def test_missing_or_extra_line_costs_one_record(self, nav_text, caplog,
+                                                    record, edit):
+        # the parser used to step in fixed 8-line blocks: one deleted line
+        # in the first record dropped all 372 records
+        lines = nav_text.splitlines()
+        start = next(i for i, l in enumerate(lines) if "END OF HEADER" in l) + 1
+        first = start + 8 * record
+        row = first + 3
+        if edit == "delete":
+            del lines[row]
+            count = 6
+        else:
+            lines.insert(row, lines[row])
+            count = 8
+        with caplog.at_level(logging.WARNING, logger="navbound.orbits"):
+            records = parse_rinex_nav("\n".join(lines))
+        full = parse_rinex_nav(nav_text)
+        assert records == full[:record] + full[record + 1:]
+        [message] = [r.getMessage() for r in caplog.records]
+        assert message == (f"line {first + 1}: skipping malformed record: "
+                           f"{count} orbit lines, expected 7")
+
+    def test_stray_orbit_line_skipped(self, nav_text, caplog):
+        lines = nav_text.splitlines()
+        start = next(i for i, l in enumerate(lines) if "END OF HEADER" in l) + 1
+        lines[start + 8:start + 8] = ["", lines[start + 1]]
+        with caplog.at_level(logging.WARNING, logger="navbound.orbits"):
+            records = parse_rinex_nav("\n".join(lines))
+        assert records == parse_rinex_nav(nav_text)
+        [message] = [r.getMessage() for r in caplog.records]
+        assert message == (f"line {start + 10}: skipping malformed record: "
+                           "orbit line outside a record")
+
     def test_blank_mid_line_field_reads_zero(self, nav_text):
         # Cus is field 3 of orbit line 2, between e and sqrtA
         lines = nav_text.splitlines()
