@@ -15,7 +15,7 @@ from .signal_model import (DegenerateCurvatureError, DelayEstimationError,
                            sample_waveform, worst_interference)
 from .track import (DegenerateGeometryError, FrenetFrame, MagnificationS,
                     MagnificationUV, PseudorangeDelta, SatGeometry,
-                    SolveResult, arc_project, determinant_d,
+                    SolveResult, determinant_d,
                     directional_cosines, frenet_frame, magnification_s,
                     magnification_uv, sign_condition, solve_three_sat,
                     solve_two_sat, synthetic_geometry)

@@ -115,7 +115,7 @@ def _load_geometry(path: str) -> list[SatGeometry]:
             and all(isinstance(rec, dict) for rec in sats_raw)):
         raise ValueError("geometry must be a list of satellite objects or "
                          "{\"satellites\": [...]}")
-    frame = frenet_frame(track_azimuth, "straight")
+    frame = frenet_frame(track_azimuth)
     sats = []
     for rec in sats_raw:
         sat_id = str(rec.get("sat_id", len(sats) + 1))

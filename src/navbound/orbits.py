@@ -11,7 +11,6 @@ import datetime as dt
 import logging
 import math
 from dataclasses import dataclass
-from functools import total_ordering
 from itertools import compress, count, repeat, zip_longest
 from operator import itemgetter
 from typing import Callable, Sequence, Union
@@ -39,7 +38,6 @@ class EphemerisError(RuntimeError):
     """Propagation failure: stale record or non-converging Kepler iteration."""
 
 
-@total_ordering
 @dataclass(frozen=True)
 class GpsTime:
     """GPS time as (week, seconds-of-week)."""
@@ -155,11 +153,12 @@ def parse_rinex_nav(text: str) -> list[EphemerisRecord]:
     """Parse a RINEX 2.x GPS navigation file into ephemeris records.
 
     A record is an epoch line followed by exactly seven orbit lines and
-    then by an epoch line, a blank line or the end of the file. Any other
-    record, or one that cannot be read, is skipped with a diagnostic
-    naming its first line, and parsing resumes at the next epoch line, so
-    a missing or extra line costs one record. A bad header or unsupported
-    version is fatal.
+    then by an epoch line, a blank line or the end of the file. Of fourteen
+    orbit lines (the next record lost its epoch line) the first seven are
+    read and the rest skipped with a diagnostic. Any other record, or one
+    that cannot be read, is skipped with a diagnostic naming its first
+    line, and parsing resumes at the next epoch line, so a missing or extra
+    line costs one record. A bad header or unsupported version is fatal.
     """
     lines = text.splitlines()
     if not lines:
@@ -199,9 +198,11 @@ def parse_rinex_nav(text: str) -> list[EphemerisRecord]:
         try:
             if not _is_epoch_line(lines[i]):
                 raise ValueError("orbit line outside a record")
-            if end - i != 8:
+            if end - i not in (8, 15):
                 raise ValueError(f"{end - i - 1} orbit lines, expected 7")
-            records.append(_parse_record_block(lines[i:end]))
+            records.append(_parse_record_block(lines[i:i + 8]))
+            if end - i == 15:  # the next record lost its epoch line
+                log.warning("line %d: skipping 7 orbit lines with no epoch line", i + 9)
         except (ValueError, IndexError, OverflowError) as exc:
             log.warning("line %d: skipping malformed record: %s", i + 1, exc)
             end = next((k for k in range(i + 1, n) if _is_epoch_line(lines[k])), n)
@@ -493,13 +494,12 @@ def position_grid(source: PositionSource, seconds: Sequence[float],
                   ) -> tuple[tuple[str, ...], np.ndarray]:
     """ECEF position of every satellite of `source` at each GPS-seconds epoch.
 
-    This is the one place that tells the two inputs apart. From a
-    PositionTable, the row within EPOCH_TOLERANCE of an epoch is used.
-    From broadcast ephemerides, each satellite uses its nearest-toe healthy
-    record inside the validity window (the first in file order on ties),
-    and every such cell is propagated in one array pass that repeats the
-    arithmetic of `sat_position_ecef`. Returns the sorted satellite ids and
-    `ecef[epoch, sat, 3]`, NaN where a satellite has no position.
+    From a PositionTable, the row within EPOCH_TOLERANCE of an epoch is
+    used. From broadcast ephemerides, each satellite uses its nearest-toe
+    healthy record inside the validity window (the first in file order on
+    ties), and every such cell is propagated in one array pass that repeats
+    the arithmetic of `sat_position_ecef`. Returns the sorted satellite ids
+    and `ecef[epoch, sat, 3]`, NaN where a satellite has no position.
     """
     sat_ids, grid_of = prepare_grid(source)
     return sat_ids, grid_of(np.asarray(seconds, dtype=float))
@@ -508,7 +508,8 @@ def position_grid(source: PositionSource, seconds: Sequence[float],
 def prepare_grid(source: PositionSource,
                  ) -> tuple[tuple[str, ...], Callable[[np.ndarray], np.ndarray]]:
     """`position_grid` in two steps: the sorted satellite ids, and a function
-    from GPS seconds to the grid. What the epochs do not change is built here."""
+    from GPS seconds to the grid. What the epochs do not change is built
+    here. This is the one place that tells the two inputs apart."""
     if isinstance(source, PositionTable):
         if not source.sat_ids:
             raise ValueError("empty position table")

@@ -102,7 +102,7 @@ def scan_ms(config: ScanConfig, source: PositionSource) -> ScanSeries:
     best_m_s, pair = np.empty_like(seconds), np.empty((len(seconds), 2), dtype=int)
     sat_ids, grid_of = prepare_grid(source)
     visible = np.empty((len(seconds), len(sat_ids)), dtype=bool)
-    frame = frenet_frame(math.radians(config.track_azimuth), "straight")
+    frame = frenet_frame(math.radians(config.track_azimuth))
     covered = False
     for first in range(0, len(seconds), EPOCH_BLOCK):
         rows = slice(first, first + EPOCH_BLOCK)

@@ -106,12 +106,6 @@ class SampledSignal:
     def __len__(self):
         return len(self.samples)
 
-    def inner(self, other: "SampledSignal") -> complex:
-        """<a, b> = sum_k a(k)* b(k); defined only for equal lengths."""
-        if len(self) != len(other):
-            raise ValueError("inner product requires equal-length signals")
-        return complex(np.vdot(self.samples, other.samples))
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.samples))
 
@@ -119,11 +113,6 @@ class SampledSignal:
         if len(self) != len(other):
             raise ValueError("signal lengths differ")
         return SampledSignal(self.samples + other.samples, self.sampling_period)
-
-    def __sub__(self, other: "SampledSignal") -> "SampledSignal":
-        if len(self) != len(other):
-            raise ValueError("signal lengths differ")
-        return SampledSignal(self.samples - other.samples, self.sampling_period)
 
     def scaled(self, c: complex) -> "SampledSignal":
         return SampledSignal(c * self.samples, self.sampling_period)

@@ -1,13 +1,14 @@
 """Track-constrained positioning geometry and clock-anchored error bounds.
 
-A receiver confined to a known track is described locally by a Frenet
-frame and the osculating circle. With three satellites the along-track
-and cross-track deviations plus the clock bias solve a 3x3 linear
-system; with two satellites and the track constraint (a "virtual
-satellite" at infinite cross-track cosine) a 2x2 system suffices. When
-all unmodeled pseudorange residuals are positive and the satellite
-layout satisfies an orientation condition, the deviations are bounded
-by magnification coefficients times the clock-bias error.
+A receiver confined to a known straight track is described locally by
+its horizontal frame: the tangent along travel and the normal to its
+left. With three satellites the along-track and cross-track deviations
+plus the clock bias solve a 3x3 linear system; with two satellites and
+the track constraint (a "virtual satellite" at infinite cross-track
+cosine) a 2x2 system suffices. When all unmodeled pseudorange residuals
+are positive and the satellite layout satisfies an orientation
+condition, the deviations are bounded by magnification coefficients
+times the clock-bias error.
 """
 
 from __future__ import annotations
@@ -28,18 +29,11 @@ DETERMINANT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class FrenetFrame:
-    """Orthonormal track frame: tangent U, normal V (toward the osculating
-    center), binormal W = U x V, with osculating radius R (math.inf for a
-    straight track)."""
+    """Orthonormal horizontal frame of a straight track: tangent U along
+    travel and normal V to its left."""
 
     u: np.ndarray
     v: np.ndarray
-    w: np.ndarray
-    radius: float
-
-    @property
-    def is_straight(self) -> bool:
-        return math.isinf(self.radius)
 
 
 @dataclass(frozen=True)
@@ -92,7 +86,6 @@ class SolveResult:
     delta_v: float
     delta_b: float
     determinant: float
-    kind: str  # "three-sat" | "virtual-sat"
 
 
 @dataclass(frozen=True)
@@ -109,45 +102,18 @@ class MagnificationS:
     admissible: bool
 
 
-def frenet_frame(track_azimuth: float, curvature_center_side: str = "straight",
-                 radius: float = math.inf) -> FrenetFrame:
-    """Horizontal track frame in local ENU coordinates.
+def frenet_frame(track_azimuth: float) -> FrenetFrame:
+    """Horizontal frame of a straight track in local ENU coordinates.
 
     track_azimuth is measured clockwise from north, in radians, and must be
-    finite. The normal V points toward the curvature center; for a straight
-    track its direction is fixed to the left of travel.
+    finite. V points to the left of travel.
     """
     if not math.isfinite(track_azimuth):
         raise ValueError(f"track azimuth must be finite, got {track_azimuth!r}")
-    if curvature_center_side not in ("left", "right", "straight"):
-        raise ValueError("curvature_center_side must be left, right or straight")
-    if curvature_center_side == "straight":
-        radius = math.inf
-    elif not (radius > 0) or math.isinf(radius):
-        raise ValueError("a curved track needs a finite positive radius")
-
     u = np.array([math.sin(track_azimuth), math.cos(track_azimuth), 0.0])
-    side = -1.0 if curvature_center_side == "right" else 1.0
     # left of travel = azimuth - 90 degrees
-    v = side * np.array([-math.cos(track_azimuth), math.sin(track_azimuth), 0.0])
-    return FrenetFrame(u=u, v=v, w=np.cross(u, v), radius=radius)
-
-
-def arc_project(u: float, v: float, radius: float) -> tuple[float, float, float]:
-    """Project a frame-plane point onto arc length along the osculating circle.
-
-    Returns (s, ds/du, ds/dv) with s = R arctan(u / (R - v)), valid for
-    v < R. The partial derivatives are the analytic derivatives of that
-    expression. A straight track (R = inf) degenerates to s = u.
-    """
-    if math.isinf(radius):
-        return u, 1.0, 0.0
-    if v >= radius:
-        raise ValueError(f"v = {v} is outside the projection domain v < R = {radius}")
-    rv = radius - v
-    denom = rv * rv + u * u
-    s = radius * math.atan2(u, rv)
-    return s, radius * rv / denom, radius * u / denom
+    v = np.array([-math.cos(track_azimuth), math.sin(track_azimuth), 0.0])
+    return FrenetFrame(u=u, v=v)
 
 
 def directional_cosines(unit_dirs, frame: FrenetFrame) -> tuple[np.ndarray, np.ndarray]:
@@ -205,7 +171,7 @@ def solve_three_sat(sats: Sequence[SatGeometry],
     dv = ((f3 - f2) * r1 + (f1 - f3) * r2 + (f2 - f1) * r3) / d
     db = (c1 * r1 + c2 * r2 + c3 * r3) / d
     return SolveResult(delta_u=float(du), delta_v=float(dv), delta_b=float(db),
-                       determinant=d, kind="three-sat")
+                       determinant=d)
 
 
 def sign_condition(sats: Sequence[SatGeometry]) -> Optional[tuple[int, int, int]]:
@@ -255,7 +221,7 @@ def solve_two_sat(sat1: SatGeometry, sat2: SatGeometry,
     ds = (r1 - r2) / (sat1.f - sat2.f)
     db = (sat1.f * r2 - sat2.f * r1) / (sat1.f - sat2.f)
     return SolveResult(delta_u=float(ds), delta_v=0.0, delta_b=float(db),
-                       determinant=float(dprime), kind="virtual-sat")
+                       determinant=float(dprime))
 
 
 def magnification_s(sat1: SatGeometry, sat2: SatGeometry) -> MagnificationS:

@@ -432,6 +432,14 @@ class TestScanAndHist:
                     "--lon", "135.42783"]) == EXIT_DEGENERATE
         assert "no usable position rows" in capsys.readouterr().err
 
+    def test_rinex_without_records(self, tmp_path, capsys):
+        nav = tmp_path / "empty.13n"
+        nav.write_text(f"{'2.11':>9}{'':11}N: GPS NAV DATA{'':25}RINEX VERSION / TYPE\n"
+                       f"{'':60}END OF HEADER\n")
+        assert run(["scan", "--nav", str(nav), "--lat", "34.75337",
+                    "--lon", "135.42783"]) == EXIT_DEGENERATE
+        assert "no usable ephemeris records" in capsys.readouterr().err
+
     def test_hist_missing_column_fails_cleanly(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("week,sow\n1750,0.0\n")

@@ -113,6 +113,9 @@ class TestSatPosition:
     def test_implausible_axis_rejected(self):
         with pytest.raises(ValueError):
             circular_record(sqrt_a=1000.0)
+        # its square is a plausible axis, so only the sign check catches it
+        with pytest.raises(ValueError, match="sqrt_a must be positive"):
+            circular_record(sqrt_a=-5153.55)
 
 
 class TestRealEphemerides:
@@ -282,6 +285,14 @@ class TestParser:
             parse_rinex_nav(HEADER.replace("N: GPS NAV DATA",
                                            "O: OBSERVATION  "))
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty input"),
+        (HEADER.replace("RINEX VERSION / TYPE", " " * 20),
+         "missing RINEX VERSION / TYPE header")], ids=["empty", "unlabelled"])
+    def test_empty_or_unlabelled_input(self, text, message):
+        with pytest.raises(RinexParseError, match=message):
+            parse_rinex_nav(text)
+
     def test_missing_header_terminator(self):
         with pytest.raises(RinexParseError):
             parse_rinex_nav(HEADER.splitlines()[0] + "\n")
@@ -375,6 +386,21 @@ class TestParser:
         [message] = [r.getMessage() for r in caplog.records]
         assert message == (f"line {first + 1}: skipping malformed record: "
                            f"{count} orbit lines, expected 7")
+
+    @pytest.mark.parametrize("record", [1, 10, 200, 371])
+    def test_missing_epoch_line_costs_one_record(self, nav_text, caplog, record):
+        # the record before a lost epoch line is followed by 14 orbit lines;
+        # it used to be skipped together with the orphaned seven
+        lines = nav_text.splitlines()
+        start = next(i for i, l in enumerate(lines) if "END OF HEADER" in l) + 1
+        del lines[start + 8 * record]
+        with caplog.at_level(logging.WARNING, logger="navbound.orbits"):
+            records = parse_rinex_nav("\n".join(lines))
+        full = parse_rinex_nav(nav_text)
+        assert records == full[:record] + full[record + 1:]
+        [message] = [r.getMessage() for r in caplog.records]
+        assert message == (f"line {start + 8 * record + 1}: skipping 7 orbit "
+                           "lines with no epoch line")
 
     def test_stray_orbit_line_skipped(self, nav_text, caplog):
         lines = nav_text.splitlines()

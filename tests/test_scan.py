@@ -132,6 +132,11 @@ class TestTwoSatFromPositions:
         assert len(series) == 1
         assert series.best_m_s[0] == pytest.approx(2.0, abs=1e-9)
 
+    def test_empty_table_rejected(self):
+        table = parse_position_csv("sat_id,week,sow,x_m,y_m,z_m\n")
+        with pytest.raises(ValueError, match="empty position table"):
+            scan_ms(make_config(), table)
+
     def test_tie_reports_first_pair(self):
         # G02 and G04 share a position, so their |f| tie exactly on the
         # binding (negative) side; G01 also reaches the best value.
@@ -265,7 +270,7 @@ class TestFullDayScan:
 class TestBestPairOracle:
     def test_matches_brute_force_over_pairs(self, day, nav_text):
         ephs = parse_rinex_nav(nav_text)
-        frame = frenet_frame(math.radians(90.0), "straight")
+        frame = frenet_frame(math.radians(90.0))
         for k in range(0, len(day), 5):
             sat_ids, ecef = position_grid(ephs, [day.seconds[k]])
             enu, elevation = ecef_to_enu(SITE, ecef[0])

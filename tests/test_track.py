@@ -4,11 +4,11 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from navbound.track import (DegenerateGeometryError, PseudorangeDelta,
-                            SatGeometry, _cofactors, arc_project,
+                            SatGeometry, _cofactors,
                             check_unit_disc, determinant_d, directional_cosines,
                             frenet_frame, magnification_s, magnification_uv,
                             sign_condition, solve_three_sat, solve_two_sat,
@@ -43,32 +43,17 @@ def random_cosines(rng, n=3, r_lo=0.1, r_hi=0.95):
 
 class TestFrenetFrame:
     def test_east_axis_aligned(self):
-        fr = frenet_frame(math.radians(90), "left", 300.0)
+        fr = frenet_frame(math.radians(90))
         assert np.allclose(fr.u, [1, 0, 0], atol=1e-15)
         assert np.allclose(fr.v, [0, 1, 0], atol=1e-15)
-        assert np.allclose(fr.w, [0, 0, 1], atol=1e-15)
 
-    def test_north_right_center(self):
-        fr = frenet_frame(0.0, "right", 500.0)
-        assert np.allclose(fr.u, [0, 1, 0], atol=1e-15)
-        assert np.allclose(fr.v, [1, 0, 0], atol=1e-15)
-
-    @given(az=st.floats(0, 2 * math.pi), radius=st.floats(10.0, 1e6),
-           side=st.sampled_from(["left", "right"]))
-    def test_orthonormality(self, az, radius, side):
-        fr = frenet_frame(az, side, radius)
-        basis = np.stack([fr.u, fr.v, fr.w])
-        assert np.abs(basis @ basis.T - np.eye(3)).max() <= 1e-12
-
-    def test_rejects_nonpositive_radius(self):
-        with pytest.raises(ValueError):
-            frenet_frame(0.0, "left", -5.0)
-        with pytest.raises(ValueError):
-            frenet_frame(0.0, "left", 0.0)
-
-    def test_straight_sentinel(self):
-        fr = frenet_frame(0.3, "straight")
-        assert fr.is_straight
+    @given(az=st.floats(0, 2 * math.pi))
+    def test_orthonormality(self, az):
+        fr = frenet_frame(az)
+        basis = np.stack([fr.u, fr.v])
+        assert np.abs(basis @ basis.T - np.eye(2)).max() <= 1e-12
+        # V to the left of travel: U x V is up
+        assert np.allclose(np.cross(fr.u, fr.v), [0, 0, 1], atol=1e-12)
 
     @pytest.mark.parametrize("az", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_azimuth(self, az):
@@ -76,61 +61,28 @@ class TestFrenetFrame:
             frenet_frame(az)
 
 
-class TestArcProject:
-    def test_base_point(self):
-        assert arc_project(0.0, 0.0, 100.0) == (0.0, 1.0, 0.0)
-
-    def test_quarter_circle_point(self):
-        s, _, _ = arc_project(100.0, 0.0, 100.0)
-        assert s == pytest.approx(math.pi * 100 / 4, rel=1e-15)
-
-    def test_halfway_to_center(self):
-        s, dsdu, dsdv = arc_project(0.0, 50.0, 100.0)
-        assert (s, dsdu, dsdv) == (0.0, 2.0, 0.0)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            arc_project(1.0, 100.0, 100.0)
-
-    def test_straight_track(self):
-        assert arc_project(7.0, 3.0, math.inf) == (7.0, 1.0, 0.0)
-
-    @given(u=st.floats(-80, 80), v=st.floats(-80, 80),
-           radius=st.floats(100, 10000))
-    @settings(max_examples=200)
-    def test_jacobian_matches_finite_differences(self, u, v, radius):
-        eps = 1e-6 * radius
-        _, dsdu, dsdv = arc_project(u, v, radius)
-        fd_u = (arc_project(u + eps, v, radius)[0]
-                - arc_project(u - eps, v, radius)[0]) / (2 * eps)
-        fd_v = (arc_project(u, v + eps, radius)[0]
-                - arc_project(u, v - eps, radius)[0]) / (2 * eps)
-        assert dsdu == pytest.approx(fd_u, rel=1e-8, abs=1e-8)
-        assert dsdv == pytest.approx(fd_v, rel=1e-8, abs=1e-8)
-
-
 class TestDirectionalCosines:
     def test_zenith(self):
-        fr = frenet_frame(1.1, "straight")
+        fr = frenet_frame(1.1)
         f, h = directional_cosines(np.array([0, 0, 1.0]), fr)
         assert f == pytest.approx(0.0, abs=1e-15)
         assert h == pytest.approx(0.0, abs=1e-15)
 
     def test_horizon_east(self):
-        fr = frenet_frame(math.radians(90), "straight")
+        fr = frenet_frame(math.radians(90))
         f, h = directional_cosines(np.array([1.0, 0, 0]), fr)
         assert f == pytest.approx(-1.0)
         assert h == pytest.approx(0.0, abs=1e-15)
 
     def test_non_unit_rejected(self):
-        fr = frenet_frame(0.0, "straight")
+        fr = frenet_frame(0.0)
         with pytest.raises(ValueError, match="not a unit vector"):
             directional_cosines(np.array([[0.0, 0.0, 1.0], [1.0, 1.0, 0.0]]), fr)
 
     def test_off_unit_disc_rejected(self):
         # a unit direction cannot give f^2 + h^2 > 1; a rounding-level excess
         # within the tolerance is kept, anything beyond it is rejected
-        fr = frenet_frame(0.0, "straight")
+        fr = frenet_frame(0.0)
         with pytest.raises(ValueError, match="exceeds 1"):
             check_unit_disc(0.8, 0.6 + 1e-9, "x")
         check_unit_disc(0.8, 0.6 + 1e-13, "x")
@@ -139,7 +91,7 @@ class TestDirectionalCosines:
 
     @given(az=st.floats(0, 2 * math.pi), el=st.floats(0, math.pi / 2))
     def test_projection_norm(self, az, el):
-        fr = frenet_frame(0.7, "straight")
+        fr = frenet_frame(0.7)
         d = np.array([math.sin(az) * math.cos(el),
                       math.cos(az) * math.cos(el), math.sin(el)])
         f, h = directional_cosines(d, fr)
@@ -152,7 +104,7 @@ class TestDirectionalCosines:
         d = rng.normal(size=(4, 5, 3))
         d /= np.linalg.norm(d, axis=-1, keepdims=True)
         d[1, 2] = np.nan
-        fr = frenet_frame(0.3, "right", 500.0)
+        fr = frenet_frame(0.3)
         f, h = directional_cosines(d, fr)
         assert f.shape == h.shape == (4, 5)
         assert np.isnan(f[1, 2]) and np.isnan(h[1, 2])
@@ -479,6 +431,10 @@ class TestTwoSat:
     def test_degenerate(self):
         with pytest.raises(DegenerateGeometryError):
             solve_two_sat(geom(0.4, 0.1), geom(0.4, -0.2), deltas([1.0, 2.0]))
+
+    def test_three_deltas_rejected(self):
+        with pytest.raises(ValueError, match="exactly two deltas"):
+            solve_two_sat(geom(-0.5, 0.1), geom(0.5, 0.2), deltas([1.0, 2.0, 3.0]))
 
     def test_matches_large_h3_limit(self):
         # residual scale 1e-4 keeps the O(1/h3) analytic gap below 1e-9
