@@ -23,6 +23,7 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # scipy's ndtr rounds to exactly 1.0 from about 8.29 up
 _PHI_IS_ONE = 9.0
 _ROUNDING = 64 * np.finfo(float).eps
+_NEWTON_PASSES = 50
 
 
 def _is_int(value) -> bool:
@@ -337,7 +338,7 @@ def _coarse_grid(z: np.ndarray, syntheses: _Syntheses, lo: float, hi: float) -> 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite iterate fails the checks
 def _ml_delay(z: SampledSignal, syntheses: _Syntheses,
-              search_window: tuple[float, float], max_iter: int = 50):
+              search_window: tuple[float, float]):
     """ML delay with what the refinement saw at it.
 
     Returns (tau0, (w, w', w'') at tau0, Newton passes, final residual
@@ -356,23 +357,17 @@ def _ml_delay(z: SampledSignal, syntheses: _Syntheses,
 
     zs = z.samples
     tau = _coarse_grid(zs, syntheses, lo, hi)
-    if max_iter < 1:
-        raise DelayEstimationError(
-            f"no convergence after {max_iter} iterations", last_iterate=tau
-        )
 
     best_tau, best_g, best_w = tau, math.inf, None
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _NEWTON_PASSES + 1):
         waveforms = syntheses.orders(tau)
         g, dg, n1sq = _misfit_derivatives(zs, *waveforms)
         if iterations == 1:
             # ||w'||^2 at the coarse delay sets the convergence scale
             scale = n1sq
-            tol = 1e-9 * scale
-            floor = _ROUNDING * scale
         if abs(g) < abs(best_g):
             best_tau, best_g, best_w = tau, g, waveforms
-        if abs(g) <= floor:
+        if abs(g) <= _ROUNDING * scale:
             break
         if dg <= 0:
             raise DelayEstimationError(
@@ -387,15 +382,11 @@ def _ml_delay(z: SampledSignal, syntheses: _Syntheses,
             )
         if abs(step) < 1e-22:
             break
-    else:
-        if abs(best_g) > tol:
-            raise DelayEstimationError(
-                f"no convergence after {max_iter} iterations", last_iterate=best_tau
-            )
 
-    if abs(best_g) > tol:
+    if abs(best_g) > 1e-9 * scale:
         raise DelayEstimationError(
-            "stationarity residual above tolerance", last_iterate=best_tau
+            f"stationarity residual above tolerance after {iterations} Newton "
+            "passes", last_iterate=best_tau
         )
     # A shift of a millionth of a chip moves the replica by about
     # ||w'|| Tc 1e-6; below rounding the samples do not fix the delay, and
@@ -411,17 +402,16 @@ def _ml_delay(z: SampledSignal, syntheses: _Syntheses,
 
 
 def ml_delay_estimate(z: SampledSignal, spec: WaveformSpec,
-                      search_window: tuple[float, float],
-                      max_iter: int = 50) -> float:
+                      search_window: tuple[float, float]) -> float:
     """Maximum-likelihood delay: coarse correlation search plus Newton refinement.
 
-    The returned tau0 satisfies |Re<w - z, w'>| <= 1e-9 ||w'||^2 (iteration
-    continues below that threshold while it keeps improving, so small
-    perturbation-induced shifts are resolved to machine level). Raises
-    DelayEstimationError when no such point is found, or when a millionth
-    of a chip moves the replica at tau0 by less than rounding.
+    The returned tau0 satisfies |Re<w - z, w'>| <= 1e-9 ||w'||^2 after at
+    most 50 Newton passes, which go on below that threshold while they
+    improve, so small perturbation-induced shifts are resolved to machine
+    level. Raises DelayEstimationError when no such point is found, or
+    when a millionth of a chip moves the replica at tau0 by less than rounding.
     """
-    return _ml_delay(z, _Syntheses(spec), search_window, max_iter)[0]
+    return _ml_delay(z, _Syntheses(spec), search_window)[0]
 
 
 def magnification_tau(z: SampledSignal, w: SampledSignal,
@@ -457,20 +447,17 @@ def worst_interference(w1: SampledSignal, power: float) -> SampledSignal:
 
 def perturbation_experiment(spec: WaveformSpec, tau_true: float,
                             noise: NoiseConfig,
-                            interference: SampledSignal,
-                            search_window: Optional[tuple[float, float]] = None,
-                            ) -> TauPerturbation:
+                            interference: SampledSignal) -> TauPerturbation:
     """End-to-end check of the first-order bias bound.
 
     Simulates z = w(.-tau_true) + n, estimates the delay with and without
-    the interference added, and compares the measured shift against
-    m_tau * ||dy||. Deterministic given the noise seed.
+    the interference added over tau_true +- code_period / 2, and compares
+    the shift against m_tau * ||dy||. Deterministic given the noise seed.
     """
     if len(interference) != spec.num_samples:
         raise ValueError("interference length does not match spec.num_samples")
-    if search_window is None:
-        half = spec.code_period / 2
-        search_window = (tau_true - half, tau_true + half)
+    half = spec.code_period / 2
+    search_window = (tau_true - half, tau_true + half)
 
     clean = sample_waveform(spec, tau_true, 0)
     z = SampledSignal(clean.samples + noise.sample(spec.num_samples),

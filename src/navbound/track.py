@@ -69,15 +69,10 @@ def check_unit_disc(f, h, label: str) -> None:
 
 @dataclass(frozen=True)
 class PseudorangeDelta:
-    """Pseudorange change and its modeled correction; residual = delta_rho - epsilon."""
+    """Unmodeled pseudorange residual, any modeled correction already subtracted."""
 
     sat_id: str
     delta_rho: float
-    epsilon: float = 0.0
-
-    @property
-    def residual(self) -> float:
-        return self.delta_rho - self.epsilon
 
 
 @dataclass(frozen=True)
@@ -158,7 +153,7 @@ def solve_three_sat(sats: Sequence[SatGeometry],
     """Closed-form inversion of the 3-satellite observation system.
 
     [du, dv, db]^T = (1/D) * adj(A) * r with A = [[f_j, h_j, 1]] and
-    r_j = delta_rho_j - epsilon_j.
+    r_j = delta_rho_j.
     """
     if len(sats) != 3 or len(deltas) != 3:
         raise ValueError("exactly three satellites and three deltas required")
@@ -166,7 +161,7 @@ def solve_three_sat(sats: Sequence[SatGeometry],
     c1, c2, c3, d = _cofactors(f, h)
     if abs(d) <= DETERMINANT_TOL:
         raise DegenerateGeometryError(f"|D| = {abs(d)} below threshold")
-    r1, r2, r3 = (x.residual for x in deltas)
+    r1, r2, r3 = (x.delta_rho for x in deltas)
     du = ((h2 - h3) * r1 + (h3 - h1) * r2 + (h1 - h2) * r3) / d
     dv = ((f3 - f2) * r1 + (f1 - f3) * r2 + (f2 - f1) * r3) / d
     db = (c1 * r1 + c2 * r2 + c3 * r3) / d
@@ -217,7 +212,7 @@ def solve_two_sat(sat1: SatGeometry, sat2: SatGeometry,
     dprime = sat2.f - sat1.f
     if abs(dprime) <= DETERMINANT_TOL:
         raise DegenerateGeometryError(f"|f2 - f1| = {abs(dprime)} below threshold")
-    r1, r2 = (x.residual for x in deltas)
+    r1, r2 = (x.delta_rho for x in deltas)
     ds = (r1 - r2) / (sat1.f - sat2.f)
     db = (sat1.f * r2 - sat2.f * r1) / (sat1.f - sat2.f)
     return SolveResult(delta_u=float(ds), delta_v=0.0, delta_b=float(db),
@@ -230,7 +225,7 @@ def magnification_s(sat1: SatGeometry, sat2: SatGeometry) -> MagnificationS:
     Admissible when f1 and f2 have strictly opposite signs; then
     M_s = 1 / min(|f1|, |f2|) bounds |ds| <= M_s |db| for positive residuals.
     """
-    if sat1.f * sat2.f < 0:
+    if sat1.f < 0 < sat2.f or sat2.f < 0 < sat1.f:  # f1 f2 can underflow to -0.0
         return MagnificationS(m_s=1.0 / min(abs(sat1.f), abs(sat2.f)),
                               admissible=True)
     return MagnificationS(m_s=None, admissible=False)

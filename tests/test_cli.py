@@ -163,6 +163,15 @@ class TestTrack:
         assert captured.out == ""
         assert "inadmissible" in captured.err
 
+    def test_two_sat_underflowing_product_admissible(self, tmp_path, capsys):
+        # f1 f2 underflows to -0.0; the scan's sign rule admits the pair too
+        path = write_geometry(tmp_path, [
+            {"sat_id": "A", "f": 1e-170, "h": 0.0},
+            {"sat_id": "B", "f": -1e-170, "h": 0.0},
+        ])
+        assert run(["track", "--geometry", path, "--format", "json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out) == {"m_s": 1e170}
+
     def test_three_sat_symmetric(self, tmp_path, capsys):
         r = 0.5
         sats = [{"sat_id": str(j), "f": r * math.cos(a), "h": r * math.sin(a)}

@@ -359,10 +359,36 @@ class TestMlDelayEstimate:
         with pytest.raises(ValueError, match="does not match spec.num_samples"):
             ml_delay_estimate(z, spec, (0.0, spec.code_period))
 
-    def test_zero_iterations_raise(self, spec, tau_true):
+    @pytest.mark.parametrize("passes", [1, 2])
+    def test_too_few_newton_passes_raise(self, spec, tau_true, monkeypatch,
+                                         passes):
+        z = sample_waveform(spec, tau_true, 0).samples
+        z = z + NoiseConfig(sigma=0.05, seed=3).sample(len(z))
+        window = (0.0, spec.code_period)
+        # the Newton iterates, by hand from the coarse delay
+        taus = [signal_model._coarse_grid(z, _Syntheses(spec), *window)]
+        slopes = []
+        for _ in range(passes):
+            g, dg, _ = signal_model._misfit_derivatives(
+                z, *_waveforms(spec, taus[-1], (0, 1, 2)))
+            slopes.append(abs(g))
+            taus.append(taus[-1] - g / dg)
+        monkeypatch.setattr(signal_model, "_NEWTON_PASSES", passes)
+        with pytest.raises(DelayEstimationError,
+                           match=f"^stationarity residual above tolerance "
+                                 f"after {passes} Newton passes$") as info:
+            ml_delay_estimate(SampledSignal(z, spec.sampling_period), spec, window)
+        assert info.value.last_iterate == taus[int(np.argmin(slopes))]
+
+    def test_three_newton_passes_converge(self, spec, tau_true, monkeypatch):
         z = sample_waveform(spec, tau_true, 0)
-        with pytest.raises(DelayEstimationError, match="after 0 iterations"):
-            ml_delay_estimate(z, spec, (0.0, spec.code_period), max_iter=0)
+        z = z + SampledSignal(NoiseConfig(sigma=0.05, seed=3).sample(len(z)),
+                              spec.sampling_period)
+        monkeypatch.setattr(signal_model, "_NEWTON_PASSES", 3)
+        _, _, passes, residual = _ml_delay(z, _Syntheses(spec),
+                                           (0.0, spec.code_period))
+        assert passes == 3
+        assert residual <= 1e-9
 
     def test_stationarity_residual(self, spec, tau_true):
         z = sample_waveform(spec, tau_true, 0)
@@ -512,7 +538,7 @@ class TestPerturbationExperiment:
                                          NoiseConfig(0.02, seed=4), dy)
         assert len(result.iterations) == len(result.residual) == 2
         for iterations, residual in zip(result.iterations, result.residual):
-            assert 1 <= iterations <= 50
+            assert 1 <= iterations <= signal_model._NEWTON_PASSES
             assert 0.0 <= residual <= 1e-9
 
     def test_m_tau_uses_waveforms_at_tau0(self, spec, tau_true):

@@ -492,6 +492,13 @@ class TestMagnificationS:
         m = magnification_s(geom(0.0, 0.5), geom(0.6, 0.0))
         assert not m.admissible
 
+    @pytest.mark.parametrize("f1, f2", [(1e-170, -1e-170), (-1e-170, 1e-170)])
+    def test_underflowing_product_admissible(self, f1, f2):
+        # f1 f2 underflows to -0.0; the signs are still opposite
+        m = magnification_s(geom(f1, 0.0), geom(f2, 0.0))
+        assert m.admissible
+        assert m.m_s == 1e170
+
     def test_monte_carlo_bound(self):
         rng = np.random.default_rng(37)
         s1, s2 = geom(-0.5, 0.0, "1"), geom(0.5, 0.0, "2")
