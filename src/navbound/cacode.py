@@ -26,7 +26,6 @@ class ChipSequence:
 
     chips: np.ndarray
     prn_id: int
-    chipping_rate: float = CA_CHIP_RATE
 
     def __post_init__(self):
         chips = np.asarray(self.chips, dtype=np.int8)
@@ -39,11 +38,11 @@ class ChipSequence:
 
     @property
     def chip_duration(self) -> float:
-        return 1.0 / self.chipping_rate
+        return 1.0 / CA_CHIP_RATE
 
     @property
     def period(self) -> float:
-        return len(self.chips) / self.chipping_rate
+        return len(self.chips) / CA_CHIP_RATE
 
 
 def generate_ca_code(prn: int) -> ChipSequence:

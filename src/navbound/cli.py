@@ -137,23 +137,22 @@ def _cmd_track(args) -> int:
     if len(sats) == 2:
         ms = magnification_s(sats[0], sats[1])
         if not ms.admissible:
-            print("inadmissible: along-track cosines do not have opposite signs",
-                  file=sys.stderr)
-            return EXIT_DEGENERATE
+            raise DegenerateGeometryError(
+                "inadmissible: along-track cosines do not have opposite signs"
+                if ms.m_s is None else
+                "inadmissible: M_s overflows (an along-track cosine is subnormal)")
         return _emit_fields(args, {"m_s": ms.m_s}, ".9f")
     if len(sats) == 3:
         muv = magnification_uv(sats)
         if not muv.admissible:
-            print("inadmissible: no satellite ordering satisfies the "
-                  "orientation condition (or a cofactor vanishes)",
-                  file=sys.stderr)
-            return EXIT_DEGENERATE
+            raise DegenerateGeometryError(
+                "inadmissible: no satellite ordering satisfies the orientation "
+                "condition (or a cofactor vanishes)" if muv.permutation is None else
+                "inadmissible: M_u or M_v overflows (a cofactor is subnormal)")
         return _emit_fields(args, {"determinant": determinant_d(sats),
                                    "permutation": list(muv.permutation),
                                    "m_u": muv.m_u, "m_v": muv.m_v}, ".9f")
-    print(f"geometry file must contain 2 or 3 satellites, got {len(sats)}",
-          file=sys.stderr)
-    return EXIT_USAGE
+    raise ValueError(f"geometry file must contain 2 or 3 satellites, got {len(sats)}")
 
 
 def _day_span(ephemerides, utc_offset: float) -> tuple[GpsTime, GpsTime]:
@@ -176,15 +175,13 @@ def _cmd_scan(args) -> int:
     if text.lstrip().lower().startswith("sat_id"):
         source = parse_position_csv(text)
         if not source.sat_ids:
-            print("no usable position rows", file=sys.stderr)
-            return EXIT_DEGENERATE
+            raise EmptySeriesError("no usable position rows")
         start = GpsTime.from_seconds(source.epochs[0])
         end = GpsTime.from_seconds(source.epochs[-1] + args.step)
     else:
         source = parse_rinex_nav(text)
         if not source:
-            print("no usable ephemeris records", file=sys.stderr)
-            return EXIT_DEGENERATE
+            raise EmptySeriesError("no usable ephemeris records")
         start, end = _day_span(source, args.utc_offset)
     config = ScanConfig(site=site, track_azimuth=args.azimuth, mask=args.mask,
                         step=args.step, start=start, end=end)

@@ -401,7 +401,7 @@ def parse_position_csv(text: str) -> PositionTable:
     stripped = list(map(str.strip, lines))
     numbers = list(compress(count(1), stripped))
     lines = list(compress(lines, stripped))
-    if not lines or not lines[0].lower().startswith("sat_id"):
+    if not lines or not lines[0].lstrip().lower().startswith("sat_id"):
         raise ValueError("position CSV must start with a sat_id,... header row")
     del numbers[0], lines[0]
     commas = np.fromiter(map(str.count, lines, repeat(",")), np.intp, len(lines))

@@ -53,7 +53,8 @@ class ScanConfig:
 
 
 class EmptySeriesError(ValueError):
-    """A scan series with no epoch that has an admissible pair."""
+    """Nothing to bound: an input with no usable position, or a series with
+    no admissible epoch."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,7 +126,7 @@ def scan_ms(config: ScanConfig, source: PositionSource) -> ScanSeries:
         best_m_s[rows] = np.where(gap, np.nan, best)
         pair[rows] = np.where(gap[:, None], -1, np.stack([sat_a, sat_b], axis=1))
     if not covered:
-        raise ValueError("no satellite position in the scan span")
+        raise EmptySeriesError("no satellite position in the scan span")
     return ScanSeries(sat_ids, seconds, visible, best_m_s, pair)
 
 

@@ -1,7 +1,8 @@
 """Sampled code-spread signal model and worst-case ML delay-bias analysis.
 
 The receiver observes z(kT) = w(kT - tau) + y(kT) + n(kT) where w is a
-smoothed, amplitude- and phase-scaled replica of a known spreading code.
+smoothed, unit-amplitude, zero-phase replica of a known spreading code:
+signal strength enters through the noise sigma and the interference power.
 This module synthesizes w and its first two delay derivatives in closed
 form, locates the maximum-likelihood delay, and evaluates the
 magnification coefficient that converts an interference power budget
@@ -17,7 +18,6 @@ from typing import Optional
 import numpy as np
 
 from .cacode import ChipSequence, generate_ca_code
-from .constants import CA_CODE_PERIOD
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # scipy's ndtr rounds to exactly 1.0 from about 8.29 up
@@ -55,18 +55,12 @@ class WaveformSpec:
     """
 
     code: ChipSequence
-    amplitude: float = 1.0
-    phase: float = 0.0
-    pulse_smoothing: float = 0.1 / 1.023e6
-    sampling_period: float = CA_CODE_PERIOD / 4092
-    num_samples: int = 4092
+    pulse_smoothing: float
+    sampling_period: float
+    num_samples: int
 
     def __post_init__(self):
-        if not 0 < self.amplitude < math.inf:  # NaN fails too
-            raise ValueError("amplitude must be positive and finite")
-        if not math.isfinite(self.phase):
-            raise ValueError("phase must be finite")
-        if not 0 < self.pulse_smoothing < math.inf:
+        if not 0 < self.pulse_smoothing < math.inf:  # NaN fails too
             raise ValueError(
                 "pulse_smoothing must be strictly positive and finite: with "
                 "ideal rectangular chips the waveform derivative is undefined "
@@ -93,10 +87,9 @@ class WaveformSpec:
 
 @dataclass(frozen=True)
 class SampledSignal:
-    """A finite complex sample sequence with its sampling period."""
+    """A finite complex sample sequence."""
 
     samples: np.ndarray
-    sampling_period: float
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.complex128)
@@ -113,10 +106,10 @@ class SampledSignal:
     def __add__(self, other: "SampledSignal") -> "SampledSignal":
         if len(self) != len(other):
             raise ValueError("signal lengths differ")
-        return SampledSignal(self.samples + other.samples, self.sampling_period)
+        return SampledSignal(self.samples + other.samples)
 
     def scaled(self, c: complex) -> "SampledSignal":
-        return SampledSignal(c * self.samples, self.sampling_period)
+        return SampledSignal(c * self.samples)
 
 
 @dataclass(frozen=True)
@@ -229,20 +222,20 @@ def _waveforms(spec: WaveformSpec, tau: float, orders) -> tuple:
         if 2 in orders:
             pdf *= b  # b * density: the chip term is -u pu + v pv
             m[2] = chip_sum(pdf[1:], pdf[:-1]) / (s * s)
-    factor = spec.amplitude * np.exp(1j * spec.phase)
-    return tuple(factor * m[k] for k in orders)
+    # astype keeps the sign of a zero, where + 0j would turn -0.0 into +0.0
+    return tuple(m[k].astype(np.complex128) for k in orders)
 
 
 def sample_waveform(spec: WaveformSpec, tau: float, derivative_order: int = 0) -> SampledSignal:
     """Evaluate w, w' or w'' at sample times kT for k = 1..num_samples.
 
     Derivatives are exact analytic derivatives of the Gaussian-smoothed
-    chip train; the factor amplitude * exp(i phase) multiplies all orders.
+    chip train, at unit amplitude and zero phase, so every order is real.
     """
     if derivative_order not in (0, 1, 2):
         raise ValueError(f"derivative_order must be 0, 1 or 2, got {derivative_order}")
     (samples,) = _waveforms(spec, tau, (derivative_order,))
-    return SampledSignal(samples, spec.sampling_period)
+    return SampledSignal(samples)
 
 
 class _Syntheses:
@@ -460,12 +453,10 @@ def perturbation_experiment(spec: WaveformSpec, tau_true: float,
     search_window = (tau_true - half, tau_true + half)
 
     clean = sample_waveform(spec, tau_true, 0)
-    z = SampledSignal(clean.samples + noise.sample(spec.num_samples),
-                      spec.sampling_period)
+    z = SampledSignal(clean.samples + noise.sample(spec.num_samples))
     syntheses = _Syntheses(spec)
     tau0, waveforms, iter0, res0 = _ml_delay(z, syntheses, search_window)
-    m_tau = magnification_tau(
-        z, *(SampledSignal(w, spec.sampling_period) for w in waveforms))
+    m_tau = magnification_tau(z, *map(SampledSignal, waveforms))
     bound = m_tau * interference.norm()
 
     z_pert = z + interference
@@ -482,8 +473,7 @@ def perturbation_experiment(spec: WaveformSpec, tau_true: float,
 
 
 def default_spec(prn: int = 1, pulse_smoothing_chips: float = 0.1,
-                 samples_per_chip: int = 4, amplitude: float = 1.0,
-                 phase: float = 0.0) -> WaveformSpec:
+                 samples_per_chip: int = 4) -> WaveformSpec:
     """One code period of a C/A code at the given oversampling."""
     if not (_is_int(samples_per_chip) and samples_per_chip >= 1):
         raise ValueError(f"samples_per_chip must be an integer >= 1, "
@@ -493,8 +483,6 @@ def default_spec(prn: int = 1, pulse_smoothing_chips: float = 0.1,
     n = len(code) * samples_per_chip
     return WaveformSpec(
         code=code,
-        amplitude=amplitude,
-        phase=phase,
         pulse_smoothing=pulse_smoothing_chips * tc,
         sampling_period=code.period / n,
         num_samples=n,

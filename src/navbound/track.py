@@ -80,7 +80,6 @@ class SolveResult:
     delta_u: float
     delta_v: float
     delta_b: float
-    determinant: float
 
 
 @dataclass(frozen=True)
@@ -165,8 +164,7 @@ def solve_three_sat(sats: Sequence[SatGeometry],
     du = ((h2 - h3) * r1 + (h3 - h1) * r2 + (h1 - h2) * r3) / d
     dv = ((f3 - f2) * r1 + (f1 - f3) * r2 + (f2 - f1) * r3) / d
     db = (c1 * r1 + c2 * r2 + c3 * r3) / d
-    return SolveResult(delta_u=float(du), delta_v=float(dv), delta_b=float(db),
-                       determinant=d)
+    return SolveResult(delta_u=float(du), delta_v=float(dv), delta_b=float(db))
 
 
 def sign_condition(sats: Sequence[SatGeometry]) -> Optional[tuple[int, int, int]]:
@@ -184,7 +182,8 @@ def magnification_uv(sats: Sequence[SatGeometry]) -> MagnificationUV:
 
     M_u = max|h_j - h_k| / min|f_j h_k - f_k h_j| and M_v analogously with
     f-differences in the numerator. Admissible only when the orientation
-    condition holds and no cofactor vanishes; then positive residuals give
+    condition holds, no cofactor vanishes and neither coefficient overflows
+    (a subnormal cofactor makes it inf); then positive residuals give
     |du| <= M_u |db| and |dv| <= M_v |db|.
     """
     (f1, f2, f3), (h1, h2, h3) = f, h = _cosines(sats)
@@ -195,8 +194,8 @@ def magnification_uv(sats: Sequence[SatGeometry]) -> MagnificationUV:
         return MagnificationUV(m_u=None, m_v=None, admissible=False, permutation=perm)
     m_u = max(abs(h2 - h3), abs(h3 - h1), abs(h1 - h2)) / cof
     m_v = max(abs(f2 - f3), abs(f3 - f1), abs(f1 - f2)) / cof
-    return MagnificationUV(m_u=m_u, m_v=m_v, admissible=perm is not None,
-                           permutation=perm)
+    return MagnificationUV(m_u=m_u, m_v=m_v, permutation=perm,
+                           admissible=perm is not None and max(m_u, m_v) < math.inf)
 
 
 def solve_two_sat(sat1: SatGeometry, sat2: SatGeometry,
@@ -215,17 +214,17 @@ def solve_two_sat(sat1: SatGeometry, sat2: SatGeometry,
     r1, r2 = (x.delta_rho for x in deltas)
     ds = (r1 - r2) / (sat1.f - sat2.f)
     db = (sat1.f * r2 - sat2.f * r1) / (sat1.f - sat2.f)
-    return SolveResult(delta_u=float(ds), delta_v=0.0, delta_b=float(db),
-                       determinant=float(dprime))
+    return SolveResult(delta_u=float(ds), delta_v=0.0, delta_b=float(db))
 
 
 def magnification_s(sat1: SatGeometry, sat2: SatGeometry) -> MagnificationS:
     """Along-track magnification for the two-satellite case.
 
-    Admissible when f1 and f2 have strictly opposite signs; then
-    M_s = 1 / min(|f1|, |f2|) bounds |ds| <= M_s |db| for positive residuals.
+    Admissible when f1 and f2 have strictly opposite signs and
+    M_s = 1 / min(|f1|, |f2|) does not overflow (a subnormal cosine makes it
+    inf); then M_s bounds |ds| <= M_s |db| for positive residuals.
     """
     if sat1.f < 0 < sat2.f or sat2.f < 0 < sat1.f:  # f1 f2 can underflow to -0.0
-        return MagnificationS(m_s=1.0 / min(abs(sat1.f), abs(sat2.f)),
-                              admissible=True)
+        m_s = 1.0 / min(abs(sat1.f), abs(sat2.f))
+        return MagnificationS(m_s=m_s, admissible=m_s < math.inf)
     return MagnificationS(m_s=None, admissible=False)

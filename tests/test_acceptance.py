@@ -82,7 +82,7 @@ def test_criterion_2_orthogonal_mode_suppression(capsys):
     dirs = _orthogonal_directions(w1.samples, rng, 100)
     max_rel_shift = 0.0
     for v in dirs:
-        z = SampledSignal(w.samples + dy_norm * v, spec.sampling_period)
+        z = SampledSignal(w.samples + dy_norm * v)
         shift = abs(ml_delay_estimate(z, spec, window) - tau0)
         max_rel_shift = max(max_rel_shift, shift / (m_tau * dy_norm))
     suppressed = max_rel_shift <= 0.05
@@ -93,9 +93,8 @@ def test_criterion_2_orthogonal_mode_suppression(capsys):
     floor = 1e-18  # seconds; delay resolution of the refinement itself
     quadratic = True
     for v in dirs[:10]:
-        z_full = SampledSignal(w.samples + dy_norm * v, spec.sampling_period)
-        z_half = SampledSignal(w.samples + 0.5 * dy_norm * v,
-                               spec.sampling_period)
+        z_full = SampledSignal(w.samples + dy_norm * v)
+        z_half = SampledSignal(w.samples + 0.5 * dy_norm * v)
         s_full = abs(ml_delay_estimate(z_full, spec, window) - tau0)
         s_half = abs(ml_delay_estimate(z_half, spec, window) - tau0)
         if abs(s_half - s_full / 4) > 0.2 * s_full / 4 + floor:

@@ -38,7 +38,7 @@ def test_length_and_alphabet():
     code = generate_ca_code(1)
     assert len(code) == 1023
     assert set(np.unique(code.chips)) == {-1, 1}
-    assert code.chipping_rate == 1.023e6
+    assert code.chip_duration == 1 / 1.023e6
 
 
 @pytest.mark.parametrize("prn,octal", sorted(FIRST_10_OCTAL.items()))

@@ -172,6 +172,18 @@ class TestTrack:
         assert run(["track", "--geometry", path, "--format", "json"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out) == {"m_s": 1e170}
 
+    @pytest.mark.parametrize("sats, err", [
+        ([(5e-324, 0.0), (-1e-300, 0.0)], "M_s overflows"),
+        ([(1e-310, 0.0), (-0.5, 0.5), (-0.5, -0.5)], "M_u or M_v overflows")])
+    def test_overflowing_magnification_exits_one(self, tmp_path, capsys, sats, err):
+        # these used to exit 0 and print Infinity, which is not JSON
+        path = write_geometry(tmp_path, [{"sat_id": str(j), "f": f, "h": h}
+                                         for j, (f, h) in enumerate(sats)])
+        assert run(["track", "--geometry", path, "--format", "json"]) == EXIT_DEGENERATE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert err in captured.err
+
     def test_three_sat_symmetric(self, tmp_path, capsys):
         r = 0.5
         sats = [{"sat_id": str(j), "f": r * math.cos(a), "h": r * math.sin(a)}
@@ -448,6 +460,20 @@ class TestScanAndHist:
         assert run(["scan", "--nav", str(nav), "--lat", "34.75337",
                     "--lon", "135.42783"]) == EXIT_DEGENERATE
         assert "no usable ephemeris records" in capsys.readouterr().err
+
+    def test_rinex_without_healthy_records(self, nav_text, tmp_path, capsys):
+        # SV health is field 2 of orbit line 6 (line 7 of each 8-line record)
+        lines = nav_text.splitlines()
+        start = next(i for i, l in enumerate(lines) if "END OF HEADER" in l) + 1
+        for k in range(start + 6, len(lines), 8):
+            lines[k] = lines[k][:22] + " 0.100000000000D+01" + lines[k][41:]
+        nav = tmp_path / "unhealthy.13n"
+        nav.write_text("\n".join(lines) + "\n")
+        assert run(["scan", "--nav", str(nav), "--lat", "34.75337",
+                    "--lon", "135.42783"]) == EXIT_DEGENERATE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "no satellite position in the scan span\n"
 
     def test_hist_missing_column_fails_cleanly(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

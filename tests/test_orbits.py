@@ -468,6 +468,12 @@ class TestPositionCsv:
         with pytest.raises(ValueError):
             parse_position_csv("G01,1750,0,1,2,3")
 
+    def test_header_with_leading_blanks(self):
+        # the CLI strips the text before it looks for the header; so does the parser
+        table = parse_position_csv("\n \t sat_id,week,sow,x_m,y_m,z_m\n"
+                                   "G01,1750,0,1.5e7,1.5e7,1.5e7\n")
+        assert table.sat_ids == ("G01",)
+
     @pytest.mark.parametrize("row, message", [
         # week * 604800 does not fit a float: this used to escape as an
         # OverflowError and end the scan in a traceback

@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 import json
 import logging
@@ -265,6 +266,12 @@ class TestFullDayScan:
         far = GpsTime.from_utc(dt.datetime(2015, 1, 1))
         with pytest.raises(ValueError):
             scan_ms(make_config(start=far, end=far.add_seconds(3600.0)), ephs)
+
+
+    def test_no_healthy_record(self, nav_text):
+        sick = [dataclasses.replace(r, health=1) for r in parse_rinex_nav(nav_text)]
+        with pytest.raises(EmptySeriesError, match="no satellite position"):
+            scan_ms(make_config(), sick)
 
 
 class TestBestPairOracle:

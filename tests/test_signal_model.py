@@ -33,7 +33,7 @@ def _orthogonalized(rng, spec, w1, norm):
     dy -= (np.real(np.vdot(w1.samples, dy))
            / np.real(np.vdot(w1.samples, w1.samples))) * w1.samples
     dy *= norm / np.linalg.norm(dy)
-    return SampledSignal(dy, spec.sampling_period)
+    return SampledSignal(dy)
 
 
 class TestWaveform:
@@ -47,13 +47,6 @@ class TestWaveform:
         # rounding of tau + period (~1e-19 s) times the ~4e6/s chip-edge
         # slope puts the attainable agreement near 1e-12; allow margin
         assert np.allclose(a.samples, b.samples, rtol=0, atol=1e-9)
-
-    def test_phase_and_amplitude_factor(self):
-        base = default_spec(1)
-        rot = default_spec(1, amplitude=2.5, phase=0.7)
-        w0 = sample_waveform(base, 1e-4, 0)
-        w1 = sample_waveform(rot, 1e-4, 0)
-        assert np.allclose(w1.samples, 2.5 * np.exp(0.7j) * w0.samples)
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_derivatives_match_finite_differences(self, order):
@@ -92,8 +85,6 @@ class TestWaveform:
                          num_samples=num_samples)
 
     @pytest.mark.parametrize("field, value", [
-        ("amplitude", math.nan), ("amplitude", math.inf),
-        ("phase", math.nan), ("phase", -math.inf),
         ("pulse_smoothing", math.nan), ("pulse_smoothing", math.inf),
         ("sampling_period", math.nan), ("sampling_period", math.inf),
         ("sampling_period", -1e-6), ("num_samples", -4092),
@@ -110,6 +101,7 @@ class TestWaveform:
                 default_spec(1, samples_per_chip=value)
             else:
                 fields = {"code": spec.code, "num_samples": spec.num_samples,
+                          "pulse_smoothing": spec.pulse_smoothing,
                           "sampling_period": spec.sampling_period, field: value}
                 if field == "num_samples" and value > 0:
                     # one code period exactly, so that only the count is wrong
@@ -148,7 +140,7 @@ def _per_order_waveform(spec, tau, order):
             m = np.sum(c * (pu - pv), axis=1) / s
         else:
             m = np.sum(c * (-u * pu + v * pv), axis=1) / (s * s)
-    return spec.amplitude * np.exp(1j * spec.phase) * m
+    return m.astype(complex)
 
 
 def _fractional_spec():
@@ -170,7 +162,6 @@ _KERNEL_CASES = {
     "wide_smoothing": (lambda: default_spec(12, pulse_smoothing_chips=1.0), 0.27),
     "narrow_smoothing": (lambda: default_spec(6, pulse_smoothing_chips=0.01), 0.18),
     "fractional_rate": (_fractional_spec, 0.43),
-    "amplitude_phase": (lambda: default_spec(5, amplitude=2.5, phase=-1.1), 0.77),
 }
 
 
@@ -210,20 +201,17 @@ class TestFusedKernel:
     @settings(max_examples=50, deadline=None)
     @given(prn=st.integers(1, 32), length=st.integers(5, 300),
            smoothing=st.floats(0.05, 3.0), samples_per_chip=st.integers(1, 5),
-           amplitude=st.floats(0.1, 10.0), phase=st.floats(-math.pi, math.pi),
            frac=st.floats(-1.0, 2.0), on_edge=st.booleans(),
            orders=st.lists(st.sampled_from((0, 1, 2)), min_size=1, max_size=3,
                            unique=True))
     def test_bit_identical_property(self, prn, length, smoothing,
-                                    samples_per_chip, amplitude, phase, frac,
-                                    on_edge, orders):
+                                    samples_per_chip, frac, on_edge, orders):
         # A truncated C/A code keeps each example small; codes shorter than
         # the chip window wrap more than once.
         code = ChipSequence(generate_ca_code(prn).chips[:length], prn)
         tc = code.chip_duration
         n = length * samples_per_chip
-        spec = WaveformSpec(code=code, amplitude=amplitude, phase=phase,
-                            pulse_smoothing=smoothing * tc,
+        spec = WaveformSpec(code=code, pulse_smoothing=smoothing * tc,
                             sampling_period=code.period / n, num_samples=n)
         # tau in [-P, 2P], on a chip edge or anywhere
         tau = round(frac * length) * tc if on_edge else frac * code.period
@@ -250,14 +238,14 @@ def test_noise_seed_must_be_non_negative_integer(sigma, seed):
 
 class TestInnerProduct:
     def test_requires_equal_length(self, spec):
-        a = SampledSignal(np.ones(4), 1.0)
-        b = SampledSignal(np.ones(5), 1.0)
+        a = SampledSignal(np.ones(4))
+        b = SampledSignal(np.ones(5))
         with pytest.raises(ValueError, match="lengths differ"):
             a + b
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
-            SampledSignal(np.array([1.0, np.nan]), 1.0)
+            SampledSignal(np.array([1.0, np.nan]))
 
 
 class TestMlDelayEstimate:
@@ -355,7 +343,7 @@ class TestMlDelayEstimate:
             ml_delay_estimate(z, spec, window)
 
     def test_signal_length_must_match_spec(self, spec):
-        z = SampledSignal(np.ones(spec.num_samples - 1), spec.sampling_period)
+        z = SampledSignal(np.ones(spec.num_samples - 1))
         with pytest.raises(ValueError, match="does not match spec.num_samples"):
             ml_delay_estimate(z, spec, (0.0, spec.code_period))
 
@@ -377,13 +365,12 @@ class TestMlDelayEstimate:
         with pytest.raises(DelayEstimationError,
                            match=f"^stationarity residual above tolerance "
                                  f"after {passes} Newton passes$") as info:
-            ml_delay_estimate(SampledSignal(z, spec.sampling_period), spec, window)
+            ml_delay_estimate(SampledSignal(z), spec, window)
         assert info.value.last_iterate == taus[int(np.argmin(slopes))]
 
     def test_three_newton_passes_converge(self, spec, tau_true, monkeypatch):
         z = sample_waveform(spec, tau_true, 0)
-        z = z + SampledSignal(NoiseConfig(sigma=0.05, seed=3).sample(len(z)),
-                              spec.sampling_period)
+        z = z + SampledSignal(NoiseConfig(sigma=0.05, seed=3).sample(len(z)))
         monkeypatch.setattr(signal_model, "_NEWTON_PASSES", 3)
         _, _, passes, residual = _ml_delay(z, _Syntheses(spec),
                                            (0.0, spec.code_period))
@@ -393,8 +380,7 @@ class TestMlDelayEstimate:
     def test_stationarity_residual(self, spec, tau_true):
         z = sample_waveform(spec, tau_true, 0)
         zp = SampledSignal(
-            z.samples + NoiseConfig(sigma=0.05, seed=3).sample(len(z)),
-            spec.sampling_period)
+            z.samples + NoiseConfig(sigma=0.05, seed=3).sample(len(z)))
         est = ml_delay_estimate(zp, spec, (0.0, spec.code_period))
         w = sample_waveform(spec, est, 0)
         w1 = sample_waveform(spec, est, 1)
@@ -413,7 +399,7 @@ class TestMagnificationTau:
         w = sample_waveform(spec, tau_true, 0)
         w1 = sample_waveform(spec, tau_true, 1)
         w2 = sample_waveform(spec, tau_true, 2)
-        z = SampledSignal(w.samples * 1.01, spec.sampling_period)
+        z = SampledSignal(w.samples * 1.01)
         m = magnification_tau(z, w, w1, w2)
         c = 3.7
         m_scaled = magnification_tau(z.scaled(c), w.scaled(c),
@@ -425,8 +411,7 @@ class TestMagnificationTau:
         w1 = sample_waveform(spec, tau_true, 1)
         w2 = sample_waveform(spec, tau_true, 2)
         z = SampledSignal(
-            w.samples + NoiseConfig(sigma=0.02, seed=5).sample(len(w)),
-            spec.sampling_period)
+            w.samples + NoiseConfig(sigma=0.02, seed=5).sample(len(w)))
         m = magnification_tau(z, w, w1, w2)
         rot = np.exp(1.234j)
         m_rot = magnification_tau(z.scaled(rot), w.scaled(rot),
@@ -440,16 +425,14 @@ class TestMagnificationTau:
         # pick z so that Re<w - z, w''> cancels ||w'||^2 exactly
         n1sq = np.real(np.vdot(w1.samples, w1.samples))
         n2sq = np.real(np.vdot(w2.samples, w2.samples))
-        z = SampledSignal(w.samples + (n1sq / n2sq) * w2.samples,
-                          spec.sampling_period)
+        z = SampledSignal(w.samples + (n1sq / n2sq) * w2.samples)
         with pytest.raises(DegenerateCurvatureError):
             magnification_tau(z, w, w1, w2)
 
     def test_perturb_and_reestimate_agreement(self, spec, tau_true):
         z0 = sample_waveform(spec, tau_true, 0)
         zp = SampledSignal(
-            z0.samples + NoiseConfig(sigma=0.01, seed=11).sample(len(z0)),
-            spec.sampling_period)
+            z0.samples + NoiseConfig(sigma=0.01, seed=11).sample(len(z0)))
         tau0 = ml_delay_estimate(zp, spec, (0.0, spec.code_period))
         w = sample_waveform(spec, tau0, 0)
         w1 = sample_waveform(spec, tau0, 1)
@@ -476,7 +459,7 @@ class TestWorstInterference:
             dy.norm() * w1.norm(), rel=1e-12)
 
     def test_zero_derivative_rejected(self, spec):
-        zero = SampledSignal(np.zeros(spec.num_samples), spec.sampling_period)
+        zero = SampledSignal(np.zeros(spec.num_samples))
         with pytest.raises(ValueError):
             worst_interference(zero, 1.0)
 
@@ -491,12 +474,12 @@ class TestWorstInterference:
 
 class TestPerturbationExperiment:
     def test_interference_length_must_match_spec(self, spec, tau_true):
-        long = SampledSignal(np.zeros(spec.num_samples + 1), spec.sampling_period)
+        long = SampledSignal(np.zeros(spec.num_samples + 1))
         with pytest.raises(ValueError, match="does not match spec.num_samples"):
             perturbation_experiment(spec, tau_true, NoiseConfig(0.0), long)
 
     def test_zero_interference(self, spec, tau_true):
-        zero = SampledSignal(np.zeros(spec.num_samples), spec.sampling_period)
+        zero = SampledSignal(np.zeros(spec.num_samples))
         result = perturbation_experiment(spec, tau_true,
                                          NoiseConfig(sigma=0.02, seed=1), zero)
         assert abs(result.delta_tau_empirical) <= 1e-12 * spec.chip_duration
@@ -518,7 +501,7 @@ class TestPerturbationExperiment:
             dy *= norm / np.linalg.norm(dy)
             result = perturbation_experiment(
                 spec, tau_true, NoiseConfig(0.0),
-                SampledSignal(dy, spec.sampling_period))
+                SampledSignal(dy))
             assert abs(result.delta_tau_empirical) <= 1.05 * result.delta_tau_bound
 
     def test_parallel_interference_ratio_converges(self, spec, tau_true):
@@ -547,7 +530,7 @@ class TestPerturbationExperiment:
         dy = worst_interference(sample_waveform(spec, tau_true, 1), 1e-6)
         result = perturbation_experiment(spec, tau_true, noise, dy)
         z = SampledSignal(sample_waveform(spec, tau_true, 0).samples
-                          + noise.sample(spec.num_samples), spec.sampling_period)
+                          + noise.sample(spec.num_samples))
         fresh = [sample_waveform(spec, result.tau0, k) for k in (0, 1, 2)]
         assert result.m_tau == magnification_tau(z, *fresh)
 
@@ -586,7 +569,7 @@ class TestSharedSyntheses:
         result = perturbation_experiment(spec, tau, noise, dy)
 
         z = SampledSignal(sample_waveform(spec, tau, 0).samples
-                          + noise.sample(spec.num_samples), spec.sampling_period)
+                          + noise.sample(spec.num_samples))
         window = (tau - spec.code_period / 2, tau + spec.code_period / 2)
         tau0 = ml_delay_estimate(z, spec, window)
         tau1 = ml_delay_estimate(z + dy, spec, window)

@@ -239,6 +239,14 @@ class TestMagnificationUV:
         assert not m.admissible
         assert m.m_u is None and m.m_v is None
 
+    def test_overflowing_uv_inadmissible(self):
+        # cofactors 0.5, 5e-311 and 5e-311 are all positive, but M_u and
+        # M_v divide by the subnormal ones and overflow
+        m = magnification_uv([geom(1e-310, 0.0), geom(-0.5, 0.5), geom(-0.5, -0.5)])
+        assert not m.admissible
+        assert m.permutation == (0, 1, 2)
+        assert m.m_u == m.m_v == math.inf
+
     def test_permutation_invariance(self):
         rng = np.random.default_rng(17)
         for _ in range(50):
@@ -498,6 +506,14 @@ class TestMagnificationS:
         m = magnification_s(geom(f1, 0.0), geom(f2, 0.0))
         assert m.admissible
         assert m.m_s == 1e170
+
+    @pytest.mark.parametrize("f1, f2", [(5e-324, -1e-300), (-1e-300, 5e-324),
+                                        (-5e-309, 0.5)])
+    def test_overflowing_coefficient_inadmissible(self, f1, f2):
+        # 1 / min|f| overflows to inf: a bound, but not a number to report
+        m = magnification_s(geom(f1, 0.0), geom(f2, 0.0))
+        assert not m.admissible
+        assert m.m_s == math.inf
 
     def test_monte_carlo_bound(self):
         rng = np.random.default_rng(37)
