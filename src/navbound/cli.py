@@ -123,7 +123,11 @@ def _load_geometry(path: str) -> list[SatGeometry]:
             f, h = _finite(rec.get("f"), "f"), _finite(rec.get("h"), "h")
             check_unit_disc(f, h, f"sat {sat_id}")
         else:
-            el = math.radians(_finite(rec.get("elevation"), "elevation"))
+            elevation = _finite(rec.get("elevation"), "elevation")
+            if not -90.0 <= elevation <= 90.0:
+                raise ValueError("geometry: elevation must be in [-90, 90] degrees, "
+                                 f"got {elevation!r}")
+            el = math.radians(elevation)
             az = math.radians(_finite(rec.get("azimuth"), "azimuth"))
             d = [math.sin(az) * math.cos(el), math.cos(az) * math.cos(el),
                  math.sin(el)]
@@ -157,6 +161,9 @@ def _cmd_track(args) -> int:
 
 def _day_span(ephemerides, utc_offset: float) -> tuple[GpsTime, GpsTime]:
     """Full UTC day containing the median ephemeris issue epoch."""
+    if not math.isfinite(utc_offset):
+        raise ValueError("GPS-UTC offset must be a finite number of seconds, "
+                         f"got {utc_offset}")
     toes = sorted((e.toe for e in ephemerides), key=GpsTime.total_seconds)
     try:
         mid_utc = toes[len(toes) // 2].to_utc(utc_offset)

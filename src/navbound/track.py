@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -36,28 +36,47 @@ class FrenetFrame:
     v: np.ndarray
 
 
-@dataclass(frozen=True)
-class SatGeometry:
+class _Checked:
+    """Base of a NamedTuple record whose ``__new__`` checks its fields.
+
+    A NamedTuple's ``_make``, which ``_replace`` calls, builds the tuple
+    without ``__new__``; routing it through the constructor keeps the check
+    on every construction path.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _SatGeometry(NamedTuple):
+    sat_id: str
+    f: float
+    h: float
+
+
+class SatGeometry(_Checked, _SatGeometry):
     """A satellite's directional cosines f = <g, U>, h = <g, V> against the
     track frame, g being minus the unit direction to the satellite. A
     synthetic satellite (such as the virtual satellite of the track
     constraint) may lie outside the unit disc; the cosines must be finite.
     """
 
-    sat_id: str
-    f: float
-    h: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.f) and math.isfinite(self.h)):
-            raise ValueError(f"sat {self.sat_id}: cosines must be finite, "
-                             f"got f={self.f!r}, h={self.h!r}")
+    def __new__(cls, sat_id: str, f: float, h: float):
+        if not (math.isfinite(f) and math.isfinite(h)):
+            raise ValueError(f"sat {sat_id}: cosines must be finite, "
+                             f"got f={f!r}, h={h!r}")
+        return tuple.__new__(cls, (sat_id, f, h))
 
 
 def synthetic_geometry(sat_id: str, f: float, h: float) -> SatGeometry:
     """A satellite given by bare directional cosines (e.g. the virtual
     satellite of the track constraint, which has no physical direction)."""
-    return SatGeometry(sat_id=sat_id, f=f, h=h)
+    return SatGeometry(sat_id, f, h)
 
 
 def check_unit_disc(f, h, label: str) -> None:
@@ -67,31 +86,38 @@ def check_unit_disc(f, h, label: str) -> None:
         raise ValueError(f"{label}: f^2 + h^2 exceeds 1")
 
 
-@dataclass(frozen=True)
-class PseudorangeDelta:
-    """Unmodeled pseudorange residual, any modeled correction already subtracted."""
-
+class _PseudorangeDelta(NamedTuple):
     sat_id: str
     delta_rho: float
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class PseudorangeDelta(_Checked, _PseudorangeDelta):
+    """Unmodeled pseudorange residual, any modeled correction already
+    subtracted; it must be finite."""
+
+    __slots__ = ()
+
+    def __new__(cls, sat_id: str, delta_rho: float):
+        if not math.isfinite(delta_rho):
+            raise ValueError(f"sat {sat_id}: pseudorange residual must be "
+                             f"finite, got delta_rho={delta_rho!r}")
+        return tuple.__new__(cls, (sat_id, delta_rho))
+
+
+class SolveResult(NamedTuple):
     delta_u: float
     delta_v: float
     delta_b: float
 
 
-@dataclass(frozen=True)
-class MagnificationUV:
+class MagnificationUV(NamedTuple):
     m_u: Optional[float]
     m_v: Optional[float]
     admissible: bool
     permutation: Optional[tuple[int, int, int]]
 
 
-@dataclass(frozen=True)
-class MagnificationS:
+class MagnificationS(NamedTuple):
     m_s: Optional[float]
     admissible: bool
 
@@ -160,11 +186,11 @@ def solve_three_sat(sats: Sequence[SatGeometry],
     c1, c2, c3, d = _cofactors(f, h)
     if abs(d) <= DETERMINANT_TOL:
         raise DegenerateGeometryError(f"|D| = {abs(d)} below threshold")
-    r1, r2, r3 = (x.delta_rho for x in deltas)
+    r1, r2, r3 = deltas[0].delta_rho, deltas[1].delta_rho, deltas[2].delta_rho
     du = ((h2 - h3) * r1 + (h3 - h1) * r2 + (h1 - h2) * r3) / d
     dv = ((f3 - f2) * r1 + (f1 - f3) * r2 + (f2 - f1) * r3) / d
     db = (c1 * r1 + c2 * r2 + c3 * r3) / d
-    return SolveResult(delta_u=float(du), delta_v=float(dv), delta_b=float(db))
+    return SolveResult(float(du), float(dv), float(db))
 
 
 def sign_condition(sats: Sequence[SatGeometry]) -> Optional[tuple[int, int, int]]:
@@ -191,11 +217,11 @@ def magnification_uv(sats: Sequence[SatGeometry]) -> MagnificationUV:
     perm = _orientation(c1, c2, c3)
     cof = min(abs(c1), abs(c2), abs(c3))
     if cof == 0.0:
-        return MagnificationUV(m_u=None, m_v=None, admissible=False, permutation=perm)
+        return MagnificationUV(None, None, False, perm)
     m_u = max(abs(h2 - h3), abs(h3 - h1), abs(h1 - h2)) / cof
     m_v = max(abs(f2 - f3), abs(f3 - f1), abs(f1 - f2)) / cof
-    return MagnificationUV(m_u=m_u, m_v=m_v, permutation=perm,
-                           admissible=perm is not None and max(m_u, m_v) < math.inf)
+    admissible = perm is not None and max(m_u, m_v) < math.inf
+    return MagnificationUV(m_u, m_v, admissible, perm)
 
 
 def solve_two_sat(sat1: SatGeometry, sat2: SatGeometry,
@@ -211,10 +237,10 @@ def solve_two_sat(sat1: SatGeometry, sat2: SatGeometry,
     dprime = sat2.f - sat1.f
     if abs(dprime) <= DETERMINANT_TOL:
         raise DegenerateGeometryError(f"|f2 - f1| = {abs(dprime)} below threshold")
-    r1, r2 = (x.delta_rho for x in deltas)
+    r1, r2 = deltas[0].delta_rho, deltas[1].delta_rho
     ds = (r1 - r2) / (sat1.f - sat2.f)
     db = (sat1.f * r2 - sat2.f * r1) / (sat1.f - sat2.f)
-    return SolveResult(delta_u=float(ds), delta_v=0.0, delta_b=float(db))
+    return SolveResult(float(ds), 0.0, float(db))
 
 
 def magnification_s(sat1: SatGeometry, sat2: SatGeometry) -> MagnificationS:
@@ -226,5 +252,5 @@ def magnification_s(sat1: SatGeometry, sat2: SatGeometry) -> MagnificationS:
     """
     if sat1.f < 0 < sat2.f or sat2.f < 0 < sat1.f:  # f1 f2 can underflow to -0.0
         m_s = 1.0 / min(abs(sat1.f), abs(sat2.f))
-        return MagnificationS(m_s=m_s, admissible=m_s < math.inf)
-    return MagnificationS(m_s=None, admissible=False)
+        return MagnificationS(m_s, m_s < math.inf)
+    return MagnificationS(None, False)

@@ -248,6 +248,20 @@ class TestTrack:
         assert captured.err.count("\n") == 1
         assert "geometry" in captured.err
 
+    @pytest.mark.parametrize("elevation", [100.0, -90.5])
+    def test_elevation_out_of_range_exits_two(self, tmp_path, capsys, elevation):
+        # past the zenith, elevation 100 at azimuth 10 would be read as
+        # elevation 80 at azimuth 190
+        path = write_geometry(tmp_path, [
+            {"sat_id": "A", "elevation": elevation, "azimuth": 10.0},
+            {"sat_id": "B", "elevation": 60.0, "azimuth": 270.0},
+        ])
+        assert run(["track", "--geometry", path]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("geometry: elevation must be in [-90, 90] degrees, "
+                                f"got {elevation!r}\n")
+
     def test_cosines_off_unit_disc_exit_two(self, tmp_path, capsys):
         path = write_geometry(tmp_path, [
             {"sat_id": "A", "f": 0.8, "h": 0.6 + 1e-9},
@@ -374,6 +388,17 @@ class TestScanAndHist:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_utc_offset_named(self, nav_path, capsys, value):
+        # the diagnostic names the offset, not the failed float conversion
+        argv = ["scan", "--nav", str(nav_path), "--lat", "34.75337",
+                "--lon", "135.42783", "--utc-offset", value]
+        assert run(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("GPS-UTC offset must be a finite number of seconds, "
+                                f"got {float(value)}\n")
 
     @pytest.mark.parametrize("height", ["1.5e154", "1e156"])
     def test_absurd_height_exits_two(self, nav_path, height):

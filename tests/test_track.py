@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from navbound.track import (DegenerateGeometryError, PseudorangeDelta,
-                            SatGeometry, _cofactors,
+from navbound.track import (DegenerateGeometryError, MagnificationS,
+                            MagnificationUV, PseudorangeDelta, SatGeometry,
+                            SolveResult, _cofactors,
                             check_unit_disc, determinant_d, directional_cosines,
                             frenet_frame, magnification_s, magnification_uv,
                             sign_condition, solve_three_sat, solve_two_sat,
@@ -483,6 +484,49 @@ class TestSatGeometry:
             SatGeometry("a", f, h)
         with pytest.raises(ValueError, match="finite"):
             synthetic_geometry("a", f, h)
+
+
+class TestPseudorangeDelta:
+    @pytest.mark.parametrize("delta_rho", [math.nan, math.inf, -math.inf])
+    def test_non_finite_residual_rejected(self, delta_rho):
+        # past construction it would solve to NaN or inf without an error
+        with pytest.raises(ValueError, match="finite"):
+            PseudorangeDelta("a", delta_rho)
+
+
+class TestRecords:
+    RECORDS = {
+        "SatGeometry": (SatGeometry, {"sat_id": "a", "f": 0.5, "h": -0.25}),
+        "PseudorangeDelta": (PseudorangeDelta, {"sat_id": "a", "delta_rho": 1.5}),
+        "SolveResult": (SolveResult, {"delta_u": 1.0, "delta_v": 0.0,
+                                      "delta_b": -2.0}),
+        "MagnificationUV": (MagnificationUV, {"m_u": 2.0, "m_v": 3.0,
+                                              "admissible": True,
+                                              "permutation": (0, 2, 1)}),
+        "MagnificationS": (MagnificationS, {"m_s": None, "admissible": False}),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RECORDS))
+    def test_immutable_value_record(self, name):
+        cls, fields = self.RECORDS[name]
+        record = cls(**fields)
+        assert record == cls(*fields.values())
+        assert hash(record) == hash(cls(**fields))
+        assert {k: getattr(record, k) for k in fields} == fields
+        shown = ", ".join(f"{k}={v!r}" for k, v in fields.items())
+        assert repr(record) == f"{name}({shown})"
+        for field in fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, 0.0)
+        assert record == cls(**fields)
+
+    @pytest.mark.parametrize("record, field", [
+        (SatGeometry("a", 0.5, 0.1), "f"), (SatGeometry("a", 0.5, 0.1), "h"),
+        (PseudorangeDelta("a", 1.0), "delta_rho")])
+    def test_replace_checks_the_new_value(self, record, field):
+        assert getattr(record._replace(**{field: 0.25}), field) == 0.25
+        with pytest.raises(ValueError, match="finite"):
+            record._replace(**{field: math.nan})
 
 
 class TestMagnificationS:
