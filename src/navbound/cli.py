@@ -7,9 +7,11 @@ Subcommands:
   scan          full-day along-track magnification sweep over an ephemeris file
   hist          relative-frequency histogram of a scan series
 
-Exit codes: 0 success, 1 degenerate or inadmissible input (including a
-failed delay estimate or orbit propagation), 2 usage error.
-Data goes to stdout (or --output); diagnostics go to stderr.
+Each subcommand returns its output text; `run()` writes it to stdout (or
+--output) only once the command has succeeded, and alone maps exceptions to
+exit codes: 0 success, 1 degenerate or inadmissible input (including a
+failed delay estimate or orbit propagation), 2 usage error. Diagnostics go
+to stderr.
 """
 
 from __future__ import annotations
@@ -39,41 +41,26 @@ EXIT_DEGENERATE = 1
 EXIT_USAGE = 2
 
 
-def _emit(text: str, output: str | None):
-    if output:
-        with open(output, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_fields(args, fields: dict, fmt: str) -> int:
-    """Write fields as one JSON object, or as field,value rows with each
-    number in format fmt and a list joined by '-'."""
+def _fields(args, fields: dict, fmt: str) -> str:
+    """Fields as one JSON object, or as field,value rows with each number
+    in format fmt and a list joined by '-'."""
     if args.format == "json":
-        text = json.dumps(fields, indent=2) + "\n"
-    else:
-        text = "field,value\n" + "".join(
-            f"{k},{'-'.join(map(str, v)) if isinstance(v, list) else format(v, fmt)}\n"
-            for k, v in fields.items())
-    _emit(text, args.output)
-    return EXIT_OK
+        return json.dumps(fields, indent=2) + "\n"
+    return "field,value\n" + "".join(
+        f"{k},{'-'.join(map(str, v)) if isinstance(v, list) else format(v, fmt)}\n"
+        for k, v in fields.items())
 
 
-def _cmd_code(args) -> int:
+def _cmd_code(args) -> str:
     code = generate_ca_code(args.prn)
     if args.format == "json":
-        text = json.dumps({"prn": args.prn,
-                           "chips": code.chips.tolist()}) + "\n"
-    else:
-        lines = ["k,chip"]
-        lines += [f"{k},{c}" for k, c in enumerate(code.chips)]
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.output)
-    return EXIT_OK
+        return json.dumps({"prn": args.prn, "chips": code.chips.tolist()}) + "\n"
+    lines = ["k,chip"]
+    lines += [f"{k},{c}" for k, c in enumerate(code.chips)]
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_interference(args) -> int:
+def _cmd_interference(args) -> str:
     spec = default_spec(args.prn)
     tau_true = args.tau if args.tau is not None else 0.3 * spec.code_period
     if not 0 <= tau_true < spec.code_period:  # NaN fails too
@@ -82,7 +69,7 @@ def _cmd_interference(args) -> int:
     dy = worst_interference(w1, args.power)
     result = perturbation_experiment(
         spec, tau_true, NoiseConfig(sigma=args.sigma, seed=args.seed), dy)
-    return _emit_fields(args, {
+    return _fields(args, {
         "tau0": result.tau0,
         "m_tau": result.m_tau,
         "delta_tau_bound": result.delta_tau_bound,
@@ -136,7 +123,7 @@ def _load_geometry(path: str) -> list[SatGeometry]:
     return sats
 
 
-def _cmd_track(args) -> int:
+def _cmd_track(args) -> str:
     sats = _load_geometry(args.geometry)
     if len(sats) == 2:
         ms = magnification_s(sats[0], sats[1])
@@ -145,7 +132,7 @@ def _cmd_track(args) -> int:
                 "inadmissible: along-track cosines do not have opposite signs"
                 if ms.m_s is None else
                 "inadmissible: M_s overflows (an along-track cosine is subnormal)")
-        return _emit_fields(args, {"m_s": ms.m_s}, ".9f")
+        return _fields(args, {"m_s": ms.m_s}, ".9f")
     if len(sats) == 3:
         muv = magnification_uv(sats)
         if not muv.admissible:
@@ -153,17 +140,14 @@ def _cmd_track(args) -> int:
                 "inadmissible: no satellite ordering satisfies the orientation "
                 "condition (or a cofactor vanishes)" if muv.permutation is None else
                 "inadmissible: M_u or M_v overflows (a cofactor is subnormal)")
-        return _emit_fields(args, {"determinant": determinant_d(sats),
-                                   "permutation": list(muv.permutation),
-                                   "m_u": muv.m_u, "m_v": muv.m_v}, ".9f")
+        return _fields(args, {"determinant": determinant_d(sats),
+                              "permutation": list(muv.permutation),
+                              "m_u": muv.m_u, "m_v": muv.m_v}, ".9f")
     raise ValueError(f"geometry file must contain 2 or 3 satellites, got {len(sats)}")
 
 
 def _day_span(ephemerides, utc_offset: float) -> tuple[GpsTime, GpsTime]:
     """Full UTC day containing the median ephemeris issue epoch."""
-    if not math.isfinite(utc_offset):
-        raise ValueError("GPS-UTC offset must be a finite number of seconds, "
-                         f"got {utc_offset}")
     toes = sorted((e.toe for e in ephemerides), key=GpsTime.total_seconds)
     try:
         mid_utc = toes[len(toes) // 2].to_utc(utc_offset)
@@ -175,7 +159,10 @@ def _day_span(ephemerides, utc_offset: float) -> tuple[GpsTime, GpsTime]:
                          "outside the calendar") from None
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args) -> str:
+    if not math.isfinite(args.utc_offset):
+        raise ValueError("GPS-UTC offset must be a finite number of seconds, "
+                         f"got {args.utc_offset}")
     with open(args.nav) as f:
         text = f.read()
     site = SiteLocation(args.lat, args.lon, args.height)
@@ -193,20 +180,16 @@ def _cmd_scan(args) -> int:
     config = ScanConfig(site=site, track_azimuth=args.azimuth, mask=args.mask,
                         step=args.step, start=start, end=end)
     series = scan_ms(config, source)
-    text_out = (scan_mod.series_json(series) + "\n" if args.format == "json"
-                else scan_mod.series_csv(series))
-    _emit(text_out, args.output)
-    return EXIT_OK
+    return (scan_mod.series_json(series) + "\n" if args.format == "json"
+            else scan_mod.series_csv(series))
 
 
-def _cmd_hist(args) -> int:
+def _cmd_hist(args) -> str:
     with open(args.series) as f:
         best_m_s = scan_mod.parse_series_csv(f.read())
     hist = histogram(best_m_s, args.bin_width, tuple(args.range))
-    text = (scan_mod.hist_json(hist) + "\n" if args.format == "json"
+    return (scan_mod.hist_json(hist) + "\n" if args.format == "json"
             else scan_mod.hist_csv(hist))
-    _emit(text, args.output)
-    return EXIT_OK
 
 
 @functools.cache
@@ -255,7 +238,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mask", type=float, default=15.0)
     p.add_argument("--step", type=float, default=60.0)
     p.add_argument("--utc-offset", type=float, default=DEFAULT_GPS_UTC_OFFSET,
-                   help="GPS-UTC offset in seconds")
+                   help="GPS-UTC offset in seconds, for RINEX input (a "
+                        "table's epochs are already GPS time)")
     common(p)
     p.set_defaults(func=_cmd_scan)
 
@@ -276,7 +260,12 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
-        return args.func(args)
+        text = args.func(args)
+        if args.output:
+            with open(args.output, "w") as f:
+                f.write(text)
+        else:
+            sys.stdout.write(text)
     except (DegenerateGeometryError, DegenerateCurvatureError,
             DelayEstimationError, EmptySeriesError, EphemerisError) as exc:
         print(str(exc), file=sys.stderr)
@@ -284,6 +273,7 @@ def run(argv=None) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_OK
 
 
 def main():

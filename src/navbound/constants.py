@@ -9,7 +9,6 @@ WGS84_E2 = WGS84_F * (2.0 - WGS84_F)  # first eccentricity squared
 # GPS system constants
 GM_EARTH = 3.986005e14               # gravitational parameter [m^3/s^2]
 OMEGA_EARTH = 7.2921151467e-5        # earth rotation rate [rad/s]
-SPEED_OF_LIGHT = 2.99792458e8        # [m/s]
 
 # GPS C/A code
 CA_CHIP_RATE = 1.023e6               # [chips/s]

@@ -329,6 +329,64 @@ class TestFieldTables:
         assert capsys.readouterr().out == self.TABLES[case, fmt]
 
 
+class TestOutputFile:
+    """`run()` writes a command's text to --output exactly as it would to
+    stdout, and only once the command has succeeded."""
+
+    SITE = ["--lat", "34.75337", "--lon", "135.42783"]
+
+    def argv(self, command, tmp_path, nav_path):
+        files = fuzz_files(tmp_path, nav_path)
+        if command.startswith("track"):
+            payload = (TestFieldTables.TWO if command == "track_two"
+                       else TestFieldTables.THREE)
+            path = tmp_path / "track.json"
+            path.write_text(json.dumps(payload))
+            return ["track", "--geometry", str(path)]
+        return {
+            "code": ["code", "--prn", "7"],
+            "interference": ["interference", "--prn", "5", "--power", "1e-4",
+                             "--sigma", "0.01", "--seed", "3"],
+            "scan_rinex": ["scan", "--nav", str(nav_path), *self.SITE,
+                           "--step", "600"],
+            "scan_table": ["scan", "--nav", files["positions.csv"], *self.SITE],
+            "hist": ["hist", "--series", files["series.csv"]],
+        }[command]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", [
+        "code", "interference", "track_two", "track_three", "scan_rinex",
+        "scan_table", "hist"])
+    def test_holds_what_stdout_would(self, tmp_path, nav_path, capsys,
+                                     command, fmt):
+        argv = self.argv(command, tmp_path, nav_path) + ["--format", fmt]
+        assert run(argv) == EXIT_OK
+        stdout = capsys.readouterr().out
+        assert stdout != ""
+        dest = tmp_path / "out.txt"
+        assert run(argv + ["--output", str(dest)]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert dest.read_bytes() == stdout.encode()
+
+    @pytest.mark.parametrize("case, code", [
+        ("inadmissible_track", EXIT_DEGENERATE), ("tau_out_of_range", EXIT_USAGE)])
+    def test_failure_leaves_existing_file(self, tmp_path, capsys, case, code):
+        if case == "inadmissible_track":
+            argv = ["track", "--geometry", write_geometry(tmp_path, [
+                {"sat_id": "A", "f": 0.5, "h": 0.1},
+                {"sat_id": "B", "f": 0.8, "h": -0.2}])]
+        else:
+            argv = ["interference", "--prn", "1", "--power", "1e-4", "--tau", "1"]
+        dest = tmp_path / "out.txt"
+        before = b"field,value\r\nm_s,2.000000000\r\n\x00"
+        dest.write_bytes(before)
+        assert run(argv + ["--output", str(dest)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert dest.read_bytes() == before
+
+
 class TestScanAndHist:
     def test_full_pipeline(self, nav_path, tmp_path, capsys):
         series = tmp_path / "series.csv"
@@ -389,10 +447,21 @@ class TestScanAndHist:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_non_finite_utc_offset_named(self, nav_path, capsys, value):
-        # the diagnostic names the offset, not the failed float conversion
-        argv = ["scan", "--nav", str(nav_path), "--lat", "34.75337",
+    @pytest.mark.parametrize("value, table", [
+        ("nan", False), ("inf", False), ("nan", True)],
+        ids=["nan", "inf", "table_nan"])
+    def test_non_finite_utc_offset_named(self, nav_path, tmp_path, capsys,
+                                         value, table):
+        # the diagnostic names the offset, not the failed float conversion;
+        # a table's epochs are GPS time, but the offset is refused there too
+        nav = nav_path
+        if table:
+            nav = tmp_path / "positions.csv"
+            nav.write_text("sat_id,week,sow,x_m,y_m,z_m\n"
+                           "G01,1750,0,1.5e7,1.5e7,1.5e7\n"
+                           "G02,1750,60,-1.5e7,1.5e7,1.5e7\n"
+                           "G03,1750,120,1.5e7,-1.5e7,1.5e7\n")
+        argv = ["scan", "--nav", str(nav), "--lat", "34.75337",
                 "--lon", "135.42783", "--utc-offset", value]
         assert run(argv) == EXIT_USAGE
         captured = capsys.readouterr()
