@@ -25,7 +25,6 @@ class ChipSequence:
     """A spreading code as a sequence of +/-1 chips."""
 
     chips: np.ndarray
-    prn_id: int
 
     def __post_init__(self):
         chips = np.asarray(self.chips, dtype=np.int8)
@@ -75,4 +74,4 @@ def _ca_code(prn: int) -> ChipSequence:
 
     chips = 1 - 2 * out
     chips.flags.writeable = False
-    return ChipSequence(chips=chips, prn_id=prn)
+    return ChipSequence(chips=chips)

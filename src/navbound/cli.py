@@ -78,10 +78,12 @@ def _cmd_interference(args) -> str:
 
 
 def _finite(value, name: str) -> float:
-    """A geometry field as a finite float; ValueError (exit 2) otherwise."""
+    """A geometry field as a finite float; ValueError (exit 2) otherwise.
+    A string or a boolean is not a number: the exact type test leaves out
+    bool, an int subclass."""
     try:
-        number = float(value)
-    except (TypeError, ValueError):
+        number = float(value) if type(value) in (int, float) else math.nan
+    except OverflowError:  # an integer beyond the float range
         number = math.nan
     if not math.isfinite(number):
         raise ValueError(f"geometry: {name} must be a finite number, got {value!r}")
@@ -166,7 +168,7 @@ def _cmd_scan(args) -> str:
     with open(args.nav) as f:
         text = f.read()
     site = SiteLocation(args.lat, args.lon, args.height)
-    if text.lstrip().lower().startswith("sat_id"):
+    if text.lstrip()[:6].lower() == "sat_id":
         source = parse_position_csv(text)
         if not source.sat_ids:
             raise EmptySeriesError("no usable position rows")

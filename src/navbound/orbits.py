@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from itertools import compress, count, repeat, zip_longest
 from operator import itemgetter
-from typing import Callable, Sequence, Union
+from typing import Callable, ClassVar, Sequence, Union
 
 import numpy as np
 
@@ -28,6 +28,9 @@ DEFAULT_GPS_UTC_OFFSET = 16.0
 
 # Largest |site height| (m): 10 000 km, well below the GPS orbits (~20 200 km).
 MAX_SITE_HEIGHT = 1e7
+
+# A broadcast record serves the epochs within this many seconds of its toe.
+VALIDITY_WINDOW = 4 * 3600.0
 
 
 class RinexParseError(ValueError):
@@ -99,8 +102,8 @@ class EphemerisRecord:
     crs: float = 0.0
     cic: float = 0.0
     cis: float = 0.0
-    validity_window: float = 4 * 3600.0
     health: int = 0  # SV health word; nonzero excludes the record from grids
+    validity_window: ClassVar[float] = VALIDITY_WINDOW  # the same for every record
 
     def __post_init__(self):
         if not 0 <= self.e < 1:
@@ -297,7 +300,7 @@ def _kepler_array(mean_anomaly: np.ndarray, e: np.ndarray) -> np.ndarray:
 def sat_position_ecef(eph: EphemerisRecord, t: GpsTime) -> np.ndarray:
     """ECEF satellite position from broadcast elements at GPS time t."""
     tk = t - eph.toe
-    if abs(tk) > eph.validity_window:
+    if abs(tk) > VALIDITY_WINDOW:
         raise EphemerisError(
             f"{eph.sat_id}: ephemeris stale by {abs(tk):.0f} s at requested epoch"
         )
@@ -480,13 +483,12 @@ PositionSource = Union[PositionTable, Sequence[EphemerisRecord]]
 
 
 def _elements(eph: EphemerisRecord) -> tuple[float, ...]:
-    """One record's table row: validity window, health, then toe and the
-    per-record terms of `sat_position_ecef`, evaluated as it evaluates them."""
+    """One record's table row: toe, then the per-record terms of
+    `sat_position_ecef`, evaluated as it evaluates them."""
     a = eph.sqrt_a ** 2
-    return (eph.validity_window, eph.health, eph.toe.total_seconds(),
-            a, math.sqrt(GM_EARTH / a ** 3) + eph.delta_n, eph.m0, eph.e,
-            math.sqrt(1 - eph.e ** 2), eph.w_arg, eph.cus, eph.cuc, eph.crs,
-            eph.crc, eph.i0, eph.idot, eph.cis, eph.cic, eph.omega0,
+    return (eph.toe.total_seconds(), a, math.sqrt(GM_EARTH / a ** 3) + eph.delta_n,
+            eph.m0, eph.e, math.sqrt(1 - eph.e ** 2), eph.w_arg, eph.cus, eph.cuc,
+            eph.crs, eph.crc, eph.i0, eph.idot, eph.cis, eph.cic, eph.omega0,
             eph.omega_dot - OMEGA_EARTH, OMEGA_EARTH * eph.toe.seconds_of_week)
 
 
@@ -496,7 +498,7 @@ def position_grid(source: PositionSource, seconds: Sequence[float],
 
     From a PositionTable, the row within EPOCH_TOLERANCE of an epoch is
     used. From broadcast ephemerides, each satellite uses its nearest-toe
-    healthy record inside the validity window (the first in file order on
+    healthy record within VALIDITY_WINDOW (the first in file order on
     ties), and every such cell is propagated in one array pass that repeats
     the arithmetic of `sat_position_ecef`. Returns the sorted satellite ids
     and `ecef[epoch, sat, 3]`, NaN where a satellite has no position.
@@ -509,7 +511,7 @@ def prepare_grid(source: PositionSource,
                  ) -> tuple[tuple[str, ...], Callable[[np.ndarray], np.ndarray]]:
     """`position_grid` in two steps: the sorted satellite ids, and a function
     from GPS seconds to the grid. What the epochs do not change is built
-    here. This is the one place that tells the two inputs apart."""
+    here. It is the one place below the CLI that tells the two inputs apart."""
     if isinstance(source, PositionTable):
         if not source.sat_ids:
             raise ValueError("empty position table")
@@ -525,31 +527,28 @@ def prepare_grid(source: PositionSource,
     if not source:
         raise ValueError("empty ephemeris set")
     by_sat: dict[str, list[int]] = {}
-    for k, eph in enumerate(source):
-        by_sat.setdefault(eph.sat_id, []).append(k)
+    for k, eph in enumerate(source):  # an unhealthy record is -1, as padding is
+        by_sat.setdefault(eph.sat_id, []).append(-1 if eph.health else k)
     sat_ids = tuple(sorted(by_sat))
     table = np.array([_elements(eph) for eph in source]).T
     # records[slot, sat]: each satellite's records in file order, -1 padded
     records = np.array(list(zip_longest(*map(by_sat.get, sat_ids), fillvalue=-1)))
-    window, health, toe = table[:3, records]
-    toe[(records < 0) | (health != 0)] = np.nan  # a NaN distance is never chosen
+    toe = np.where(records < 0, np.nan, table[0, records])  # NaN: never chosen
 
     def ephemeris_grid(seconds: np.ndarray) -> np.ndarray:
-        chosen = _nearest(seconds, records, toe, window)
-        return _propagate(table[2:], chosen, seconds, sat_ids)
+        return _propagate(table, _nearest(seconds, records, toe), seconds, sat_ids)
     return sat_ids, ephemeris_grid
 
 
-def _nearest(seconds: np.ndarray, records: np.ndarray, toe: np.ndarray,
-             window: np.ndarray) -> np.ndarray:
+def _nearest(seconds: np.ndarray, records: np.ndarray, toe: np.ndarray) -> np.ndarray:
     """chosen[epoch, sat]: the `records[slot, sat]` entry with the nearest
-    `toe` within its `window` of each epoch, -1 where there is none."""
+    `toe` within VALIDITY_WINDOW of each epoch, -1 where there is none."""
     best = np.full((len(seconds), records.shape[1]), np.inf)
     chosen = np.full(best.shape, -1)
-    for slot_records, slot_toe, slot_window in zip(records, toe, window):
+    for slot_records, slot_toe in zip(records, toe):
         dist = np.abs(seconds[:, None] - slot_toe)
         # strict: on a tie the earlier slot, first in file order, stays
-        closer = ~(dist > slot_window) & (dist < best)
+        closer = (dist <= VALIDITY_WINDOW) & (dist < best)
         np.copyto(best, dist, where=closer)
         np.copyto(chosen, slot_records, where=closer)
     return chosen

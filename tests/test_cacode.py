@@ -69,7 +69,7 @@ def test_unsupported_prn():
 
 def test_chip_sequence_rejects_non_pm1():
     with pytest.raises(ValueError):
-        ChipSequence(chips=np.array([1, 0, -1]), prn_id=1)
+        ChipSequence(chips=np.array([1, 0, -1]))
 
 
 def test_code_cached_and_read_only():
@@ -82,5 +82,5 @@ def test_code_cached_and_read_only():
 
 def test_user_chip_array_stays_writeable():
     chips = np.array([1, -1, 1], dtype=np.int8)
-    seq = ChipSequence(chips=chips, prn_id=1)
+    seq = ChipSequence(chips=chips)
     assert chips.flags.writeable and seq.chips.flags.writeable

@@ -236,9 +236,24 @@ class TestTrack:
                         {"sat_id": "B", "f": -0.5, "h": 0.1}]},
         [{"sat_id": "A", "f": float("nan"), "h": 0.1},
          {"sat_id": "B", "f": -0.5, "h": 0.1}],
+        # numbers in strings, a boolean and an integer past the float range
+        # are not numbers, though float() reads the first three
+        [{"sat_id": "A", "f": "-0.5", "h": 0.1},
+         {"sat_id": "B", "f": 0.8, "h": -0.2}],
+        [{"sat_id": "A", "f": -0.5, "h": False},
+         {"sat_id": "B", "f": 0.8, "h": -0.2}],
+        [{"sat_id": "A", "elevation": "30", "azimuth": 270.0},
+         {"sat_id": "B", "elevation": 45.0, "azimuth": 150.0}],
+        {"track_azimuth_deg": "90",
+         "satellites": [{"sat_id": "A", "f": -0.5, "h": 0.1},
+                        {"sat_id": "B", "f": 0.8, "h": -0.2}]},
+        [{"sat_id": "A", "f": 10 ** 400, "h": 0.1},
+         {"sat_id": "B", "f": 0.8, "h": -0.2}],
     ], ids=["number", "list_of_numbers", "satellites_not_list",
             "satellites_missing", "null_h", "missing_h", "string_elevation",
-            "string_azimuth", "nan_f"])
+            "string_azimuth", "nan_f", "numeric_string_f", "bool_h",
+            "numeric_string_elevation", "numeric_string_track_azimuth",
+            "huge_int_f"])
     def test_malformed_geometry_exits_two(self, tmp_path, capsys, payload):
         path = tmp_path / "geometry.json"
         path.write_text(json.dumps(payload))

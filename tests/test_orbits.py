@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from navbound.constants import GM_EARTH, OMEGA_EARTH, WGS84_A, WGS84_B
-from navbound.orbits import (EphemerisError, EphemerisRecord, GpsTime,
-                             RinexParseError, SiteLocation, _kepler_array,
+from navbound.orbits import (VALIDITY_WINDOW, EphemerisError, EphemerisRecord,
+                             GpsTime, RinexParseError, SiteLocation, _kepler_array,
                              ecef_to_enu, enu_rotation, geodetic_to_ecef,
                              parse_position_csv, parse_rinex_nav,
                              position_grid, prepare_grid, sat_position_ecef,
@@ -105,6 +105,17 @@ class TestSatPosition:
         eph = circular_record()
         with pytest.raises(EphemerisError):
             sat_position_ecef(eph, eph.toe.add_seconds(5 * 3600.0))
+
+    def test_validity_window_is_one_constant(self):
+        # the 4 h window is shared by every record, not a per-record setting
+        eph = circular_record()
+        assert eph.validity_window == VALIDITY_WINDOW == 14400.0
+        with pytest.raises(TypeError):
+            circular_record(validity_window=7200.0)
+        for dt_s in (-VALIDITY_WINDOW, VALIDITY_WINDOW):
+            sat_position_ecef(eph, eph.toe.add_seconds(dt_s))
+            with pytest.raises(EphemerisError):
+                sat_position_ecef(eph, eph.toe.add_seconds(dt_s * (1 + 1e-6)))
 
     def test_eccentricity_validation(self):
         with pytest.raises(ValueError):
@@ -727,6 +738,31 @@ class TestPositionGrid:
             assert np.abs(grid[0, 0] - sat_position_ecef(first, t)).max() <= 1e-6
         apart = sat_position_ecef(early, t) - sat_position_ecef(late, t)
         assert np.abs(apart).max() > 1e6
+
+    def test_unhealthy_record_between_healthy_ones(self):
+        # file order: healthy 1 h after t, unhealthy at t, healthy 1 h before.
+        # At t the nearest record is unhealthy and the healthy two tie: the
+        # first in file order serves.
+        t = GpsTime(1750, 345600.0)
+        late = circular_record(toe_sow=t.seconds_of_week + 3600.0, m0=0.7)
+        sick = circular_record(toe_sow=t.seconds_of_week, m0=1.3, health=1)
+        early = circular_record(toe_sow=t.seconds_of_week - 3600.0, m0=0.1)
+        records = [late, sick, early]
+        _, grid = position_grid(records, [t.total_seconds()])
+        assert np.abs(grid[0, 0] - sat_position_ecef(late, t)).max() <= 1e-6
+        for other in (sick, early):
+            apart = sat_position_ecef(other, t) - sat_position_ecef(late, t)
+            assert np.abs(apart).max() > 1e6
+        # at each record's window edges, and just past them, the grid is
+        # the scalar oracle's
+        edges = [r.toe.add_seconds(dt_s) for r in records for dt_s in
+                 (-VALIDITY_WINDOW - 1e-3, -VALIDITY_WINDOW, 0.0,
+                  VALIDITY_WINDOW, VALIDITY_WINDOW + 1e-3)]
+        _, grid = position_grid(records, seconds(edges))
+        _, oracle = scalar_grid(records, edges)
+        assert np.array_equal(np.isnan(grid), np.isnan(oracle))
+        assert np.isnan(oracle).any() and not np.isnan(oracle).all()
+        assert np.nanmax(np.abs(grid - oracle)) <= 1e-6
 
     def test_kernel_matches_solve_kepler(self):
         m = np.linspace(-40.0, 40.0, 801)

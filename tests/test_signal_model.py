@@ -208,7 +208,7 @@ class TestFusedKernel:
                                     samples_per_chip, frac, on_edge, orders):
         # A truncated C/A code keeps each example small; codes shorter than
         # the chip window wrap more than once.
-        code = ChipSequence(generate_ca_code(prn).chips[:length], prn)
+        code = ChipSequence(generate_ca_code(prn).chips[:length])
         tc = code.chip_duration
         n = length * samples_per_chip
         spec = WaveformSpec(code=code, pulse_smoothing=smoothing * tc,
