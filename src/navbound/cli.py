@@ -22,6 +22,7 @@ import functools
 import json
 import logging
 import math
+import reprlib
 import sys
 
 from . import scan as scan_mod
@@ -86,25 +87,26 @@ def _finite(value, name: str) -> float:
     except OverflowError:  # an integer beyond the float range
         number = math.nan
     if not math.isfinite(number):
-        raise ValueError(f"geometry: {name} must be a finite number, got {value!r}")
+        raise ValueError(f"geometry: {name} must be a finite number, "
+                         f"got {reprlib.repr(value)}")  # at most 40 characters
     return number
 
 
 def _load_geometry(path: str) -> list[SatGeometry]:
     with open(path) as f:
-        data = json.load(f)
+        try:
+            data = json.load(f)
+        except ValueError as exc:  # also an integer past Python's digit limit
+            raise ValueError(f"geometry: not valid JSON: {exc}") from None
     if isinstance(data, dict):
-        track_azimuth = math.radians(_finite(data.get("track_azimuth_deg", 90.0),
-                                             "track_azimuth_deg"))
-        sats_raw = data.get("satellites")
+        azimuth, sats_raw = data.get("track_azimuth_deg", 90.0), data.get("satellites")
     else:
-        track_azimuth = math.radians(90.0)
-        sats_raw = data
+        azimuth, sats_raw = 90.0, data
+    frame = frenet_frame(math.radians(_finite(azimuth, "track_azimuth_deg")))
     if not (isinstance(sats_raw, list)
             and all(isinstance(rec, dict) for rec in sats_raw)):
         raise ValueError("geometry must be a list of satellite objects or "
                          "{\"satellites\": [...]}")
-    frame = frenet_frame(track_azimuth)
     sats = []
     for rec in sats_raw:
         sat_id = str(rec.get("sat_id", len(sats) + 1))

@@ -20,8 +20,6 @@ import numpy as np
 from .cacode import ChipSequence, generate_ca_code
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-# scipy's ndtr rounds to exactly 1.0 from about 8.29 up
-_PHI_IS_ONE = 9.0
 _ROUNDING = 64 * np.finfo(float).eps
 _NEWTON_PASSES = 50
 
@@ -151,16 +149,16 @@ def _waveforms(spec: WaveformSpec, tau: float, orders) -> tuple:
     """Complex samples of w, w' and/or w'' at kT - tau, k = 1..num_samples.
 
     The rectangular chip train convolved with a Gaussian of std s has the
-    closed form sum_j c_j [Phi((t-jTc)/s) - Phi((t-(j+1)Tc)/s)]; only
-    boundaries within a few s of t contribute, so the sum is truncated to
-    a window of neighbouring chips. Its delay derivatives are analytic
-    (Gaussian density terms). All requested orders share one set of
-    chip-boundary arguments b = (t - J Tc)/s, J = j0-half .. j0+half+1,
-    held boundary-major: a chip's left argument is b[:-1] and its right
-    argument b[1:]. Order 0 needs only Phi(b), orders 1 and 2 only the
-    density of b. Each order's chip terms are accumulated row by row,
-    left to right, as numpy sums a row of fewer than 8 terms; windows of
-    8 or more terms keep numpy's (pairwise) row sum. Either way every
+    closed form sum_j c_j [Phi((t-jTc)/s) - Phi((t-(j+1)Tc)/s)], with
+    analytic delay derivatives. The Gaussian is truncated at 10 s: a sample
+    in chip j0 sums chips j0-half .. j0+half, half = ceil(10 s / Tc), whose
+    two outer boundaries take Phi = 1 (left), 0 (right) and density 0. A
+    sample moves by at most ~Phi(-10) = 7.6e-24 at unit amplitude, phi(10)/s
+    in w' and 10 phi(10)/s^2 in w''. Only the 2 half inner boundaries get
+    arguments b = (t - J Tc)/s, Phi (order 0) or the density (orders 1, 2):
+    2 rows and 3 chip terms at the default 0.1-chip smoothing. Chip terms
+    are summed row by row, left to right, as numpy sums a row of fewer than
+    8 terms; windows of 8 or more keep numpy's (pairwise) row sum, so every
     sample is the sum numpy gives for the same terms along a sample row.
     Returns one array per entry of `orders`, in that order.
     """
@@ -173,10 +171,10 @@ def _waveforms(spec: WaveformSpec, tau: float, orders) -> tuple:
     x = np.fmod(t, spec.code_period)
     x += (x < 0) * spec.code_period
     j0 = np.floor(x / tc)
-    half = max(2, int(math.ceil(10.0 * s / tc)) + 1)
-    offsets = np.arange(-half, half + 2)
+    half = int(math.ceil(10.0 * s / tc))
 
-    b = np.add.outer(offsets.astype(np.float64), j0)
+    # inner boundary rows; with the two outer rows, a chip is rows [:-1] and [1:]
+    b = np.add.outer(np.arange(1 - half, half + 1, dtype=np.float64), j0)
     b *= tc
     np.subtract(x, b, out=b)
     b /= s
@@ -186,6 +184,7 @@ def _waveforms(spec: WaveformSpec, tau: float, orders) -> tuple:
     c = padded.astype(np.float64)[np.add.outer(np.arange(2 * half + 1),
                                                j0.astype(np.intp))]
     terms = np.empty_like(c)
+    rows = (2 * half + 2, len(x))
 
     def chip_sum(first, second):
         np.subtract(first, second, out=terms)
@@ -206,21 +205,20 @@ def _waveforms(spec: WaveformSpec, tau: float, orders) -> tuple:
         # synthesize w itself start without it
         from scipy.special import ndtr
 
-        # row k has b >= (half - k) Tc / s less rounding; from 9 up Phi is 1.0
-        ones = int(np.count_nonzero(-offsets * tc / s >= _PHI_IS_ONE))
-        cdf = np.empty_like(b)
-        cdf[:ones] = 1.0
-        ndtr(b[ones:], out=cdf[ones:])
+        cdf = np.zeros(rows)
+        cdf[0] = 1.0
+        ndtr(b, out=cdf[1:-1])
         m[0] = chip_sum(cdf[:-1], cdf[1:])
     if 1 in orders or 2 in orders:
-        pdf = np.multiply(b, -0.5)
-        pdf *= b
-        np.exp(pdf, out=pdf)
-        pdf /= _SQRT_2PI
+        pdf = np.zeros(rows)
+        inner = np.multiply(b, -0.5, out=pdf[1:-1])
+        inner *= b
+        np.exp(inner, out=inner)
+        inner /= _SQRT_2PI
         if 1 in orders:
             m[1] = chip_sum(pdf[:-1], pdf[1:]) / s
         if 2 in orders:
-            pdf *= b  # b * density: the chip term is -u pu + v pv
+            inner *= b  # b * density: the chip term is -u pu + v pv
             m[2] = chip_sum(pdf[1:], pdf[:-1]) / (s * s)
     # astype keeps the sign of a zero, where + 0j would turn -0.0 into +0.0
     return tuple(m[k].astype(np.complex128) for k in orders)

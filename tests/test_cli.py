@@ -41,6 +41,12 @@ def write_geometry(tmp_path, sats, track_azimuth_deg=None):
     return str(path)
 
 
+def _two_sats_text(f):
+    """A two-satellite geometry file with f of the first written as given."""
+    return (f'[{{"sat_id": "A", "f": {f}, "h": 0.1}}, '
+            '{"sat_id": "B", "f": 0.8, "h": 0.2}]')
+
+
 class TestCode:
     def test_csv(self, capsys):
         assert run(["code", "--prn", "1"]) == EXIT_OK
@@ -262,6 +268,26 @@ class TestTrack:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert "geometry" in captured.err
+
+    @pytest.mark.parametrize("text, message", [
+        (_two_sats_text("1" + "0" * 400),
+         "geometry: f must be a finite number, got 1000"),
+        (_two_sats_text("1" + "0" * 5000),
+         "geometry: not valid JSON: Exceeds the limit"),
+        (_two_sats_text("0.5")[:-2], "geometry: not valid JSON: Expecting"),
+    ], ids=["401_digit_f", "5001_digit_f", "truncated"])
+    def test_unreadable_geometry_gives_one_short_line(self, tmp_path, capsys,
+                                                      text, message):
+        # the value is echoed at most 40 characters long, and a file json
+        # cannot read (an integer past Python's 4300-digit limit included)
+        # is named as such
+        path = tmp_path / "geometry.json"
+        path.write_text(text)
+        assert run(["track", "--geometry", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message)
+        assert captured.err.count("\n") == 1 and len(captured.err) <= 200
 
     @pytest.mark.parametrize("elevation", [100.0, -90.5])
     def test_elevation_out_of_range_exits_two(self, tmp_path, capsys, elevation):

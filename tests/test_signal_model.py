@@ -111,42 +111,55 @@ class TestWaveform:
 
 def _window_half(spec):
     """Chips on each side of a sample's own chip in the truncated sum."""
-    return max(2, int(math.ceil(10.0 * spec.pulse_smoothing / spec.chip_duration)) + 1)
+    return int(math.ceil(10.0 * spec.pulse_smoothing / spec.chip_duration))
 
 
-def _per_order_waveform(spec, tau, order):
-    """One order of w at kT - tau, from its own chip window and arguments.
+def _chip_terms(spec, tau, order, half, truncate=True):
+    """The (num_samples, 2 half + 1) chip terms of one order of w at kT - tau.
 
-    Left and right chip-boundary arguments are computed separately and
-    each order is a separate pass: an independent reference for the
-    shared-argument kernel, which must reproduce it bit for bit.
+    With truncate, the window's two outer boundaries are the truncation
+    points of the Gaussian: Phi is 1 at the left one and 0 at the right
+    one, with density 0 at both. Without it this is the plain formula.
+    Order 1 and 2 terms are not yet divided by s and s^2.
     """
     t = np.arange(1, spec.num_samples + 1) * spec.sampling_period - tau
     chips = spec.code.chips.astype(np.float64)
     tc, s = spec.chip_duration, spec.pulse_smoothing
     x = np.mod(t, spec.code_period)
     j0 = np.floor(x / tc).astype(np.int64)
-    half = _window_half(spec)
     j = j0[:, None] + np.arange(-half, half + 1)[None, :]
     c = chips[np.mod(j, len(chips))]
     u = (x[:, None] - j * tc) / s
     v = (x[:, None] - (j + 1) * tc) / s
     if order == 0:
-        m = np.sum(c * (ndtr(u) - ndtr(v)), axis=1)
-    else:
-        pu = np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
-        pv = np.exp(-0.5 * v * v) / math.sqrt(2.0 * math.pi)
-        if order == 1:
-            m = np.sum(c * (pu - pv), axis=1) / s
-        else:
-            m = np.sum(c * (-u * pu + v * pv), axis=1) / (s * s)
+        fu, fv = ndtr(u), ndtr(v)
+        if truncate:
+            fu[:, 0], fv[:, -1] = 1.0, 0.0
+        return c * (fu - fv)
+    pu = np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+    pv = np.exp(-0.5 * v * v) / math.sqrt(2.0 * math.pi)
+    if truncate:
+        pu[:, 0], pv[:, -1] = 0.0, 0.0
+    return c * (pu - pv) if order == 1 else c * (-u * pu + v * pv)
+
+
+def _per_order_waveform(spec, tau, order, half=None):
+    """One order of w at kT - tau, from its own chip window and arguments.
+
+    Left and right chip-boundary arguments are computed separately and
+    each order is a separate pass: an independent reference for the
+    shared-argument kernel, which must reproduce it bit for bit.
+    """
+    half = _window_half(spec) if half is None else half
+    s = spec.pulse_smoothing
+    m = np.sum(_chip_terms(spec, tau, order, half), axis=1) / (1.0, s, s * s)[order]
     return m.astype(complex)
 
 
 def _fractional_spec():
     """3000 samples over one period: 2.93... samples per chip."""
     code = generate_ca_code(17)
-    return WaveformSpec(code=code, pulse_smoothing=0.25 * code.chip_duration,
+    return WaveformSpec(code=code, pulse_smoothing=0.35 * code.chip_duration,
                         sampling_period=code.period / 3000, num_samples=3000)
 
 
@@ -158,7 +171,7 @@ _KERNEL_CASES = {
     "wrap_zero": (lambda: default_spec(9), 0.0),
     "wrap_period": (lambda: default_spec(9), 1.0),
     "wrap_before": (lambda: default_spec(9), -1 / 4092),
-    "seven_terms": (lambda: default_spec(14, pulse_smoothing_chips=0.2), 0.52),
+    "seven_terms": (lambda: default_spec(14, pulse_smoothing_chips=0.3), 0.52),
     "wide_smoothing": (lambda: default_spec(12, pulse_smoothing_chips=1.0), 0.27),
     "narrow_smoothing": (lambda: default_spec(6, pulse_smoothing_chips=0.01), 0.18),
     "fractional_rate": (_fractional_spec, 0.43),
@@ -185,9 +198,9 @@ class TestFusedKernel:
         # the two ways of summing a window's 2 half + 1 chip terms: the
         # widest window below 8 terms, and the narrowest above it
         if case == "seven_terms":
-            assert _window_half(spec) == 3  # 10 s / Tc is exactly 2.0
+            assert _window_half(spec) == 3  # 10 s / Tc is exactly 3.0
         if case == "fractional_rate":
-            assert _window_half(spec) == 4
+            assert _window_half(spec) == 4  # 10 s / Tc is 3.5
         if case == "narrow_smoothing":
             # densities underflow mid-chip, so w' is exactly zero there; in
             # a run of -1 chips every term is -0.0, and the sum is +0.0
@@ -226,6 +239,90 @@ class TestFusedKernel:
             - 11 / 1023 * spec.code_period
         frac = np.mod(t, spec.code_period) / spec.chip_duration
         assert np.sum(np.abs(frac - np.round(frac)) < 1e-9) >= spec.num_samples // 4
+
+
+def _untruncated(spec, tau, order):
+    """One order of w from the plain formula over half + 4 chips a side, and
+    the per-sample bound on its distance from the kernel.
+
+    Against the infinite chip sum, the kernel's truncation at its outer
+    boundaries (|u| >= 10) costs at most 2 F(10) a side: the dropped tail
+    telescopes to at most F(10), and the outer value set to 1 or 0 moves by
+    as much. F(u) is Phi(-u) for w, phi(u)/s for w' and u phi(u)/s^2 for
+    w'' (u phi(u) falls monotonically past u = 1). The reference only drops
+    its tails, past 10 + 4 Tc/s: F(10 + 4 Tc/s) a side. The two row sums
+    (at most n terms each) and the division by s or s^2 round apart by at
+    most (n + 1) eps sum|term|; the bound allows twice that.
+    """
+    s = spec.pulse_smoothing
+    terms = _chip_terms(spec, tau, order, _window_half(spec) + 4, truncate=False)
+    scale = (1.0, s, s * s)[order]
+
+    def tail(u):
+        pdf = math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+        return (ndtr(-u), pdf / s, u * pdf / (s * s))[order]
+
+    truncation = 4 * tail(10.0) + 2 * tail(10.0 + 4 * spec.chip_duration / s)
+    n = terms.shape[1]
+    rounding = 2 * (n + 1) * np.finfo(float).eps * np.sum(np.abs(terms), axis=1) / scale
+    return np.sum(terms, axis=1) / scale, truncation + rounding
+
+
+# smoothing in chips for PRN 1-7; the other PRNs draw theirs log-uniformly
+_TRUNCATION_SMOOTHINGS = (0.01, 0.1, 0.2, 0.3, 0.35, 1.0, 3.0)
+
+
+class TestTruncation:
+    """The kernel's 10 s truncation against the untruncated chip sum."""
+
+    @pytest.mark.parametrize("prn", range(1, 33))
+    def test_within_bound_of_untruncated_sum(self, prn):
+        rng = np.random.default_rng(prn)
+        smoothing = (_TRUNCATION_SMOOTHINGS[prn - 1] if prn <= 7
+                     else math.exp(rng.uniform(math.log(0.01), math.log(3.0))))
+        spec = default_spec(prn, pulse_smoothing_chips=smoothing,
+                            samples_per_chip=int(rng.integers(1, 6)))
+        period, tc = spec.code_period, spec.chip_duration
+        taus = (rng.uniform(-period, 2 * period),  # anywhere
+                int(rng.integers(-1023, 2047)) * tc,  # on a chip edge
+                (0.0, period, -spec.sampling_period)[prn % 3])  # at a wrap
+        for tau in taus:
+            for order, got in zip((0, 1, 2), _waveforms(spec, tau, (0, 1, 2))):
+                ref, bound = _untruncated(spec, tau, order)
+                assert np.all(got.imag == 0)
+                assert np.all(np.abs(got.real - ref) <= bound), (tau, order)
+
+    @pytest.mark.parametrize("smoothing", [0.01, 0.1, 0.2, 0.3])
+    def test_bound_detects_one_chip_narrower_window(self, smoothing):
+        # Truncating a chip closer puts the outer boundaries as near as
+        # 10 s - Tc to a sample, and the bound above catches that.
+        spec = default_spec(5, pulse_smoothing_chips=smoothing)
+        tau = 0.41 * spec.code_period
+        for order in (0, 1, 2):
+            ref, bound = _untruncated(spec, tau, order)
+            narrow = _per_order_waveform(spec, tau, order, _window_half(spec) - 1)
+            assert np.any(np.abs(narrow.real - ref) > bound), order
+
+    def test_phi_and_density_on_two_rows_at_the_default_spec(self, monkeypatch):
+        # One row per inner chip boundary, two at 0.1-chip smoothing: the
+        # window's outer boundaries never reach ndtr or exp.
+        import scipy.special
+
+        calls = {"ndtr": [], "exp": []}
+
+        def recording(name, real):
+            def record(arg, out=None):
+                calls[name].append(arg.size)
+                return real(arg, out=out)
+            return record
+
+        monkeypatch.setattr(scipy.special, "ndtr", recording("ndtr", scipy.special.ndtr))
+        monkeypatch.setattr(np, "exp", recording("exp", np.exp))
+        spec = default_spec(1)
+        _waveforms(spec, 0.3 * spec.code_period, (0,))
+        assert calls == {"ndtr": [2 * 4092], "exp": []}
+        _waveforms(spec, 0.3 * spec.code_period, (1, 2))
+        assert calls == {"ndtr": [2 * 4092], "exp": [2 * 4092]}
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.01])
