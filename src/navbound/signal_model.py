@@ -49,7 +49,9 @@ class WaveformSpec:
     kernel convolved with the rectangular chip train; it must be strictly
     positive so the first and second delay derivatives exist everywhere.
     The capture spans a whole number of code periods, so a delay shift of
-    m samples circularly shifts the replica.
+    m samples circularly shifts the replica. num_samples * sampling_period
+    must lie within 1e-9 periods of that whole number, and the waveform
+    is synthesized at T = periods * code_period / num_samples exactly.
     """
 
     code: ChipSequence
@@ -154,44 +156,71 @@ def _waveforms(spec: WaveformSpec, tau: float, orders) -> tuple:
     in chip j0 sums chips j0-half .. j0+half, half = ceil(10 s / Tc), whose
     two outer boundaries take Phi = 1 (left), 0 (right) and density 0. A
     sample moves by at most ~Phi(-10) = 7.6e-24 at unit amplitude, phi(10)/s
-    in w' and 10 phi(10)/s^2 in w''. Only the 2 half inner boundaries get
-    arguments b = (t - J Tc)/s, Phi (order 0) or the density (orders 1, 2):
-    2 rows and 3 chip terms at the default 0.1-chip smoothing. Chip terms
-    are summed row by row, left to right, as numpy sums a row of fewer than
-    8 terms; windows of 8 or more keep numpy's (pairwise) row sum, so every
-    sample is the sum numpy gives for the same terms along a sample row.
-    Returns one array per entry of `orders`, in that order.
-    """
-    t = np.arange(1, spec.num_samples + 1) * spec.sampling_period - tau
-    tc = spec.chip_duration
-    s = spec.pulse_smoothing
+    in w' and 10 phi(10)/s^2 in w''.
 
-    # np.mod's result from a cheaper fmod: a negative remainder gains one
-    # period, and adding 0.0 to the others turns -0.0 into np.mod's +0.0
-    x = np.fmod(t, spec.code_period)
-    x += (x < 0) * spec.code_period
-    j0 = np.floor(x / tc)
+    The kernel takes T = periods P / N exactly, for the whole number of
+    code periods the capture spans. So T/Tc = p/q in lowest terms, and
+    sample k sits at chip k p/q - tau/Tc (mod L): its chip and its phase
+    R = k p mod q come from integers, and its offset within the chip is
+    R/q - frac(tau/Tc), plus one where that is negative. Each position
+    carries the one rounding of tau/Tc that all samples share and the
+    rounding of its phase's offset. The 2 half inner boundaries of a
+    phase get arguments b = (offset - r) / (s/Tc), r = 1-half .. half,
+    and Phi (order 0) or the density (orders 1, 2) run on that 2 half x q
+    table: 2 x 4 arguments at the default spec. A chip term is the
+    difference of two boundary values of its sample's phase, times the
+    chip. Chip terms are summed row by row, left to right, as numpy sums
+    a row of fewer than 8 terms; windows of 8 or more keep numpy's
+    (pairwise) row sum, so every sample is the sum numpy gives for the
+    same terms along a sample row. Samples are held phase-major and put
+    in time order as they are returned, one array per entry of `orders`,
+    in that order. No table or index outlives the call.
+    """
+    tc = spec.chip_duration
+    theta = tau / tc  # the delay in chips
+    if not math.isfinite(theta):
+        raise ValueError(f"delay tau={tau!r} s is not a finite number of chips")
+    chips = spec.code.chips
+    length, n = len(chips), spec.num_samples
+    periods = round(n * spec.sampling_period / spec.code_period)
+    g = math.gcd(periods * length, n)
+    p, q = periods * length // g, n // g
+    s = spec.pulse_smoothing
     half = int(math.ceil(10.0 * s / tc))
 
-    # inner boundary rows; with the two outer rows, a chip is rows [:-1] and [1:]
-    b = np.add.outer(np.arange(1 - half, half + 1, dtype=np.float64), j0)
-    b *= tc
-    np.subtract(x, b, out=b)
-    b /= s
-    # chip j0 + k - half for chip row k, read from a circularly padded copy
-    chips = spec.code.chips
-    padded = np.take(chips, np.arange(-half, len(chips) + half + 1), mode="wrap")
-    c = padded.astype(np.float64)[np.add.outer(np.arange(2 * half + 1),
-                                               j0.astype(np.intp))]
-    terms = np.empty_like(c)
-    rows = (2 * half + 2, len(x))
+    floor = math.floor(theta)
+    offset = np.arange(q) / q - (theta - floor)
+    before = offset < 0  # the sample lies in the chip before
+    offset += before
+    # Sample k = i q + j, j = 1..q, lies in chip i p + j p // q at phase
+    # j p % q, so samples are held phase-major, [slot j - 1, cycle i]. The
+    # window of chip j0 starts at chip j0 - half of the code tiled over
+    # periods + 1 + 2 ahead periods, `ahead` periods in; -floor % length
+    # puts the chip of delay zero in the first period. The strided view
+    # [row, x, i] -> tiled[row + x + i p] reads indices 0 to at most
+    # half - 1 + (periods + 1 + ahead) length, inside the tiles.
+    whole, phase = np.divmod(np.arange(1, q + 1) * p, q)
+    ahead = -(-(half + 1) // length)
+    start = whole - before[phase] + (-floor % length - half + ahead * length)
+    tiled = np.tile(chips.astype(np.float64), periods + 1 + 2 * ahead)
+    shape = (2 * half + 1, int(start.max()) + 1, n // q)
+    step = tiled.strides[0]
+    windows = np.lib.stride_tricks.as_strided(
+        tiled, shape, (step, step, p * step), writeable=False)
+    c = windows[:, start, :]
+
+    # inner boundary rows of the table; with the outer two, a chip is the
+    # difference of rows [:-1] and [1:]
+    b = np.add.outer(np.arange(half - 1, -half - 1, -1, dtype=np.float64), offset)
+    b /= s / tc
+    rows = (2 * half + 2, q)
+    terms = np.empty(c.shape)
 
     def chip_sum(first, second):
-        np.subtract(first, second, out=terms)
-        np.multiply(terms, c, out=terms)
+        np.multiply(c, (first - second)[:, phase, None], out=terms)
         if len(terms) >= 8:
             # numpy sums a row of 8 or more terms pairwise: keep its row sum
-            return np.ascontiguousarray(terms.T).sum(axis=1)
+            return np.ascontiguousarray(terms.transpose(1, 2, 0)).sum(axis=2)
         # below 8 terms numpy's row sum adds left to right from +0.0
         acc = terms[0] + terms[1]
         for row in terms[2:]:
@@ -221,7 +250,7 @@ def _waveforms(spec: WaveformSpec, tau: float, orders) -> tuple:
             inner *= b  # b * density: the chip term is -u pu + v pv
             m[2] = chip_sum(pdf[1:], pdf[:-1]) / (s * s)
     # astype keeps the sign of a zero, where + 0j would turn -0.0 into +0.0
-    return tuple(m[k].astype(np.complex128) for k in orders)
+    return tuple(m[k].T.astype(np.complex128, order="C").reshape(n) for k in orders)
 
 
 def sample_waveform(spec: WaveformSpec, tau: float, derivative_order: int = 0) -> SampledSignal:
@@ -414,6 +443,8 @@ def magnification_tau(z: SampledSignal, w: SampledSignal,
     condition doubles the real component only). Units: seconds of delay
     per unit interference norm.
     """
+    if not len(z) == len(w) == len(w1) == len(w2):
+        raise ValueError("signal lengths differ")
     _, denom, n1sq = _misfit_derivatives(*(s.samples for s in (z, w, w1, w2)))
     if abs(denom) < 1e-12 * n1sq:
         raise DegenerateCurvatureError(
@@ -430,9 +461,17 @@ def worst_interference(w1: SampledSignal, power: float) -> SampledSignal:
     """
     if not 0 < power < math.inf:
         raise ValueError("power must be positive and finite")
-    n1 = w1.norm()
-    if n1 == 0:
-        raise ValueError("zero derivative signal")
+    with np.errstate(over="ignore", under="ignore"):
+        n1 = w1.norm()
+    if not 0 < n1 < math.inf:
+        # the sum of squares over- or underflowed: take the norm of w' over
+        # its largest real or imaginary part, which lies in [1, sqrt(2 len)]
+        largest = float(np.max(np.abs(w1.samples.view(np.float64)), initial=0.0))
+        if largest == 0:
+            raise ValueError("zero derivative signal")
+        w1 = SampledSignal(w1.samples.real / largest
+                           + 1j * (w1.samples.imag / largest))
+        n1 = w1.norm()
     return w1.scaled(math.sqrt(power) / n1)
 
 

@@ -83,6 +83,37 @@ class TestInterference:
         assert shift >= 0.9 * payload["delta_tau_bound"]
         assert payload["m_tau"] > 0
 
+    @pytest.mark.parametrize("argv, want", [
+        (["--prn", "1", "--power", "1e-4"],
+         (3.0e-4, 7.87025154418191e-09, 7.870251544181922e-11,
+          -7.87165347552847e-11)),
+        (["--prn", "7", "--power", "3e-6", "--sigma", "0.01", "--seed", "42"],
+         (2.9999990703714614e-04, 8.126693359550425e-09,
+          1.4075845796273946e-11, -1.4076283541553103e-11)),
+        (["--prn", "12", "--power", "1e-8", "--sigma", "0.05", "--seed", "7",
+          "--tau", "0.000731"],
+         (7.310006333717554e-04, 6.465722638184841e-09,
+          6.465722638184823e-13, -6.46567218168248e-13)),
+        (["--prn", "19", "--power", "2.5e-3", "--sigma", "0.1", "--seed", "901",
+          "--tau", "1.25e-5"],
+         (1.2501049528737143e-05, 5.774598677804591e-09,
+          2.8872993389022705e-10, -2.885831731695395e-10)),
+        (["--prn", "26", "--power", "1e-5", "--sigma", "0.3", "--seed", "3",
+          "--tau", "0.000489"],
+         (4.890008147981583e-04, 5.387488775702385e-09,
+          1.7036735399811528e-11, -1.7036754710979263e-11)),
+        (["--prn", "32", "--power", "4e-7", "--sigma", "0.0", "--tau", "0.000999"],
+         (9.99e-04, 5.540955388428376e-09, 3.5044078881633253e-12,
+          -3.5043805964724006e-12))],
+        ids=["prn1_default", "prn7", "prn12", "prn19", "prn26", "prn32"])
+    def test_seeded_results_pinned(self, capsys, argv, want):
+        # A regression guard that holds on any machine: the output digest's
+        # bytes follow the BLAS and the CPU, these four fields to 1e-9 do not.
+        assert run(["interference", *argv, "--format", "json"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        fields = ("tau0", "m_tau", "delta_tau_bound", "delta_tau_empirical")
+        assert [payload[k] for k in fields] == pytest.approx(want, rel=1e-9, abs=0)
+
     def test_deterministic_with_seed(self, capsys):
         argv = ["interference", "--prn", "2", "--power", "1e-4",
                 "--sigma", "0.01", "--seed", "42", "--format", "json"]

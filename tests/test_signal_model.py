@@ -1,4 +1,7 @@
 import math
+import re
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -62,6 +65,18 @@ class TestWaveform:
         tol = 1e-6 * np.abs(exact).max()
         assert np.abs(fd - exact).max() <= tol
 
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf, 1e305])
+    def test_nonfinite_delay_raises_one_line(self, spec, tau):
+        # these gave a numpy RuntimeWarning, then an IndexError
+        zero = SampledSignal(np.zeros(spec.num_samples))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: sample_waveform(spec, tau, 0),
+                         lambda: perturbation_experiment(spec, tau, NoiseConfig(0.0), zero)):
+                with pytest.raises(ValueError, match=re.escape(
+                        f"delay tau={tau!r} s is not a finite number of chips")):
+                    call()
+
     def test_rejects_zero_smoothing(self, spec):
         with pytest.raises(ValueError):
             WaveformSpec(code=spec.code, pulse_smoothing=0.0,
@@ -114,23 +129,48 @@ def _window_half(spec):
     return int(math.ceil(10.0 * spec.pulse_smoothing / spec.chip_duration))
 
 
+def _sample_positions(spec, tau):
+    """(chip, offset) of each sample k = 1..num_samples, one by one.
+
+    The sampling period is periods P / N exactly, so sample k sits at
+    chip k periods L / N - tau/Tc. Its chip and the remainder come from
+    Python integers; the offset within the chip is remainder / N less the
+    fractional part of tau/Tc, plus one where that is negative (then the
+    sample lies in the chip before).
+    """
+    length, n = len(spec.code), spec.num_samples
+    periods = round(n * spec.sampling_period / spec.code_period)
+    theta = tau / spec.chip_duration
+    whole = math.floor(theta)
+    frac = theta - whole
+    chips, offsets = [], []
+    for k in range(1, n + 1):
+        chip, remainder = divmod(k * periods * length, n)
+        offset = remainder / n - frac
+        if offset < 0:
+            chip, offset = chip - 1, offset + 1.0
+        chips.append((chip - whole) % length)
+        offsets.append(offset)
+    return np.array(chips), np.array(offsets)
+
+
 def _chip_terms(spec, tau, order, half, truncate=True):
     """The (num_samples, 2 half + 1) chip terms of one order of w at kT - tau.
 
-    With truncate, the window's two outer boundaries are the truncation
-    points of the Gaussian: Phi is 1 at the left one and 0 at the right
-    one, with density 0 at both. Without it this is the plain formula.
-    Order 1 and 2 terms are not yet divided by s and s^2.
+    A boundary i chips right of a sample's chip has argument
+    (offset - i) / (s / Tc). With truncate, the window's two outer
+    boundaries are the truncation points of the Gaussian: Phi is 1 at the
+    left one and 0 at the right one, with density 0 at both. Without it
+    this is the plain formula. Order 1 and 2 terms are not yet divided by
+    s and s^2.
     """
-    t = np.arange(1, spec.num_samples + 1) * spec.sampling_period - tau
     chips = spec.code.chips.astype(np.float64)
-    tc, s = spec.chip_duration, spec.pulse_smoothing
-    x = np.mod(t, spec.code_period)
-    j0 = np.floor(x / tc).astype(np.int64)
-    j = j0[:, None] + np.arange(-half, half + 1)[None, :]
-    c = chips[np.mod(j, len(chips))]
-    u = (x[:, None] - j * tc) / s
-    v = (x[:, None] - (j + 1) * tc) / s
+    sigma = spec.pulse_smoothing / spec.chip_duration
+    j0, offset = _sample_positions(spec, tau)
+    i = np.arange(-half, half + 1)[None, :]
+    c = chips[np.mod(j0[:, None] + i, len(chips))]
+    u = (offset[:, None] - i) / sigma
+    v = (offset[:, None] - (i + 1)) / sigma
     if order == 0:
         fu, fv = ndtr(u), ndtr(v)
         if truncate:
@@ -254,8 +294,13 @@ def _untruncated(spec, tau, order):
     (at most n terms each) and the division by s or s^2 round apart by at
     most (n + 1) eps sum|term|; the bound allows twice that.
     """
-    s = spec.pulse_smoothing
     terms = _chip_terms(spec, tau, order, _window_half(spec) + 4, truncate=False)
+    return _untruncated_bound(spec, order, terms)
+
+
+def _untruncated_bound(spec, order, terms):
+    """_untruncated's reference and bound from its (num_samples, n) terms."""
+    s = spec.pulse_smoothing
     scale = (1.0, s, s * s)[order]
 
     def tail(u):
@@ -303,9 +348,15 @@ class TestTruncation:
             narrow = _per_order_waveform(spec, tau, order, _window_half(spec) - 1)
             assert np.any(np.abs(narrow.real - ref) > bound), order
 
-    def test_phi_and_density_on_two_rows_at_the_default_spec(self, monkeypatch):
-        # One row per inner chip boundary, two at 0.1-chip smoothing: the
-        # window's outer boundaries never reach ndtr or exp.
+    @pytest.mark.parametrize("make, phases, half", [
+        pytest.param(lambda: default_spec(1), 4, 1, id="default"),
+        pytest.param(lambda: default_spec(1, samples_per_chip=1), 1, 1,
+                     id="one_per_chip"),
+        pytest.param(_fractional_spec, 1000, 4, id="fractional_rate")])
+    def test_phi_and_density_once_per_phase(self, monkeypatch, make, phases, half):
+        # One argument per inner chip boundary and sub-chip sample phase:
+        # 2 x 4 at the default spec, not 2 per sample. The window's outer
+        # boundaries never reach ndtr or exp.
         import scipy.special
 
         calls = {"ndtr": [], "exp": []}
@@ -318,11 +369,127 @@ class TestTruncation:
 
         monkeypatch.setattr(scipy.special, "ndtr", recording("ndtr", scipy.special.ndtr))
         monkeypatch.setattr(np, "exp", recording("exp", np.exp))
-        spec = default_spec(1)
-        _waveforms(spec, 0.3 * spec.code_period, (0,))
-        assert calls == {"ndtr": [2 * 4092], "exp": []}
-        _waveforms(spec, 0.3 * spec.code_period, (1, 2))
-        assert calls == {"ndtr": [2 * 4092], "exp": [2 * 4092]}
+        spec = make()
+        assert _window_half(spec) == half
+        tau = 0.3 * spec.code_period
+        args = 2 * half * phases
+        _waveforms(spec, tau, (0, 1, 2))
+        assert calls == {"ndtr": [args], "exp": [args]}
+        _waveforms(spec, tau, (0,))
+        _waveforms(spec, tau, (1, 2))
+        assert calls == {"ndtr": [args, args], "exp": [args, args]}
+
+
+def _short_spec(prn, length, periods, num_samples, smoothing):
+    """A C/A code cut to `length` chips, sampled num_samples times over
+    `periods` periods, at `smoothing` chips."""
+    code = ChipSequence(generate_ca_code(prn).chips[:length])
+    return WaveformSpec(code=code, pulse_smoothing=smoothing * code.chip_duration,
+                        sampling_period=periods * code.period / num_samples,
+                        num_samples=num_samples)
+
+
+def _exact_reference(spec, tau):
+    """Orders 0, 1, 2 of w at exact sample positions, each with the
+    per-sample bound on the kernel's distance from it.
+
+    Sample k sits at chip k periods L / N - tau/Tc, a Fraction of the
+    floats tau and Tc. Each boundary argument u = (position - boundary) /
+    (s/Tc) is exact before its one rounding to a float. The chip sum is the
+    plain formula over half + 4 chips a side, as in _untruncated.
+
+    The kernel's position of a sample is off by at most delta =
+    eps/2 (|tau/Tc| + 4) chips: eps/2 |tau/Tc| from rounding tau/Tc, and
+    at most eps/2 each (all four are below one in magnitude) from the
+    fractional part of tau/Tc, its phase's R/q, their difference and the
+    one added to a negative offset. Its b = (offset - r) / (s/Tc) rounds
+    the difference, s/Tc and the quotient, and the reference rounds u
+    once, so the two arguments of a boundary differ by at most
+    D = delta / (s/Tc) + 3 eps |u|. The boundary's value F (Phi, phi or
+    u phi for orders 0, 1, 2) then moves by at most |F'(u)| D + D^2 / 2
+    (|F''| < 1 for all three), and each side evaluates it with relative
+    error at most 4 eps, plus eps u^2 / 2 for the density, whose exponent
+    -u^2/2 is rounded. A boundary enters two chip terms with chips c and
+    -c', so with weight at most 2. To that add the truncation and
+    summation rounding terms of _untruncated, and eps sum|term| for the
+    rounding of each term's difference, on both sides.
+    """
+    eps = np.finfo(float).eps
+    length, n = len(spec.code), spec.num_samples
+    periods = round(n * spec.sampling_period / spec.code_period)
+    s = spec.pulse_smoothing
+    theta = Fraction(tau) / Fraction(spec.chip_duration)
+    per_sigma = Fraction(spec.chip_duration) / Fraction(s)
+    half = _window_half(spec) + 4
+    j0, u = [], []
+    for k in range(1, n + 1):
+        x = (Fraction(k * periods * length, n) - theta) % length
+        j = math.floor(x)
+        j0.append(j)
+        u.append([float((x - j - i) * per_sigma) for i in range(-half, half + 2)])
+    u = np.array(u)
+    chips = spec.code.chips.astype(np.float64)
+    c = chips[np.mod(np.array(j0)[:, None] + np.arange(-half, half + 1), length)]
+    pdf = np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+    delta = eps / 2 * (abs(float(theta)) + 4)
+    slack = delta * float(per_sigma) + 3 * eps * np.abs(u)
+    values = (ndtr(u), pdf, u * pdf)
+    slopes = (pdf, -u * pdf, (1 - u * u) * pdf)
+    out = []
+    for order in (0, 1, 2):
+        f = values[order]
+        terms = c * (f[:, 1:] - f[:, :-1] if order == 2 else f[:, :-1] - f[:, 1:])
+        scale = (1.0, s, s * s)[order]
+        evaluation = eps * (4 + (order > 0) * u * u / 2) * np.abs(f)
+        arguments = np.sum(2 * (np.abs(slopes[order]) * slack + slack ** 2 / 2)
+                           + 4 * evaluation, axis=1)
+        _, untruncated = _untruncated_bound(spec, order, terms)
+        differences = eps * np.sum(np.abs(terms), axis=1) / scale
+        out.append((np.sum(terms, axis=1) / scale,
+                    untruncated + differences + arguments / scale))
+    return out
+
+
+_EXACT_CASES = {
+    "prn1": (lambda: default_spec(1), 0.3),
+    "prn17_wide": (lambda: default_spec(17, pulse_smoothing_chips=0.3), 0.3),
+    "fractional_rate": (_fractional_spec, 0.43),
+    # the window is wider than the 7-chip code
+    "wider_than_code": (lambda: _short_spec(5, 7, 2, 70, 3.0), -1.37),
+    # 1.86 chips per sample
+    "coarse": (lambda: _short_spec(23, 31, 3, 50, 0.2), 2.6),
+    "one_sample": (lambda: _short_spec(9, 5, 1, 1, 0.5), 0.77),
+    "chip_edge": (lambda: _short_spec(30, 11, 1, 33, 0.05), 4 / 11),
+    "far_delay": (lambda: _short_spec(12, 13, 1, 52, 0.1), 1000.25),
+}
+
+
+class TestExactPositions:
+    """The kernel against w at exact rational sample positions."""
+
+    @pytest.mark.parametrize("case", sorted(_EXACT_CASES))
+    def test_within_bound_of_exact_positions(self, case):
+        make, frac = _EXACT_CASES[case]
+        spec = make()
+        tau = frac * spec.code_period
+        got = _waveforms(spec, tau, (0, 1, 2))
+        for order, (ref, bound) in enumerate(_exact_reference(spec, tau)):
+            assert np.all(np.abs(got[order].real - ref) <= bound), order
+
+    @pytest.mark.parametrize("periods, rate", [(1, 1.0 + 1e-10), (2, 1.0 - 1e-10)])
+    def test_whole_period_snapping(self, periods, rate):
+        # A sampling period 1e-10 off periods P / N passes the spec's 1e-9
+        # whole-period check, and the kernel samples at periods P / N.
+        code = generate_ca_code(7)
+        n = 4 * periods * len(code)
+        exact, near = (WaveformSpec(code=code, pulse_smoothing=0.1 * code.chip_duration,
+                                    sampling_period=periods * code.period / n * r,
+                                    num_samples=n) for r in (1.0, rate))
+        assert near.sampling_period != exact.sampling_period
+        for tau in (0.0, 0.37 * code.period, -2.5 * code.chip_duration):
+            for a, b in zip(_waveforms(exact, tau, (0, 1, 2)),
+                            _waveforms(near, tau, (0, 1, 2))):
+                assert _same_bytes(a, b)
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.01])
@@ -526,6 +693,15 @@ class TestMagnificationTau:
         with pytest.raises(DegenerateCurvatureError):
             magnification_tau(z, w, w1, w2)
 
+    def test_signal_lengths_must_match(self, spec, tau_true):
+        # this raised numpy's "operands could not be broadcast" message
+        signals = [sample_waveform(spec, tau_true, k) for k in (0, 0, 1, 2)]
+        for i in range(4):
+            short = list(signals)
+            short[i] = SampledSignal(short[i].samples[:-1])
+            with pytest.raises(ValueError, match="^signal lengths differ$"):
+                magnification_tau(*short)
+
     def test_perturb_and_reestimate_agreement(self, spec, tau_true):
         z0 = sample_waveform(spec, tau_true, 0)
         zp = SampledSignal(
@@ -559,6 +735,20 @@ class TestWorstInterference:
         zero = SampledSignal(np.zeros(spec.num_samples))
         with pytest.raises(ValueError):
             worst_interference(zero, 1.0)
+
+    @pytest.mark.parametrize("scale", [1e200, 1.7e308, 1e-200, 2.0 ** -1060])
+    def test_norm_over_or_underflow(self, scale):
+        # ||w'||^2 overflowed to inf (an all-zero interference, with a
+        # warning) or underflowed to 0 ("zero derivative signal"). At
+        # 1.7e308 even |1 + 1j| overflows; the subnormal scale is a power of
+        # two, so the samples stay exact.
+        shape = np.array([1.0 + 1.0j, -0.5, 0.25j, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dy = worst_interference(SampledSignal(scale * shape), 2.0)
+        want = math.sqrt(2.0) * shape / np.linalg.norm(shape)
+        assert np.allclose(dy.samples, want, rtol=1e-12, atol=0)
+        assert dy.norm() ** 2 == pytest.approx(2.0, rel=1e-12)
 
     def test_bound_tightness(self, spec, tau_true):
         z = sample_waveform(spec, tau_true, 0)
