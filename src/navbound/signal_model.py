@@ -22,6 +22,7 @@ from .cacode import ChipSequence, generate_ca_code
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _ROUNDING = 64 * np.finfo(float).eps
 _NEWTON_PASSES = 50
+_TINY_SQUARES = np.finfo(float).tiny / np.finfo(float).eps
 
 
 def _is_int(value) -> bool:
@@ -148,7 +149,7 @@ class TauPerturbation:
 
 
 def _waveforms(spec: WaveformSpec, tau: float, orders) -> tuple:
-    """Complex samples of w, w' and/or w'' at kT - tau, k = 1..num_samples.
+    """Real (float64) samples of w, w' and/or w'' at kT - tau, k = 1..num_samples.
 
     The rectangular chip train convolved with a Gaussian of std s has the
     closed form sum_j c_j [Phi((t-jTc)/s) - Phi((t-(j+1)Tc)/s)], with
@@ -173,8 +174,10 @@ def _waveforms(spec: WaveformSpec, tau: float, orders) -> tuple:
     a row of fewer than 8 terms; windows of 8 or more keep numpy's
     (pairwise) row sum, so every sample is the sum numpy gives for the
     same terms along a sample row. Samples are held phase-major and put
-    in time order as they are returned, one array per entry of `orders`,
-    in that order. No table or index outlives the call.
+    in time order as they are returned, one float64 array per entry of
+    `orders`, in that order: the replica has unit amplitude and zero
+    phase, so every order is real, and only sample_waveform wraps one
+    into a complex SampledSignal. No table or index outlives the call.
     """
     tc = spec.chip_duration
     theta = tau / tc  # the delay in chips
@@ -249,8 +252,7 @@ def _waveforms(spec: WaveformSpec, tau: float, orders) -> tuple:
         if 2 in orders:
             inner *= b  # b * density: the chip term is -u pu + v pv
             m[2] = chip_sum(pdf[1:], pdf[:-1]) / (s * s)
-    # astype keeps the sign of a zero, where + 0j would turn -0.0 into +0.0
-    return tuple(m[k].T.astype(np.complex128, order="C").reshape(n) for k in orders)
+    return tuple(m[k].T.reshape(n) for k in orders)
 
 
 def sample_waveform(spec: WaveformSpec, tau: float, derivative_order: int = 0) -> SampledSignal:
@@ -268,24 +270,21 @@ def sample_waveform(spec: WaveformSpec, tau: float, derivative_order: int = 0) -
 class _Syntheses:
     """The syntheses of one delay experiment, shared by its estimates.
 
-    A clean and a perturbed estimate search the same window, so they
-    correlate against the same reference spectra, and the perturbed
-    estimate's first Newton pass usually starts at the clean estimate's
-    first delay. Entries are keyed by the exact delay, so a hit returns
-    what a fresh synthesis would. Made per experiment and dropped with it.
+    One table keyed by the exact delay holds the float64 (w, w', w'') of
+    each delay synthesized, so a hit returns what a fresh synthesis
+    would. A coarse reference is order 0 of its delay's entry, and only
+    its conjugate real FFT is kept beside it. The coarse grid passes
+    through the window centre, and an experiment centres its window on
+    the true delay, so the one synthesis there serves the clean signal,
+    both estimates' coarse reference and, when a coarse search lands on
+    the centre, that estimate's first Newton pass. Made per experiment
+    and dropped with it.
     """
 
     def __init__(self, spec: WaveformSpec):
         self.spec = spec
-        self._references = {}
         self._orders = {}
-
-    def reference(self, tau: float) -> tuple:
-        """(w(tau), conj(fft(w(tau)))) for the coarse correlation."""
-        if tau not in self._references:
-            w = sample_waveform(self.spec, tau, 0).samples
-            self._references[tau] = (w, np.conj(np.fft.fft(w)))
-        return self._references[tau]
+        self._spectra = {}
 
     def orders(self, tau: float) -> tuple:
         """(w, w', w'') at tau."""
@@ -293,13 +292,22 @@ class _Syntheses:
             self._orders[tau] = _waveforms(self.spec, tau, (0, 1, 2))
         return self._orders[tau]
 
+    def reference(self, tau: float) -> tuple:
+        """(w(tau), conj(rfft(w(tau)))) for the coarse correlation."""
+        w = self.orders(tau)[0]
+        if tau not in self._spectra:
+            self._spectra[tau] = np.conj(np.fft.rfft(w))
+        return w, self._spectra[tau]
+
 
 def _misfit_derivatives(z, w, w1, w2) -> tuple[float, float, float]:
     """(g, dg, ||w'||^2) of the misfit ||z - w||^2 / 2, given w, w' and w''.
 
     g = Re<z - w, w'> is the (sigma-free, sign-flipped) delay derivative of
     the log-likelihood and vanishes at the ML delay; the curvature
-    dg = ||w'||^2 + Re<w - z, w''> is positive at a proper minimum.
+    dg = ||w'||^2 + Re<w - z, w''> is positive at a proper minimum. The
+    arrays may be complex (magnification_tau) or real (the estimator's
+    Re z and replicas), where np.vdot is a real dot.
     """
     d = z - w
     n1sq = float(np.real(np.vdot(w1, w1)))
@@ -308,39 +316,47 @@ def _misfit_derivatives(z, w, w1, w2) -> tuple[float, float, float]:
     return g, dg, n1sq
 
 
-def _coarse_grid(z: np.ndarray, syntheses: _Syntheses, lo: float, hi: float) -> float:
-    """Least-misfit grid delay lo + i T / phases + m T in [lo, hi] to start Newton.
+def _coarse_grid(z: np.ndarray, syntheses: _Syntheses, lo: float, hi: float,
+                 centre: float) -> float:
+    """Least-misfit grid delay centre + i T / phases + m T in [lo, hi] to start Newton.
 
-    The capture spans whole code periods, so shifting tau by m sampling
-    periods T circularly shifts the replica: Re<w(ref + m T), z> for every
-    m comes from one circular correlation against w(ref), and its peak is
-    the least misfit of that sub-sample phase. At four or more samples per
-    chip one phase (the sample grid) suffices. Coarser sampling leaves few
-    sample phases per chip. When they all lie several smoothings s from
-    the nearest chip boundary the replica depends on the delay only
-    through Gaussian tails, and the misfit's dip at the true delay can be
-    a small fraction of s wide, beside a shoulder or a second minimum that
-    a quarter-chip grid would pick (past about 8.3 s the tails round away
-    and _ml_delay finds the delay unresolvable). There the phases are at
-    most s / 4 apart and are compared by their misfits themselves (where
-    the misfit is flat their correlations can differ by less than
-    rounding); the search is then repeated at 1/4 and 1/16 of that step
-    about the best point, so that Newton starts inside the convex basin.
+    z is the real part of the received signal, which the misfit's delay
+    dependence sees alone: the replica is real. The capture spans whole
+    code periods, so shifting tau by m sampling periods T circularly
+    shifts the replica: <w(ref + m T), z> for every m comes from one
+    circular correlation against w(ref), by real FFT, and its peak is the
+    least misfit of that sub-sample phase. The grid passes through
+    `centre` (m = 0 of the first phase), so when the peak lies there the
+    coarse delay is `centre` exactly and its synthesis is shared. At four
+    or more samples per chip one phase (the sample grid) suffices. Coarser
+    sampling leaves few sample phases per chip. When they all lie several
+    smoothings s from the nearest chip boundary the replica depends on the
+    delay only through Gaussian tails, and the misfit's dip at the true
+    delay can be a small fraction of s wide, beside a shoulder or a second
+    minimum that a quarter-chip grid would pick (past about 8.3 s the
+    tails round away and _ml_delay finds the delay unresolvable). There
+    the phases are at most s / 4 apart and are compared by their misfits
+    themselves (where the misfit is flat their correlations can differ by
+    less than rounding); the search is then repeated at 1/4 and 1/16 of
+    that step about the best point, so that Newton starts inside the
+    convex basin.
     """
     spec = syntheses.spec
+    n = len(z)
     period = spec.sampling_period
     quarter = spec.chip_duration / 4
     step = quarter if period <= quarter else min(quarter, spec.pulse_smoothing / 4)
     phases = 1 if period <= step else math.ceil(period / step)
-    zf = np.fft.fft(z)
+    zf = np.fft.rfft(z)
     peaks = []
     for i in range(phases):
-        ref = lo + i * period / phases
+        ref = centre + i * period / phases
         w, spectrum = syntheses.reference(ref)
-        corr = np.real(np.fft.ifft(zf * spectrum))
-        n_steps = int(math.floor((hi - ref) / period))
-        shifts = np.arange(0, min(n_steps, len(z) - 1) + 1)
-        m = shifts[np.argmax(corr[shifts])]
+        corr = np.fft.irfft(zf * spectrum, n)
+        first = math.ceil((lo - ref) / period)
+        last = min(math.floor((hi - ref) / period), first + n - 1)
+        shifts = np.arange(first, last + 1)
+        m = int(shifts[np.argmax(corr[shifts % n])])
         peaks.append((ref + m * period, w, m))
     if phases == 1:
         return peaks[0][0]
@@ -350,19 +366,21 @@ def _coarse_grid(z: np.ndarray, syntheses: _Syntheses, lo: float, hi: float) -> 
     for _ in range(2):
         step /= 4
         taus = tau + step * np.arange(-4, 5)
-        misfits = [np.linalg.norm(z - sample_waveform(spec, t, 0).samples)
-                   for t in taus]
+        misfits = [np.linalg.norm(z - _waveforms(spec, t, (0,))[0]) for t in taus]
         tau = float(taus[int(np.argmin(misfits))])
     return tau
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite iterate fails the checks
 def _ml_delay(z: SampledSignal, syntheses: _Syntheses,
-              search_window: tuple[float, float]):
+              search_window: tuple[float, float], centre: float):
     """ML delay with what the refinement saw at it.
 
-    Returns (tau0, (w, w', w'') at tau0, Newton passes, final residual
-    |Re<w - z, w'>| / ||w'||^2 with ||w'||^2 taken at the coarse delay).
+    The coarse grid passes through `centre`. Returns (tau0, (w, w', w'')
+    at tau0, Newton passes, final residual |Re<w - z, w'>| / ||w'||^2
+    with ||w'||^2 taken at the coarse delay). The replica is real, so
+    Re<z - w, w^(k)> = <Re z - w, w^(k)>: the search and the refinement
+    read Re z only.
     """
     spec = syntheses.spec
     lo, hi = search_window
@@ -375,8 +393,8 @@ def _ml_delay(z: SampledSignal, syntheses: _Syntheses,
     if len(z) != spec.num_samples:
         raise ValueError("signal length does not match spec.num_samples")
 
-    zs = z.samples
-    tau = _coarse_grid(zs, syntheses, lo, hi)
+    zs = np.ascontiguousarray(z.samples.real)
+    tau = _coarse_grid(zs, syntheses, lo, hi, centre)
 
     best_tau, best_g, best_w = tau, math.inf, None
     for iterations in range(1, _NEWTON_PASSES + 1):
@@ -431,7 +449,8 @@ def ml_delay_estimate(z: SampledSignal, spec: WaveformSpec,
     level. Raises DelayEstimationError when no such point is found, or
     when a millionth of a chip moves the replica at tau0 by less than rounding.
     """
-    return _ml_delay(z, _Syntheses(spec), search_window)[0]
+    lo, hi = search_window
+    return _ml_delay(z, _Syntheses(spec), search_window, (lo + hi) / 2)[0]
 
 
 def magnification_tau(z: SampledSignal, w: SampledSignal,
@@ -441,16 +460,30 @@ def magnification_tau(z: SampledSignal, w: SampledSignal,
     The real part makes the denominator the actual second derivative of
     the log-likelihood (the complex-conjugate pair in the stationarity
     condition doubles the real component only). Units: seconds of delay
-    per unit interference norm.
+    per unit interference norm. Where a sum of squares or products over-
+    or underflows, M is taken on the four signals scaled by the power of
+    two that puts their largest real or imaginary part in [0.5, 1), and
+    scaled back: it is homogeneous of degree -1 in them.
     """
     if not len(z) == len(w) == len(w1) == len(w2):
         raise ValueError("signal lengths differ")
-    _, denom, n1sq = _misfit_derivatives(*(s.samples for s in (z, w, w1, w2)))
-    if abs(denom) < 1e-12 * n1sq:
+    signals = [s.samples for s in (z, w, w1, w2)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, denom, n1sq = _misfit_derivatives(*signals)
+    exponent = 0
+    # at ||w'||^2 >= tiny / eps, products that underflowed (each off by at
+    # most tiny eps / 2) move the sums by a negligible fraction of an ulp
+    if not (_TINY_SQUARES <= n1sq < math.inf and math.isfinite(denom)):
+        parts = [s.view(np.float64) for s in signals]
+        exponent = math.frexp(max(float(np.max(np.abs(p), initial=0.0))
+                                  for p in parts))[1]
+        _, denom, n1sq = _misfit_derivatives(
+            *(np.ldexp(p, -exponent).view(np.complex128) for p in parts))
+    if abs(denom) <= 1e-12 * n1sq:  # all-zero signals too
         raise DegenerateCurvatureError(
             "likelihood curvature vanishes; no first-order bound exists"
         )
-    return math.sqrt(n1sq) / abs(denom)
+    return math.ldexp(math.sqrt(n1sq) / abs(denom), -exponent)
 
 
 def worst_interference(w1: SampledSignal, power: float) -> SampledSignal:
@@ -483,21 +516,26 @@ def perturbation_experiment(spec: WaveformSpec, tau_true: float,
     Simulates z = w(.-tau_true) + n, estimates the delay with and without
     the interference added over tau_true +- code_period / 2, and compares
     the shift against m_tau * ||dy||. Deterministic given the noise seed.
+    Both coarse grids pass through tau_true, so the one (w, w', w'')
+    synthesis there gives the clean signal and both coarse references,
+    and serves an estimate's first Newton pass when its coarse search
+    lands on tau_true.
     """
     if len(interference) != spec.num_samples:
         raise ValueError("interference length does not match spec.num_samples")
     half = spec.code_period / 2
     search_window = (tau_true - half, tau_true + half)
 
-    clean = sample_waveform(spec, tau_true, 0)
-    z = SampledSignal(clean.samples + noise.sample(spec.num_samples))
     syntheses = _Syntheses(spec)
-    tau0, waveforms, iter0, res0 = _ml_delay(z, syntheses, search_window)
+    clean = syntheses.orders(tau_true)[0]
+    z = SampledSignal(clean + noise.sample(spec.num_samples))
+    tau0, waveforms, iter0, res0 = _ml_delay(z, syntheses, search_window, tau_true)
     m_tau = magnification_tau(z, *map(SampledSignal, waveforms))
     bound = m_tau * interference.norm()
 
     z_pert = z + interference
-    tau_pert, _, iter_pert, res_pert = _ml_delay(z_pert, syntheses, search_window)
+    tau_pert, _, iter_pert, res_pert = _ml_delay(z_pert, syntheses, search_window,
+                                                 tau_true)
 
     return TauPerturbation(
         tau0=tau0,

@@ -192,8 +192,7 @@ def _per_order_waveform(spec, tau, order, half=None):
     """
     half = _window_half(spec) if half is None else half
     s = spec.pulse_smoothing
-    m = np.sum(_chip_terms(spec, tau, order, half), axis=1) / (1.0, s, s * s)[order]
-    return m.astype(complex)
+    return np.sum(_chip_terms(spec, tau, order, half), axis=1) / (1.0, s, s * s)[order]
 
 
 def _fractional_spec():
@@ -246,7 +245,9 @@ class TestFusedKernel:
             # a run of -1 chips every term is -0.0, and the sum is +0.0
             assert np.any(ref[1] == 0)
         for order in (0, 1, 2):
-            assert _same_bytes(sample_waveform(spec, tau, order).samples, ref[order])
+            # the public wrapper's complex cast keeps the sign of a zero
+            assert _same_bytes(sample_waveform(spec, tau, order).samples,
+                               ref[order].astype(np.complex128))
         fused = _waveforms(spec, tau, (0, 1, 2))
         for got, want in zip(fused, ref):
             assert _same_bytes(got, want)
@@ -334,8 +335,8 @@ class TestTruncation:
         for tau in taus:
             for order, got in zip((0, 1, 2), _waveforms(spec, tau, (0, 1, 2))):
                 ref, bound = _untruncated(spec, tau, order)
-                assert np.all(got.imag == 0)
-                assert np.all(np.abs(got.real - ref) <= bound), (tau, order)
+                assert got.dtype == np.float64
+                assert np.all(np.abs(got - ref) <= bound), (tau, order)
 
     @pytest.mark.parametrize("smoothing", [0.01, 0.1, 0.2, 0.3])
     def test_bound_detects_one_chip_narrower_window(self, smoothing):
@@ -346,7 +347,7 @@ class TestTruncation:
         for order in (0, 1, 2):
             ref, bound = _untruncated(spec, tau, order)
             narrow = _per_order_waveform(spec, tau, order, _window_half(spec) - 1)
-            assert np.any(np.abs(narrow.real - ref) > bound), order
+            assert np.any(np.abs(narrow - ref) > bound), order
 
     @pytest.mark.parametrize("make, phases, half", [
         pytest.param(lambda: default_spec(1), 4, 1, id="default"),
@@ -474,7 +475,7 @@ class TestExactPositions:
         tau = frac * spec.code_period
         got = _waveforms(spec, tau, (0, 1, 2))
         for order, (ref, bound) in enumerate(_exact_reference(spec, tau)):
-            assert np.all(np.abs(got[order].real - ref) <= bound), order
+            assert np.all(np.abs(got[order] - ref) <= bound), order
 
     @pytest.mark.parametrize("periods, rate", [(1, 1.0 + 1e-10), (2, 1.0 - 1e-10)])
     def test_whole_period_snapping(self, periods, rate):
@@ -591,6 +592,57 @@ class TestMlDelayEstimate:
                                     (tau - 6.3 * tc, tau + 5.1 * tc))
             assert abs(est - tau) <= 1e-6 * tc
 
+    def test_reads_real_part_only(self, spec, tau_true):
+        # The replica is real, so Re<z - w, w'> = <Re z - w, w'>: the
+        # imaginary part of z cannot move the estimate by a bit.
+        rng = np.random.default_rng(31)
+        w = sample_waveform(spec, tau_true, 0)
+        tc = spec.chip_duration
+        window = (tau_true - 300.2 * tc, tau_true + 411.7 * tc)
+        for sigma in (0.01, 0.3, 2.0):
+            z = w + SampledSignal(NoiseConfig(sigma, seed=int(rng.integers(1000)))
+                                  .sample(spec.num_samples))
+            real = SampledSignal(z.samples.real)
+            assert ml_delay_estimate(z, spec, window).hex() \
+                == ml_delay_estimate(real, spec, window).hex()
+
+    @pytest.mark.parametrize("periods, per_chip", [(1, 1), (2, 4)],
+                             ids=["odd_length", "two_periods"])
+    def test_coarse_correlation_matches_rolled_replica(self, monkeypatch,
+                                                       periods, per_chip):
+        # The real-FFT correlation against each coarse reference w, for
+        # every shift m, against the sum Re<roll(w, m), z> taken directly
+        code = generate_ca_code(11)
+        n = periods * len(code) * per_chip
+        spec = WaveformSpec(code=code, pulse_smoothing=0.1 * code.chip_duration,
+                            sampling_period=periods * code.period / n,
+                            num_samples=n)
+        tau = 0.37 * spec.code_period
+        z = sample_waveform(spec, tau, 0).samples \
+            + NoiseConfig(0.3, seed=periods).sample(n)
+        references, correlations = [], []
+        reference, irfft = _Syntheses.reference, np.fft.irfft
+
+        def recorded_reference(self, tau):
+            got = reference(self, tau)
+            references.append(got[0])
+            return got
+
+        def recorded_irfft(*args):
+            correlations.append(irfft(*args))
+            return correlations[-1]
+
+        monkeypatch.setattr(_Syntheses, "reference", recorded_reference)
+        monkeypatch.setattr(np.fft, "irfft", recorded_irfft)
+        ml_delay_estimate(SampledSignal(z), spec,
+                          (tau - 0.5 * spec.code_period, tau + 0.5 * spec.code_period))
+        assert len(references) == len(correlations) >= 1
+        for w, corr in list(zip(references, correlations))[:3]:
+            assert len(corr) == n
+            direct = [np.real(np.vdot(np.roll(w, m), z)) for m in range(n)]
+            scale = np.linalg.norm(w) * np.linalg.norm(z)
+            assert np.max(np.abs(corr - direct)) <= 1e-12 * scale
+
     def test_window_too_narrow(self, spec):
         z = sample_waveform(spec, 0.0, 0)
         with pytest.raises(DelayEstimationError):
@@ -617,12 +669,14 @@ class TestMlDelayEstimate:
         z = sample_waveform(spec, tau_true, 0).samples
         z = z + NoiseConfig(sigma=0.05, seed=3).sample(len(z))
         window = (0.0, spec.code_period)
-        # the Newton iterates, by hand from the coarse delay
-        taus = [signal_model._coarse_grid(z, _Syntheses(spec), *window)]
+        # the Newton iterates, by hand from the coarse delay, on Re z
+        taus = [signal_model._coarse_grid(np.ascontiguousarray(z.real),
+                                          _Syntheses(spec), *window,
+                                          spec.code_period / 2)]
         slopes = []
         for _ in range(passes):
             g, dg, _ = signal_model._misfit_derivatives(
-                z, *_waveforms(spec, taus[-1], (0, 1, 2)))
+                z.real, *_waveforms(spec, taus[-1], (0, 1, 2)))
             slopes.append(abs(g))
             taus.append(taus[-1] - g / dg)
         monkeypatch.setattr(signal_model, "_NEWTON_PASSES", passes)
@@ -637,7 +691,8 @@ class TestMlDelayEstimate:
         z = z + SampledSignal(NoiseConfig(sigma=0.05, seed=3).sample(len(z)))
         monkeypatch.setattr(signal_model, "_NEWTON_PASSES", 3)
         _, _, passes, residual = _ml_delay(z, _Syntheses(spec),
-                                           (0.0, spec.code_period))
+                                           (0.0, spec.code_period),
+                                           spec.code_period / 2)
         assert passes == 3
         assert residual <= 1e-9
 
@@ -692,6 +747,24 @@ class TestMagnificationTau:
         z = SampledSignal(w.samples + (n1sq / n2sq) * w2.samples)
         with pytest.raises(DegenerateCurvatureError):
             magnification_tau(z, w, w1, w2)
+        # all-zero signals: 0 / 0 raised ZeroDivisionError
+        zero = SampledSignal(np.zeros(spec.num_samples))
+        with pytest.raises(DegenerateCurvatureError):
+            magnification_tau(zero, zero, zero, zero)
+
+    @pytest.mark.parametrize("c", [1e150, 1e-164, 1e-170])
+    def test_homogeneity_past_overflow_and_underflow(self, spec, tau_true, c):
+        # ||w'||^2 overflowed to inf at 1e150 and gave NaN, with no warning;
+        # at 1e-170 the squares underflowed to 0 and M divided by zero; at
+        # 1e-164 they are subnormal and M was off by 2e-10
+        w, w1, w2 = (sample_waveform(spec, tau_true, k) for k in (0, 1, 2))
+        z = SampledSignal(
+            w.samples + NoiseConfig(sigma=0.02, seed=5).sample(len(w)))
+        m = magnification_tau(z, w, w1, w2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m_scaled = magnification_tau(*(s.scaled(c) for s in (z, w, w1, w2)))
+        assert m_scaled == pytest.approx(m / c, rel=1e-12, abs=0)
 
     def test_signal_lengths_must_match(self, spec, tau_true):
         # this raised numpy's "operands could not be broadcast" message
@@ -832,24 +905,32 @@ def _experiment_inputs(prn, tau_frac, seed):
 
 
 class TestSharedSyntheses:
-    """One experiment synthesizes each reference and Newton triple once."""
+    """One experiment synthesizes each delay once, all three orders."""
 
     def test_fewer_kernel_calls(self, monkeypatch):
         spec, tau, noise, dy = _experiment_inputs(5, 0.41, 3)
-        kernel = signal_model._waveforms
-        calls = []
+        kernel, coarse = signal_model._waveforms, signal_model._coarse_grid
+        calls, starts = [], []
 
         def counted(spec, tau, orders):
-            calls.append(tuple(orders))
+            calls.append((tau, tuple(orders)))
             return kernel(spec, tau, orders)
 
+        def recorded(*args):
+            starts.append(coarse(*args))
+            return starts[-1]
+
         monkeypatch.setattr(signal_model, "_waveforms", counted)
+        monkeypatch.setattr(signal_model, "_coarse_grid", recorded)
         result = perturbation_experiment(spec, tau, noise, dy)
-        # Without sharing: the clean signal, one coarse reference per
-        # estimate and one three-order synthesis per Newton pass.
-        unshared = 1 + 2 + sum(result.iterations)
-        assert len(calls) <= unshared - 2
-        assert calls.count((0,)) == 2  # the clean signal and one reference
+        # Both coarse searches land on the true delay, whose one synthesis
+        # gives the clean signal, both references and both first Newton
+        # passes; every other Newton pass synthesizes its own delay.
+        assert starts == [tau, tau]
+        assert calls[0] == (tau, (0, 1, 2))
+        assert [c for c in calls if c[0] == tau] == [(tau, (0, 1, 2))]
+        assert all(orders == (0, 1, 2) for _, orders in calls)
+        assert len(calls) == 1 + sum(result.iterations) - 2
 
     def test_matches_independent_estimates(self):
         spec, tau, noise, dy = _experiment_inputs(12, 0.73, 8)
@@ -862,8 +943,10 @@ class TestSharedSyntheses:
         tau1 = ml_delay_estimate(z + dy, spec, window)
         m_tau = magnification_tau(z, *(sample_waveform(spec, tau0, k)
                                        for k in (0, 1, 2)))
-        _, _, iter0, res0 = _ml_delay(z, _Syntheses(spec), window)
-        _, _, iter1, res1 = _ml_delay(z + dy, _Syntheses(spec), window)
+        centre = (window[0] + window[1]) / 2
+        assert centre == tau  # so every estimate's coarse grid is the experiment's
+        _, _, iter0, res0 = _ml_delay(z, _Syntheses(spec), window, centre)
+        _, _, iter1, res1 = _ml_delay(z + dy, _Syntheses(spec), window, centre)
         expected = [tau0, m_tau, m_tau * dy.norm(), tau1 - tau0,
                     iter0, iter1, res0, res1]
         got = [result.tau0, result.m_tau, result.delta_tau_bound,

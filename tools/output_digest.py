@@ -18,6 +18,13 @@ leaves every output byte-identical:
 
     python tools/output_digest.py           # one line: the digest
     python tools/output_digest.py --each    # also one digest per command
+    python tools/output_digest.py --fields  # the interference numbers
+
+`--fields` prints, instead of digests, one line per `interference` case
+that exits 0: its tau0, m_tau, delta_tau_bound and delta_tau_empirical
+(run with JSON output, so each to full precision), then its argv. Where
+a change moves these numbers, compare the two checkouts' lines field by
+field.
 
 The bits follow numpy's BLAS and the CPU, so compare runs on one machine.
 """
@@ -41,6 +48,8 @@ from navbound import cli  # noqa: E402
 from navbound.constants import CA_CODE_PERIOD  # noqa: E402
 
 NAV = str(ROOT / "tests" / "data" / "brdc2060.13n")
+SEED = 17
+FIELDS = ("tau0", "m_tau", "delta_tau_bound", "delta_tau_empirical")
 SITE = ["--lat", "34.75337", "--lon", "135.42783", "--height", "3.7"]
 
 
@@ -88,7 +97,7 @@ def _geometries(rng):
 
 
 def _cases(tmp):
-    rng = random.Random(17)
+    rng = random.Random(SEED)
     yield from (("", argv) for argv in _interference_cases(rng))
     for i, geometry in enumerate(_geometries(rng)):
         path = tmp / f"geometry{i}.json"
@@ -113,8 +122,21 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--each", action="store_true",
                         help="also print one digest per command")
+    parser.add_argument("--fields", action="store_true",
+                        help="print instead the four numbers of each "
+                             "interference case that exits 0, then its argv")
     args = parser.parse_args()
     logging.basicConfig(stream=_CurrentStderr(), level=logging.WARNING)
+    if args.fields:
+        for argv in _interference_cases(random.Random(SEED)):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.run(argv + ["--format", "json"])  # the last wins
+            if code == 0:
+                values = json.loads(out.getvalue())
+                print(*(repr(values[k]) for k in FIELDS), " ".join(argv))
+        return
     total = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmpdir:
         tmp = pathlib.Path(tmpdir)
