@@ -273,10 +273,12 @@ def solve_kepler(mean_anomaly: float, e: float) -> float:
 
 
 def _kepler_array(mean_anomaly: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """`solve_kepler` over 1-D arrays, step for step: the same reduction,
-    starting guess and Newton update, each element stopping at its own
-    |delta| <= _KEPLER_TOL. Raises EphemerisError if any element has not
-    converged after _KEPLER_MAX_ITER steps.
+    """`solve_kepler` over arrays of any shape, step for step: the same
+    reduction, starting guess and Newton update, each element stopping at
+    its own |delta| <= _KEPLER_TOL (a pass runs on whole arrays and leaves
+    stopped elements as they are). A NaN `e` marks a grid cell with no
+    record: NaN in, never stepped, NaN out. Raises EphemerisError if any
+    other element has not converged after _KEPLER_MAX_ITER steps.
     """
     two_pi = 2 * math.pi
     # math.remainder: fmod is exact and one fold into [-pi, pi] is exact by
@@ -284,17 +286,17 @@ def _kepler_array(mean_anomaly: np.ndarray, e: np.ndarray) -> np.ndarray:
     # math.remainder's; both name the same angle.
     m = np.fmod(mean_anomaly, two_pi)
     m = np.where(m > math.pi, m - two_pi, np.where(m < -math.pi, m + two_pi, m))
-    ecc = np.where(e < 0.8, m, math.pi)
-    todo = np.arange(m.size)
+    ecc = np.where(e >= 0.8, math.pi, m)
+    todo = ~np.isnan(e)
     for _ in range(_KEPLER_MAX_ITER):
-        ea, ee = ecc[todo], e[todo]
-        delta = (ea - ee * np.sin(ea) - m[todo]) / (1 - ee * np.cos(ea))
-        ecc[todo] = ea - delta
-        todo = todo[~(np.abs(delta) <= _KEPLER_TOL)]
-        if not todo.size:
+        delta = (ecc - e * np.sin(ecc) - m) / (1 - e * np.cos(ecc))
+        np.subtract(ecc, delta, out=ecc, where=todo)
+        todo &= ~(np.abs(delta) <= _KEPLER_TOL)
+        if not todo.any():
             return ecc
-    k = todo[0]
-    raise EphemerisError(f"Kepler iteration did not converge (e={e[k]}, M={m[k]})")
+    k = np.flatnonzero(todo)[0]
+    raise EphemerisError(f"Kepler iteration did not converge "
+                         f"(e={e.flat[k]}, M={m.flat[k]})")
 
 
 def sat_position_ecef(eph: EphemerisRecord, t: GpsTime) -> np.ndarray:
@@ -356,14 +358,22 @@ def enu_rotation(site: SiteLocation) -> np.ndarray:
     ])
 
 
+def vector_norm(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis, of length 3, of `x`. The sum
+    `(x0² + x1²) + x2²` is the one `np.linalg.norm(x, axis=-1)` forms, so
+    the bits are its bits, at a fraction of its cost on short rows."""
+    x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
+    return np.sqrt((x0 * x0 + x1 * x1) + x2 * x2)
+
+
 def ecef_to_enu(site: SiteLocation, point) -> tuple[np.ndarray, np.ndarray]:
     """ENU vectors of ECEF points (shape (..., 3)) about the site, and their
     elevations in degrees; a NaN point (no satellite position) gives NaN."""
     diff = np.asarray(point, dtype=float) - geodetic_to_ecef(site)
-    rng = np.linalg.norm(diff, axis=-1)
+    rng = vector_norm(diff)
     if np.any(rng == 0):
         raise ValueError("point coincides with the site")
-    enu = diff @ enu_rotation(site).T
+    enu = (diff.reshape(-1, 3) @ enu_rotation(site).T).reshape(diff.shape)
     # rounding can put a zenith point's ratio just above 1
     elevation = np.degrees(np.arcsin(np.clip(enu[..., 2] / rng, -1.0, 1.0)))
     return enu, elevation
@@ -453,8 +463,10 @@ def _floats(strings: list[str]) -> list[float]:
 
 def _week_seconds(strings: list[str]) -> list[float]:
     """GPS seconds at the start of each week, `int(week) * 604800` rounded
-    to a float once, as `int(week) * SECONDS_PER_WEEK + sow` rounds it."""
-    return list(map(float, map(SECONDS_PER_WEEK.__mul__, map(int, strings))))
+    to a float once, as `int(week) * SECONDS_PER_WEEK + sow` rounds it.
+    Each distinct string is converted once."""
+    seconds = {week: float(int(week) * SECONDS_PER_WEEK) for week in set(strings)}
+    return list(map(seconds.__getitem__, strings))
 
 
 def _column(strings: list[str], convert: Callable[[list[str]], list[float]],
@@ -530,10 +542,12 @@ def prepare_grid(source: PositionSource,
     for k, eph in enumerate(source):  # an unhealthy record is -1, as padding is
         by_sat.setdefault(eph.sat_id, []).append(-1 if eph.health else k)
     sat_ids = tuple(sorted(by_sat))
-    table = np.array([_elements(eph) for eph in source]).T
+    rows = list(map(_elements, source))
+    # one column per record, and a last all-NaN one that index -1 reads
+    table = np.array(rows + [[math.nan] * len(rows[0])]).T
     # records[slot, sat]: each satellite's records in file order, -1 padded
     records = np.array(list(zip_longest(*map(by_sat.get, sat_ids), fillvalue=-1)))
-    toe = np.where(records < 0, np.nan, table[0, records])  # NaN: never chosen
+    toe = table[0, records]  # NaN at -1: never chosen
 
     def ephemeris_grid(seconds: np.ndarray) -> np.ndarray:
         return _propagate(table, _nearest(seconds, records, toe), seconds, sat_ids)
@@ -557,11 +571,12 @@ def _nearest(seconds: np.ndarray, records: np.ndarray, toe: np.ndarray) -> np.nd
 @np.errstate(over="ignore", invalid="ignore")  # the finite check below reports
 def _propagate(table: np.ndarray, chosen: np.ndarray, seconds: np.ndarray,
                sat_ids: tuple[str, ...]) -> np.ndarray:
-    """The grid of `chosen[epoch, sat]` (a `table` column, -1 for none)."""
-    at_epoch, at_sat = np.nonzero(chosen >= 0)
+    """The grid of `chosen[epoch, sat]`, a `table` column. Every cell is
+    propagated: -1 reads the all-NaN column, so a cell with no record comes
+    out NaN with no mask or scatter."""
     (toe, a, n, m0, e, root_1me2, w_arg, cus, cuc, crs, crc, i0, idot,
-     cis, cic, omega0, node_rate, node_toe) = table[:, chosen[at_epoch, at_sat]]
-    tk = seconds[at_epoch] - toe
+     cis, cic, omega0, node_rate, node_toe) = table[:, chosen]
+    tk = seconds[:, None] - toe
     ecc_anom = _kepler_array(m0 + n * tk, e)
     sin_e, cos_e = np.sin(ecc_anom), np.cos(ecc_anom)
     phi = np.arctan2(root_1me2 * sin_e, cos_e - e) + w_arg
@@ -572,14 +587,15 @@ def _propagate(table: np.ndarray, chosen: np.ndarray, seconds: np.ndarray,
     x_orb, y_orb = r * np.cos(u), r * np.sin(u)
     node = omega0 + node_rate * tk - node_toe
     sn, cn, ci = np.sin(node), np.cos(node), np.cos(inc)
-    ecef = np.stack([x_orb * cn - y_orb * ci * sn, x_orb * sn + y_orb * ci * cn,
-                     y_orb * np.sin(inc)], axis=-1)
+    grid = np.empty((*chosen.shape, 3))
+    grid[..., 0] = x_orb * cn - y_orb * ci * sn
+    grid[..., 1] = x_orb * sn + y_orb * ci * cn
+    grid[..., 2] = y_orb * np.sin(inc)
     # where math.sin/cos would raise on an overflowed term, fail as loudly
-    bad = ~np.isfinite(ecef).all(axis=-1)
+    finite = np.isfinite(grid)
+    bad = ~(finite[..., 0] & finite[..., 1] & finite[..., 2]) & (chosen >= 0)
     if bad.any():
-        k = np.flatnonzero(bad)[0]
-        raise EphemerisError(f"{sat_ids[at_sat[k]]}: non-finite position "
+        k = np.flatnonzero(bad)[0] % len(sat_ids)
+        raise EphemerisError(f"{sat_ids[k]}: non-finite position "
                              f"propagated from its broadcast elements")
-    grid = np.full((len(seconds), len(sat_ids), 3), np.nan)
-    grid[at_epoch, at_sat] = ecef
     return grid

@@ -17,7 +17,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .constants import SECONDS_PER_WEEK
-from .orbits import GpsTime, PositionSource, SiteLocation, ecef_to_enu, prepare_grid
+from .orbits import (GpsTime, PositionSource, SiteLocation, ecef_to_enu, prepare_grid,
+                     vector_norm)
 from .track import directional_cosines, frenet_frame
 
 # Largest scan: one day at a 1 s step. A scan's columns take 32 B per epoch
@@ -111,7 +112,7 @@ def scan_ms(config: ScanConfig, source: PositionSource) -> ScanSeries:
         covered |= not np.isnan(ecef).all()
         enu, elevation = ecef_to_enu(config.site, ecef)
         vis = visible[rows] = elevation >= config.mask
-        enu /= np.linalg.norm(enu, axis=-1, keepdims=True)
+        enu /= vector_norm(enu)[..., None]
         f, _ = directional_cosines(enu, frame)
         pos, neg = vis & (f > 0), vis & (f < 0)
         with np.errstate(divide="ignore"):
@@ -163,27 +164,37 @@ def histogram(best_m_s: np.ndarray, bin_width: float = 0.1,
 
 # --- serialization ----------------------------------------------------------
 
-def _rows(series: ScanSeries):
-    """Series rows, with best_m_s, sat_a and sat_b None on a gap."""
+def _rows(series: ScanSeries, names: tuple[str, ...]):
+    """Series rows, satellites written as `names[index]`, and best_m_s,
+    sat_a and sat_b None on a gap."""
     week, sow = np.divmod(series.seconds, SECONDS_PER_WEEK)
-    ids = (*series.sat_ids, None)  # pair index -1 reads None
+    names = (*names, None)  # pair index -1 reads None
     columns = (week.astype(int), sow, series.n_visible, series.best_m_s, series.pair)
     for w, s, n, m, (a, b) in zip(*(column.tolist() for column in columns)):
-        yield w, s, n, (None if a < 0 else m), ids[a], ids[b]
+        yield w, s, n, (None if a < 0 else m), names[a], names[b]
+
+
+def _csv_field(text: str) -> str:
+    """`text` as csv.writer writes it among other fields of a series row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, None])
+    return buf.getvalue()[:-2]  # the row's end: an empty last field and "\n"
 
 
 def series_csv(series: ScanSeries) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SERIES_HEADER)
-    writer.writerows([week, f"{sow:.3f}", n, None if m is None else f"{m:.9f}",
-                      a, b] for week, sow, n, m, a, b in _rows(series))
-    return buf.getvalue()
+    """The series as csv.writer writes its rows, each row one f-string:
+    only a satellite id can need quoting, and each is quoted once."""
+    names = tuple(map(_csv_field, series.sat_ids))
+    lines = [",".join(SERIES_HEADER)]
+    lines += [f"{w},{s:.3f},{n},,," if m is None
+              else f"{w},{s:.3f},{n},{m:.9f},{a},{b}"
+              for w, s, n, m, a, b in _rows(series, names)]
+    return "\n".join(lines) + "\n"
 
 
 def series_json(series: ScanSeries) -> str:
-    return json.dumps([dict(zip(SERIES_HEADER, row)) for row in _rows(series)],
-                      indent=2)
+    return json.dumps([dict(zip(SERIES_HEADER, row))
+                       for row in _rows(series, series.sat_ids)], indent=2)
 
 
 def parse_series_csv(text: str) -> np.ndarray:

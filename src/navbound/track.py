@@ -19,6 +19,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .orbits import vector_norm
+
 
 class DegenerateGeometryError(ValueError):
     """Satellite configuration is too close to singular to invert."""
@@ -141,7 +143,7 @@ def directional_cosines(unit_dirs, frame: FrenetFrame) -> tuple[np.ndarray, np.n
     directions (shape (..., 3)), g being minus the direction. A NaN row (a
     satellite with no position) gives NaN cosines."""
     d = np.asarray(unit_dirs, dtype=float)
-    if (np.abs(np.sqrt(np.einsum("...i,...i", d, d)) - 1.0) > 1e-9).any():
+    if (np.abs(vector_norm(d) - 1.0) > 1e-9).any():
         raise ValueError("a satellite direction is not a unit vector")
     f, h = -(d @ frame.u), -(d @ frame.v)
     check_unit_disc(f, h, "a satellite direction")

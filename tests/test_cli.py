@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -39,6 +41,26 @@ def write_geometry(tmp_path, sats, track_azimuth_deg=None):
         "track_azimuth_deg": track_azimuth_deg, "satellites": sats}
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def small_position_table():
+    """A position-table CSV: 9 satellites on circular orbits of 26 560 km in
+    three planes, sampled at 36 epochs 300 s apart, millimetre values."""
+    lines = ["sat_id,week,sow,x_m,y_m,z_m"]
+    ids = ['A"B'] + [f"G{k:02d}" for k in range(2, 10)]
+    for t in range(36):
+        sow = 345600.0 + 300.0 * t
+        for k, sat_id in enumerate(ids):
+            node = math.radians(120.0 * (k % 3)) - 7.2921151467e-5 * sow
+            u = math.radians(40.0 * k) + 1.4585e-4 * 300.0 * t
+            inc = math.radians(55.0)
+            x, y = 26_560_000.0 * math.cos(u), 26_560_000.0 * math.sin(u)
+            ecef = (x * math.cos(node) - y * math.cos(inc) * math.sin(node),
+                    x * math.sin(node) + y * math.cos(inc) * math.cos(node),
+                    y * math.sin(inc))
+            lines.append(f"{sat_id},1750,{sow:.3f},"
+                         + ",".join(f"{v:.3f}" for v in ecef))
+    return "\n".join(lines) + "\n"
 
 
 def _two_sats_text(f):
@@ -493,6 +515,50 @@ class TestScanAndHist:
                     "--output", str(series)]) == EXIT_OK
         assert hashlib.sha256(series.read_bytes()).hexdigest() == \
             "d3fd17a81918751215d7255e29ce91e4b4157ea9790da48259c845dabb128eb2"
+
+    @pytest.mark.parametrize("site, azimuth, mask, step, digest", [
+        (("-33.92", "18.42", "10"), "30", "10", "60",
+         "6f39b27b0a3789e0dd4dc3a430b3d1d1016d150bd586b1a777beaf2397c7f195"),
+        (("64.13", "-21.9", "50"), "200", "20", "120",
+         "d9d096d04aa6fa479ee57bfa86a7f71be3ab774e5be83076822edc4409bb872e"),
+    ])
+    def test_pinned_rinex_scans(self, nav_path, tmp_path, site, azimuth, mask,
+                                step, digest):
+        # byte identity of two more (site, azimuth, mask) scans of the day
+        series = tmp_path / "series.csv"
+        lat, lon, height = site
+        assert run(["scan", "--nav", str(nav_path), "--lat", lat, "--lon", lon,
+                    "--height", height, "--azimuth", azimuth, "--mask", mask,
+                    "--step", step, "--output", str(series)]) == EXIT_OK
+        assert hashlib.sha256(series.read_bytes()).hexdigest() == digest
+
+    def test_pinned_position_table_scan(self, tmp_path):
+        # byte identity of a table scan: 9 satellites, one of them `A"B`,
+        # 36 epochs at 300 s, with gap epochs where too few are in view
+        table = tmp_path / "table.csv"
+        table.write_text(small_position_table())
+        series = tmp_path / "series.csv"
+        assert run(["scan", "--nav", str(table), "--lat", "35.0", "--lon", "0.0",
+                    "--azimuth", "60", "--mask", "15", "--step", "300",
+                    "--output", str(series)]) == EXIT_OK
+        text = series.read_text()
+        assert '"A""B"' in text and ",,,\n" in text
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "ae9cf7a31da67b4afc1c474e91d990fa267177134e863840b44861183da510d6"
+
+    def test_quoted_id_from_a_table(self, tmp_path, capsys):
+        # a table id that csv must quote reaches the series quoted, and
+        # reads back as itself
+        table = tmp_path / "table.csv"
+        table.write_text("sat_id,week,sow,x_m,y_m,z_m\n"
+                         'A"B,1750,345600,14378137.0,-12000000.0,0.0\n'
+                         "G02,1750,345600,14378137.0,12000000.0,1000000.0\n")
+        assert run(["scan", "--nav", str(table), "--lat", "0", "--lon", "0",
+                    "--azimuth", "90"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.splitlines()[1].endswith(',"A""B",G02')
+        [row] = list(csv.reader(io.StringIO(out)))[1:]
+        assert row[4:] == ['A"B', "G02"] and row[2] == "2"
 
     def test_propagation_failure_exits_one(self, nav_path, capsys,
                                            monkeypatch):

@@ -14,7 +14,7 @@ from navbound.orbits import (VALIDITY_WINDOW, EphemerisError, EphemerisRecord,
                              ecef_to_enu, enu_rotation, geodetic_to_ecef,
                              parse_position_csv, parse_rinex_nav,
                              position_grid, prepare_grid, sat_position_ecef,
-                             solve_kepler)
+                             solve_kepler, vector_norm)
 
 HEADER = (
     "     2.11           N: GPS NAV DATA                        "
@@ -283,6 +283,40 @@ class TestEnu:
             assert np.abs(el - 90.0).max() <= 1e-5
 
 
+class TestVectorNorm:
+    def test_bits_of_linalg_norm(self):
+        # seeded rows at magnitudes 1e-160 .. 1e160, so that squares under-
+        # and overflow, with zero, NaN and infinite rows; any other order of
+        # the three-term sum changes some of these bits
+        rng = np.random.default_rng(25)
+        specials = np.array([[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0],
+                             [math.nan, 1.0, 2.0], [1.0, math.nan, math.inf],
+                             [math.inf, 1.0, 2.0], [-math.inf, -1.0, 0.0],
+                             [1e-320, 5e-324, 0.0], [1.7e308, 1.7e308, 1.0]])
+        for trial in range(200):
+            shape = [(64, 3), (8, 9, 3), (3,)][trial % 3]
+            x = (rng.standard_normal(shape)
+                 * 10.0 ** rng.uniform(-160, 160, shape[:-1] + (1,)))
+            if trial % 3 == 0:
+                x = np.concatenate([x, specials])
+            with np.errstate(over="ignore", under="ignore"):  # squares overflow
+                ours, numpy_norm = vector_norm(x), np.linalg.norm(x, axis=-1)
+            assert ours.tobytes() == numpy_norm.tobytes(), (
+                f"numpy {np.__version__} sums a length-3 axis in another order: "
+                "vector_norm no longer gives np.linalg.norm's bits")
+
+    def test_enu_rotation_in_one_matmul(self):
+        # the grid is rotated as one (-1, 3) matrix; each batch of the
+        # stacked product gives the same bits
+        site = SiteLocation(34.75337, 135.42783, 3.7)
+        rng = np.random.default_rng(3)
+        points = geodetic_to_ecef(site) + rng.uniform(-2.7e7, 2.7e7, (256, 31, 3))
+        enu, _ = ecef_to_enu(site, points)
+        stacked = (points - geodetic_to_ecef(site)) @ enu_rotation(site).T
+        assert enu.shape == points.shape
+        assert enu.tobytes() == stacked.tobytes()
+
+
 class TestParser:
     def test_empty_body(self):
         assert parse_rinex_nav(HEADER) == []
@@ -528,6 +562,21 @@ class TestPositionCsv:
                                    f"G05,{week},0,1.5e7,-2e7,3e6\n")
         assert table.epochs.tolist() == [float(week * 604800)]
         assert float(week * 604800) != float(week) * 604800.0
+
+    def test_repeated_bad_week_logs_every_row(self, caplog):
+        # a week string is converted once however often it repeats; each row
+        # that holds a bad one is still logged, with its own line number
+        rows = ["sat_id,week,sow,x_m,y_m,z_m"]
+        for k in range(60):
+            week = ("17x0", "1750", " 1750 ", "", "1750")[k % 5]
+            rows.append(f"G{k % 7 + 1:02d},{week},{300.0 * k},1.5e7,-2e7,3e6")
+        with caplog.at_level(logging.WARNING, logger="navbound.orbits"):
+            table = parse_position_csv("\n".join(rows))
+        want = [f"line {k + 2}: skipping malformed row: invalid literal for int() "
+                f"with base 10: {('17x0', '')[k % 5 // 3]!r}"
+                for k in range(60) if k % 5 in (0, 3)]
+        assert [r.getMessage() for r in caplog.records] == want
+        assert np.isfinite(table.ecef).all(axis=-1).sum() == 36
 
 
 def csv_field():
@@ -789,6 +838,72 @@ class TestPositionGrid:
             sat_position_ecef(eph, t)
         with pytest.raises(EphemerisError, match=eph.sat_id):
             position_grid([eph], [t.total_seconds()])
+
+    def test_dense_grid_on_sparse_records(self, nav_text):
+        # one satellite keeps only its records before 08:00, so the rest of
+        # the day has no record for it; another loses its noon record to
+        # the health word; the span runs 6 h past the day on either side.
+        # NaN lies exactly where no healthy record is within the window.
+        records = parse_rinex_nav(nav_text)
+        ids = sorted({r.sat_id for r in records})
+        day = GpsTime.from_utc(dt.datetime(2013, 7, 25))
+        cut, sick_sat = ids[0], ids[3]
+        records = [r for r in records
+                   if r.sat_id != cut or r.toe - day < 8 * 3600.0]
+        noon = day.add_seconds(12 * 3600.0)
+        sick = min((r for r in records if r.sat_id == sick_sat),
+                   key=lambda r: abs(noon - r.toe))
+        records[records.index(sick)] = dataclasses.replace(sick, health=1)
+        epochs = [day.add_seconds(-6 * 3600.0 + 300.0 * k) for k in range(432)]
+        sat_ids, grid = position_grid(records, seconds(epochs))
+        assert sat_ids == tuple(ids)
+        uncovered = np.array([[not any(abs(t - r.toe) <= VALIDITY_WINDOW
+                                       for r in records
+                                       if r.sat_id == sat_id and not r.health)
+                               for sat_id in sat_ids] for t in epochs])
+        assert uncovered[:, 0].any() and not uncovered[:, 0].all()
+        assert uncovered.any(axis=0).sum() > 1 and not uncovered.all()
+        assert np.array_equal(np.isnan(grid).any(axis=-1), uncovered)
+        assert np.array_equal(np.isnan(grid).all(axis=-1), uncovered)
+        _, oracle = scalar_grid(records, epochs)
+        assert np.nanmax(np.abs(grid - oracle)) <= 1e-6
+        _, grid_of = prepare_grid(records)
+        blocks = [grid_of(np.array(seconds(epochs[k:k + 7])))
+                  for k in range(0, len(epochs), 7)]
+        assert np.concatenate(blocks).tobytes() == grid.tobytes()
+
+    def test_kernel_on_empty_and_blocks(self):
+        for shape in ((0,), (0, 31)):
+            empty = _kepler_array(np.zeros(shape), np.zeros(shape))
+            assert empty.shape == shape and empty.dtype == float
+        # e = 0 stops at the first step, as the scalar solver does
+        m = np.linspace(-40.0, 40.0, 801)
+        assert (_kepler_array(m, np.zeros_like(m)).tolist()
+                == [solve_kepler(mk, 0.0) for mk in m])
+        # an (epoch, sat) block with NaN cells (no record): each real cell
+        # is the scalar solver's, bit for bit, and a NaN cell stays NaN
+        rng = np.random.default_rng(7)
+        m = rng.uniform(-20.0, 20.0, (40, 9))
+        e = rng.uniform(0.0, 0.05, (40, 9))
+        pad = rng.random((40, 9)) < 0.2
+        m[pad], e[pad] = math.nan, math.nan
+        ecc = _kepler_array(m, e)
+        assert ecc.shape == m.shape and np.array_equal(np.isnan(ecc), pad)
+        assert ecc[~pad].tolist() == [solve_kepler(mk, ek)
+                                      for mk, ek in zip(m[~pad], e[~pad])]
+
+    def test_overflowing_record_named_among_empty_cells(self):
+        # G01 has no record at the first epoch and G02 none at the second:
+        # those NaN cells are not a failure, and the failing cell is G02's
+        good = circular_record("G01", m0=0.3, e=0.01)
+        bad = dataclasses.replace(
+            circular_record("G02", toe_sow=good.toe.seconds_of_week + 6 * 3600.0,
+                            m0=0.1, e=0.01), idot=1e306)
+        epochs = [bad.toe.add_seconds(600.0), good.toe]
+        with pytest.raises(EphemerisError, match="^G02: non-finite position"):
+            position_grid([good, bad], seconds(epochs))
+        _, grid = position_grid([good], seconds(epochs))
+        assert np.isnan(grid[0]).all() and np.isfinite(grid[1]).all()
 
     def test_kernel_raises_on_nonconvergence(self):
         with pytest.raises(EphemerisError):

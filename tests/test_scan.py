@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import datetime as dt
+import io
 import json
 import logging
 import math
@@ -394,6 +396,28 @@ class TestSerialization:
         assert lines == ["week,sow,n_visible,best_m_s,sat_a,sat_b",
                          "1750,0.000,2,1.500000000,A,B",
                          "1750,60.000,2,,,"]
+
+    def test_series_csv_is_csv_writer(self):
+        # each id is quoted as csv.writer quotes it within a row: `A"B` as
+        # `"A""B"`, a comma or newline inside quotes, a space and "" as is
+        ids = ('A"B', "x y", "c,d", "e\nf", "")
+        pairs = [(0, 1), (-1, -1), (2, 3), (4, 0), (1, 0)]
+        series = ScanSeries(
+            sat_ids=ids, seconds=1750 * 604800.0 + 60.0 * np.arange(5) + 0.25,
+            visible=np.ones((5, 5), dtype=bool),
+            best_m_s=np.array([1.5, math.nan, 2.0 / 3.0 + 1, 1e3, math.pi]),
+            pair=np.array(pairs))
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["week", "sow", "n_visible", "best_m_s", "sat_a", "sat_b"])
+        for t, m, (a, b) in zip(series.seconds.tolist(), series.best_m_s.tolist(),
+                                pairs):
+            week, sow = divmod(t, 604800)
+            writer.writerow([int(week), f"{sow:.3f}", 5]
+                            + ([None] * 3 if a < 0 else [f"{m:.9f}", ids[a], ids[b]]))
+        text = series_csv(series)
+        assert text == buf.getvalue()
+        assert '"A""B",x y' in text and "1750,60.250,5,,,\n" in text
 
     def test_series_json_fields(self):
         rows = json.loads(series_json(make_series([1.5, None])))

@@ -10,6 +10,9 @@ stderr. The set is:
   by elevation/azimuth, at seeded track azimuths;
 - `scan` of the bundled RINEX day, CSV and JSON, at track azimuths 0, 45
   and 90 degrees;
+- `scan` of a small position table the tool writes, CSV and JSON: nine
+  satellites over three hours, one with the id `A"B`, which the series
+  CSV must quote, and epochs with no admissible pair;
 - `hist` of each CSV series at two bin settings, CSV and JSON;
 - `code` for two PRNs.
 
@@ -96,6 +99,26 @@ def _geometries(rng):
         yield {"track_azimuth_deg": rng.uniform(0, 360), "satellites": sats}
 
 
+def _position_table():
+    """A `sat_id,week,sow,x_m,y_m,z_m` table: nine satellites on circular
+    26 560 km orbits in three planes, 36 epochs 300 s apart."""
+    lines = ["sat_id,week,sow,x_m,y_m,z_m"]
+    ids = ['A"B'] + [f"G{k:02d}" for k in range(2, 10)]
+    inc = math.radians(55.0)
+    for t in range(36):
+        sow = 345600.0 + 300.0 * t
+        for k, sat_id in enumerate(ids):
+            node = math.radians(120.0 * (k % 3)) - 7.2921151467e-5 * sow
+            u = math.radians(40.0 * k) + 1.4585e-4 * 300.0 * t
+            x, y = 26_560_000.0 * math.cos(u), 26_560_000.0 * math.sin(u)
+            ecef = (x * math.cos(node) - y * math.cos(inc) * math.sin(node),
+                    x * math.sin(node) + y * math.cos(inc) * math.cos(node),
+                    y * math.sin(inc))
+            lines.append(f"{sat_id},1750,{sow:.3f},"
+                         + ",".join(f"{v:.3f}" for v in ecef))
+    return "\n".join(lines) + "\n"
+
+
 def _cases(tmp):
     rng = random.Random(SEED)
     yield from (("", argv) for argv in _interference_cases(rng))
@@ -114,6 +137,11 @@ def _cases(tmp):
             for fmt in ("csv", "json"):
                 yield "", ["hist", "--series", str(tmp / f"series{azimuth}.csv"),
                            *bins, "--format", fmt]
+    table = tmp / "positions.csv"
+    table.write_text(_position_table())
+    for fmt in ("csv", "json"):
+        yield "", ["scan", "--nav", str(table), "--lat", "35.0", "--lon", "0.0",
+                   "--azimuth", "60", "--step", "300", "--format", fmt]
     yield "", ["code", "--prn", "7"]
     yield "", ["code", "--prn", "1", "--format", "json"]
 
