@@ -21,8 +21,8 @@ from .track import (DegenerateGeometryError, FrenetFrame, MagnificationS,
                     solve_two_sat, synthetic_geometry)
 from .orbits import (EphemerisRecord, EphemerisError, GpsTime, PositionTable,
                      SiteLocation, ecef_to_enu, geodetic_to_ecef,
-                     parse_position_csv, parse_rinex_nav, position_grid,
-                     prepare_grid, sat_position_ecef, solve_kepler)
+                     parse_position_csv, parse_rinex_nav, prepare_grid,
+                     sat_position_ecef, solve_kepler)
 from .scan import Histogram, ScanConfig, ScanSeries, histogram, scan_ms
 
 __version__ = "0.1.0"

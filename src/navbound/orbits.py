@@ -402,9 +402,10 @@ def parse_position_csv(text: str) -> PositionTable:
     """Parse the alternative `sat_id,week,sow,x_m,y_m,z_m` position format.
 
     A row with the wrong field count, an unreadable or non-finite field, a
-    time outside the calendar, or a satellite id that is blank or holds an
-    unprintable character once stripped is skipped with its line number
-    logged. Of repeated (satellite, epoch) rows the first is kept.
+    position whose x^2 + y^2 + z^2 overflows, a time outside the calendar,
+    or a satellite id that is blank or holds an unprintable character once
+    stripped is skipped with its line number logged. Of repeated
+    (satellite, epoch) rows the first is kept.
 
     The rows are read column by column: one split of the whole body, one
     conversion pass per column and array checks. Row by row work runs only
@@ -423,13 +424,16 @@ def parse_position_csv(text: str) -> PositionTable:
     fields = ",".join(rows).split(",") if rows else []
     sat, week, sow, x, y, z = (fields[k::6] for k in range(6))
     # reasons[row]: why a row of `rows` is skipped, the first failed check
-    # in the order sow, x, y, z, calendar, finiteness, week, id
+    # in the order sow, x, y, z, calendar, finiteness, range, week, id
     reasons: dict[int, str] = {}
     sow, x, y, z = (np.array(_column(c, _floats, reasons)) for c in (sow, x, y, z))
     _flag(reasons, ~((0 <= sow) & (sow < SECONDS_PER_WEEK)),
           "seconds_of_week out of [0, 604800)")
     _flag(reasons, ~(np.isfinite(x) & np.isfinite(y) & np.isfinite(z)),
           "non-finite coordinate")
+    with np.errstate(over="ignore"):
+        _flag(reasons, ~np.isfinite(x * x + y * y + z * z),
+              "x^2 + y^2 + z^2 overflows")
     seconds = np.array(_column(week, _week_seconds, reasons)) + sow
     sat = list(map(str.strip, sat))
     if not (all(sat) and "".join(sat).isprintable()):
@@ -504,26 +508,16 @@ def _elements(eph: EphemerisRecord) -> tuple[float, ...]:
             eph.omega_dot - OMEGA_EARTH, OMEGA_EARTH * eph.toe.seconds_of_week)
 
 
-def position_grid(source: PositionSource, seconds: Sequence[float],
-                  ) -> tuple[tuple[str, ...], np.ndarray]:
-    """ECEF position of every satellite of `source` at each GPS-seconds epoch.
-
-    From a PositionTable, the row within EPOCH_TOLERANCE of an epoch is
-    used. From broadcast ephemerides, each satellite uses its nearest-toe
-    healthy record within VALIDITY_WINDOW (the first in file order on
-    ties), and every such cell is propagated in one array pass that repeats
-    the arithmetic of `sat_position_ecef`. Returns the sorted satellite ids
-    and `ecef[epoch, sat, 3]`, NaN where a satellite has no position.
-    """
-    sat_ids, grid_of = prepare_grid(source)
-    return sat_ids, grid_of(np.asarray(seconds, dtype=float))
-
-
 def prepare_grid(source: PositionSource,
                  ) -> tuple[tuple[str, ...], Callable[[np.ndarray], np.ndarray]]:
-    """`position_grid` in two steps: the sorted satellite ids, and a function
-    from GPS seconds to the grid. What the epochs do not change is built
-    here. It is the one place below the CLI that tells the two inputs apart."""
+    """The sorted satellite ids of `source`, and a function from GPS seconds
+    to `ecef[epoch, sat, 3]`, NaN where a satellite has no position. A
+    PositionTable gives the row within EPOCH_TOLERANCE of an epoch. From
+    broadcast ephemerides each satellite uses its nearest-toe healthy record
+    within VALIDITY_WINDOW (the first in file order on ties), propagated in
+    one array pass that repeats the arithmetic of `sat_position_ecef`. What
+    the epochs do not change is built here: the one place below the CLI
+    that tells the two inputs apart."""
     if isinstance(source, PositionTable):
         if not source.sat_ids:
             raise ValueError("empty position table")

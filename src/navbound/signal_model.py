@@ -170,14 +170,13 @@ def _waveforms(spec: WaveformSpec, tau: float, orders) -> tuple:
     and Phi (order 0) or the density (orders 1, 2) run on that 2 half x q
     table: 2 x 4 arguments at the default spec. A chip term is the
     difference of two boundary values of its sample's phase, times the
-    chip. Chip terms are summed row by row, left to right, as numpy sums
-    a row of fewer than 8 terms; windows of 8 or more keep numpy's
-    (pairwise) row sum, so every sample is the sum numpy gives for the
-    same terms along a sample row. Samples are held phase-major and put
-    in time order as they are returned, one float64 array per entry of
-    `orders`, in that order: the replica has unit amplitude and zero
-    phase, so every order is real, and only sample_waveform wraps one
-    into a complex SampledSignal. No table or index outlives the call.
+    chip. Every sample is the sum numpy gives for its chip terms along a
+    sample row: numpy's sum over the window axis for fewer than 8 terms,
+    its (pairwise) row sum for 8 or more. Samples are held in time order,
+    one float64 array per entry of `orders`, in that order: the replica
+    has unit amplitude and zero phase, so every order is real, and only
+    sample_waveform wraps one into a complex SampledSignal. No table or
+    index outlives the call.
     """
     tc = spec.chip_duration
     theta = tau / tc  # the delay in chips
@@ -196,40 +195,31 @@ def _waveforms(spec: WaveformSpec, tau: float, orders) -> tuple:
     before = offset < 0  # the sample lies in the chip before
     offset += before
     # Sample k = i q + j, j = 1..q, lies in chip i p + j p // q at phase
-    # j p % q, so samples are held phase-major, [slot j - 1, cycle i]. The
-    # window of chip j0 starts at chip j0 - half of the code tiled over
-    # periods + 1 + 2 ahead periods, `ahead` periods in; -floor % length
-    # puts the chip of delay zero in the first period. The strided view
-    # [row, x, i] -> tiled[row + x + i p] reads indices 0 to at most
-    # half - 1 + (periods + 1 + ahead) length, inside the tiles.
+    # j p % q. The window of a sample starts half chips before its chip
+    # of the code tiled over periods + 2 + 2 half // L periods, so that
+    # c[row, i, j - 1] = tiled[start[j - 1] + row + i p] is its chip row;
+    # the largest index read, 2 half + periods L - p + L - 1, lies inside.
     whole, phase = np.divmod(np.arange(1, q + 1) * p, q)
-    ahead = -(-(half + 1) // length)
-    start = whole - before[phase] + (-floor % length - half + ahead * length)
-    tiled = np.tile(chips.astype(np.float64), periods + 1 + 2 * ahead)
-    shape = (2 * half + 1, int(start.max()) + 1, n // q)
+    start = (whole - before[phase] - (floor + half) % length) % length
+    tiled = np.tile(chips.astype(np.float64), periods + 2 + 2 * half // length)
     step = tiled.strides[0]
     windows = np.lib.stride_tricks.as_strided(
-        tiled, shape, (step, step, p * step), writeable=False)
-    c = windows[:, start, :]
+        tiled, (2 * half + 1, n // q, length), (step, p * step, step), writeable=False)
+    c = windows[:, :, start]
 
     # inner boundary rows of the table; with the outer two, a chip is the
     # difference of rows [:-1] and [1:]
     b = np.add.outer(np.arange(half - 1, -half - 1, -1, dtype=np.float64), offset)
     b /= s / tc
     rows = (2 * half + 2, q)
-    terms = np.empty(c.shape)
 
     def chip_sum(first, second):
-        np.multiply(c, (first - second)[:, phase, None], out=terms)
+        terms = c * (first - second)[:, None, phase]
         if len(terms) >= 8:
             # numpy sums a row of 8 or more terms pairwise: keep its row sum
-            return np.ascontiguousarray(terms.transpose(1, 2, 0)).sum(axis=2)
-        # below 8 terms numpy's row sum adds left to right from +0.0
-        acc = terms[0] + terms[1]
-        for row in terms[2:]:
-            acc += row
-        acc += 0.0  # a row of -0.0 terms sums to +0.0
-        return acc
+            terms = np.ascontiguousarray(np.moveaxis(terms, 0, -1))
+            return terms.sum(axis=-1).reshape(n)
+        return terms.sum(axis=0).reshape(n)
 
     m = {}
     if 0 in orders:
@@ -252,7 +242,7 @@ def _waveforms(spec: WaveformSpec, tau: float, orders) -> tuple:
         if 2 in orders:
             inner *= b  # b * density: the chip term is -u pu + v pv
             m[2] = chip_sum(pdf[1:], pdf[:-1]) / (s * s)
-    return tuple(m[k].T.reshape(n) for k in orders)
+    return tuple(m[k] for k in orders)
 
 
 def sample_waveform(spec: WaveformSpec, tau: float, derivative_order: int = 0) -> SampledSignal:
@@ -345,8 +335,8 @@ def _coarse_grid(z: np.ndarray, syntheses: _Syntheses, lo: float, hi: float,
     n = len(z)
     period = spec.sampling_period
     quarter = spec.chip_duration / 4
-    step = quarter if period <= quarter else min(quarter, spec.pulse_smoothing / 4)
-    phases = 1 if period <= step else math.ceil(period / step)
+    phases = 1 if period <= quarter else math.ceil(
+        period / min(quarter, spec.pulse_smoothing / 4))
     zf = np.fft.rfft(z)
     peaks = []
     for i in range(phases):

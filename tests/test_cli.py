@@ -663,6 +663,20 @@ class TestScanAndHist:
         [line] = result.stderr.splitlines()
         assert line.startswith("WARNING:navbound.orbits:line 3: skipping malformed row")
 
+    def test_overflowing_range_row_skipped(self, tmp_path):
+        # a finite coordinate whose square overflows used to end the scan in
+        # numpy's overflow warning and exit 2 on a non-unit direction
+        table = tmp_path / "positions.csv"
+        table.write_text("sat_id,week,sow,x_m,y_m,z_m\n"
+                         "G01,1750,0,1e200,1.5e7,1.5e7\n"
+                         "G02,1750,0,-1.5e7,1.5e7,1.5e7\n")
+        result = navbound_process("scan", "--nav", str(table), "--lat", "34.75337",
+                                  "--lon", "135.42783")
+        assert result.returncode == EXIT_OK
+        assert result.stderr == ("WARNING:navbound.orbits:line 2: skipping "
+                                 "malformed row: x^2 + y^2 + z^2 overflows\n")
+        assert result.stdout.splitlines()[1:] == ["1750,0.000,1,,,"]
+
     @pytest.mark.parametrize("step, code, err", [
         ("inf", EXIT_USAGE, "GPS time must be finite, got inf s\n"),
         ("1e308", EXIT_OK, "")])

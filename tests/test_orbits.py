@@ -13,8 +13,8 @@ from navbound.orbits import (VALIDITY_WINDOW, EphemerisError, EphemerisRecord,
                              GpsTime, RinexParseError, SiteLocation, _kepler_array,
                              ecef_to_enu, enu_rotation, geodetic_to_ecef,
                              parse_position_csv, parse_rinex_nav,
-                             position_grid, prepare_grid, sat_position_ecef,
-                             solve_kepler, vector_norm)
+                             prepare_grid, sat_position_ecef, solve_kepler,
+                             vector_norm)
 
 HEADER = (
     "     2.11           N: GPS NAV DATA                        "
@@ -529,6 +529,10 @@ class TestPositionCsv:
         ("G01,1750,0,1.5e7,-1e400,1.5e7", "non-finite"),
         ("G01,1750,0,1.5e7,1.5e7,nan", "non-finite"),
         ("G01,1750,0,inf,1.5e7,1.5e7", "non-finite"),
+        # finite, but the squared range overflowed in the scan, which then
+        # exited 2 on a satellite direction that was not a unit vector
+        ("G01,1750,0,1e200,1.5e7,1.5e7", "x^2 + y^2 + z^2 overflows"),
+        ("G01,1750,0,1e154,1e154,-1e154", "x^2 + y^2 + z^2 overflows"),
         ("G01,1750,604800,1.5e7,1.5e7,1.5e7", "out of [0, 604800)"),
         ("G01,1750,nan,1.5e7,1.5e7,1.5e7", "out of [0, 604800)"),
         # a blank id used to be kept as satellite "", and a NUL-suffixed one
@@ -546,6 +550,12 @@ class TestPositionCsv:
         [record] = caplog.records
         assert record.getMessage().startswith("line 2: skipping malformed row")
         assert message in record.getMessage()
+
+    def test_largest_range_kept(self):
+        # each square and their sum are finite
+        table = parse_position_csv("sat_id,week,sow,x_m,y_m,z_m\n"
+                                   "G01,1750,0,9e153,-9e153,1e152\n")
+        assert table.ecef.tolist() == [[[9e153, -9e153, 1e152]]]
 
     def test_fields_stripped_and_time_as_gps_time(self):
         table = parse_position_csv("sat_id,week,sow,x_m,y_m,z_m\n"
@@ -632,7 +642,8 @@ def reference_position_csv(text):
             skipped.add(n)
             continue
         if (sat_id and sat_id.isprintable() and 0 <= sow < 604800
-                and all(math.isfinite(v) for v in (x, y, z))):
+                and all(math.isfinite(v) for v in (x, y, z))
+                and math.isfinite(x * x + y * y + z * z)):
             cells.setdefault((seconds, sat_id), (x, y, z))
         else:
             skipped.add(n)
@@ -682,6 +693,12 @@ class TestPositionCsvFuzz:
         assert table.epochs.tobytes() == epochs.tobytes()
         assert table.ecef.tobytes() == ecef.tobytes()
         assert lines.numbers == skipped
+
+
+def position_grid(source, seconds):
+    """`prepare_grid` in one call: the satellite ids and the grid at `seconds`."""
+    sat_ids, grid_of = prepare_grid(source)
+    return sat_ids, grid_of(np.asarray(seconds, dtype=float))
 
 
 def seconds(epochs):

@@ -14,7 +14,7 @@ import pytest
 from navbound import orbits
 from navbound.orbits import (GpsTime, PositionTable, SiteLocation,
                              ecef_to_enu, parse_position_csv, parse_rinex_nav,
-                             position_grid)
+                             prepare_grid)
 from navbound.scan import (MAX_HIST_BINS, MAX_SCAN_EPOCHS, EmptySeriesError,
                            Histogram, ScanConfig, ScanSeries, hist_csv,
                            hist_json, histogram, parse_series_csv, scan_ms,
@@ -280,8 +280,9 @@ class TestBestPairOracle:
     def test_matches_brute_force_over_pairs(self, day, nav_text):
         ephs = parse_rinex_nav(nav_text)
         frame = frenet_frame(math.radians(90.0))
+        sat_ids, grid_of = prepare_grid(ephs)
         for k in range(0, len(day), 5):
-            sat_ids, ecef = position_grid(ephs, [day.seconds[k]])
+            ecef = grid_of(np.array([day.seconds[k]]))
             enu, elevation = ecef_to_enu(SITE, ecef[0])
             vis = elevation >= 15.0
             assert sat_ids == day.sat_ids

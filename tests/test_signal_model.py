@@ -214,6 +214,11 @@ _KERNEL_CASES = {
     "wide_smoothing": (lambda: default_spec(12, pulse_smoothing_chips=1.0), 0.27),
     "narrow_smoothing": (lambda: default_spec(6, pulse_smoothing_chips=0.01), 0.18),
     "fractional_rate": (_fractional_spec, 0.43),
+    # half = 40: the window wraps the 3-chip code many times, over 3 periods
+    "wrapping_window": (lambda: _short_spec(3, 3, 3, 20, 4.0), 0.37),
+    "two_periods": (lambda: _short_spec(21, 1023, 2, 8184, 0.1), 0.71),
+    # tau / Tc is past the int64 range
+    "huge_delay": (lambda: default_spec(3), 1e23),
 }
 
 
