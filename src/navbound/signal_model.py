@@ -20,6 +20,7 @@ import numpy as np
 from .cacode import ChipSequence, generate_ca_code
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT_HALF = math.sqrt(0.5)
 _ROUNDING = 64 * np.finfo(float).eps
 _NEWTON_PASSES = 50
 _TINY_SQUARES = np.finfo(float).tiny / np.finfo(float).eps
@@ -168,7 +169,9 @@ def _waveforms(spec: WaveformSpec, tau: float, orders) -> tuple:
     rounding of its phase's offset. The 2 half inner boundaries of a
     phase get arguments b = (offset - r) / (s/Tc), r = 1-half .. half,
     and Phi (order 0) or the density (orders 1, 2) run on that 2 half x q
-    table: 2 x 4 arguments at the default spec. A chip term is the
+    table: 2 x 4 arguments at the default spec. Phi(x) is
+    0.5 erfc(-x / sqrt 2) from the standard library's math.erfc, one
+    Python call per table entry. A chip term is the
     difference of two boundary values of its sample's phase, times the
     chip. Every sample is the sum numpy gives for its chip terms along a
     sample row: numpy's sum over the window axis for fewer than 8 terms,
@@ -223,13 +226,10 @@ def _waveforms(spec: WaveformSpec, tau: float, orders) -> tuple:
 
     m = {}
     if 0 in orders:
-        # scipy is imported at the first Phi, so commands that never
-        # synthesize w itself start without it
-        from scipy.special import ndtr
-
         cdf = np.zeros(rows)
         cdf[0] = 1.0
-        ndtr(b, out=cdf[1:-1])
+        cdf[1:-1] = [[0.5 * math.erfc(-x * _SQRT_HALF) for x in row]
+                     for row in b.tolist()]
         m[0] = chip_sum(cdf[:-1], cdf[1:])
     if 1 in orders or 2 in orders:
         pdf = np.zeros(rows)
