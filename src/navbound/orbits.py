@@ -390,12 +390,30 @@ class PositionTable:
     """Precomputed ECEF satellite positions on a dense epoch axis.
 
     `epochs` holds the distinct row times (seconds since the GPS epoch),
-    sorted; `ecef[epoch, sat, 3]` is NaN where a satellite has no row.
+    finite and strictly increasing; `sat_ids` is sorted with no repeats;
+    `ecef[epoch, sat, 3]` is NaN where a satellite has no row. The grid
+    lookup and the scan's tie rule rely on both orders, so a table that
+    breaks one is rejected with ValueError. `ecef` is not copied.
     """
 
     sat_ids: tuple[str, ...]
     epochs: np.ndarray
     ecef: np.ndarray
+
+    def __post_init__(self):
+        epochs = np.asarray(self.epochs, dtype=np.float64)
+        if not (epochs.ndim == 1 and np.isfinite(epochs).all()
+                and (epochs[1:] > epochs[:-1]).all()):
+            raise ValueError("position table epochs must be a 1-D, finite, "
+                             "strictly increasing array")
+        ids = self.sat_ids
+        if not all(a < b for a, b in zip(ids, ids[1:])):
+            raise ValueError("position table satellite ids must be sorted "
+                             "with no repeats")
+        if np.shape(self.ecef) != (len(epochs), len(ids), 3):
+            raise ValueError(f"position table ecef has shape {np.shape(self.ecef)}, "
+                             f"expected {(len(epochs), len(ids), 3)}")
+        object.__setattr__(self, "epochs", epochs)
 
 
 def parse_position_csv(text: str) -> PositionTable:

@@ -233,14 +233,11 @@ def _waveforms(spec: WaveformSpec, tau: float, orders) -> tuple:
         m[0] = chip_sum(cdf[:-1], cdf[1:])
     if 1 in orders or 2 in orders:
         pdf = np.zeros(rows)
-        inner = np.multiply(b, -0.5, out=pdf[1:-1])
-        inner *= b
-        np.exp(inner, out=inner)
-        inner /= _SQRT_2PI
+        pdf[1:-1] = np.exp(-0.5 * b * b) / _SQRT_2PI
         if 1 in orders:
             m[1] = chip_sum(pdf[:-1], pdf[1:]) / s
         if 2 in orders:
-            inner *= b  # b * density: the chip term is -u pu + v pv
+            pdf[1:-1] *= b  # b * density: the chip term is -u pu + v pv
             m[2] = chip_sum(pdf[1:], pdf[:-1]) / (s * s)
     return tuple(m[k] for k in orders)
 
@@ -443,6 +440,16 @@ def ml_delay_estimate(z: SampledSignal, spec: WaveformSpec,
     return _ml_delay(z, _Syntheses(spec), search_window, (lo + hi) / 2)[0]
 
 
+def _unit_scaled(signals: list) -> tuple[list, int]:
+    """(2^-e s for each complex array s, e), with e putting their largest real
+    or imaginary part in [0.5, 1) (e = 0 if all are zero). The one rescale of
+    magnification_tau and worst_interference: exact on normal floats."""
+    parts = [s.view(np.float64) for s in signals]
+    exponent = math.frexp(max(max(p.max(initial=0.0), -p.min(initial=0.0))
+                              for p in parts))[1]
+    return [np.ldexp(p, -exponent).view(np.complex128) for p in parts], exponent
+
+
 def magnification_tau(z: SampledSignal, w: SampledSignal,
                       w1: SampledSignal, w2: SampledSignal) -> float:
     """Delay-bias magnification M = ||w'|| / |  ||w'||^2 + Re<w - z, w''> |.
@@ -451,9 +458,9 @@ def magnification_tau(z: SampledSignal, w: SampledSignal,
     the log-likelihood (the complex-conjugate pair in the stationarity
     condition doubles the real component only). Units: seconds of delay
     per unit interference norm. Where a sum of squares or products over-
-    or underflows, M is taken on the four signals scaled by the power of
-    two that puts their largest real or imaginary part in [0.5, 1), and
-    scaled back: it is homogeneous of degree -1 in them.
+    or underflows, M is taken on the four signals rescaled by
+    _unit_scaled, the exact power-of-two rescale worst_interference also
+    uses, and scaled back: it is homogeneous of degree -1 in them.
     """
     if not len(z) == len(w) == len(w1) == len(w2):
         raise ValueError("signal lengths differ")
@@ -464,11 +471,8 @@ def magnification_tau(z: SampledSignal, w: SampledSignal,
     # at ||w'||^2 >= tiny / eps, products that underflowed (each off by at
     # most tiny eps / 2) move the sums by a negligible fraction of an ulp
     if not (_TINY_SQUARES <= n1sq < math.inf and math.isfinite(denom)):
-        parts = [s.view(np.float64) for s in signals]
-        exponent = math.frexp(max(float(np.max(np.abs(p), initial=0.0))
-                                  for p in parts))[1]
-        _, denom, n1sq = _misfit_derivatives(
-            *(np.ldexp(p, -exponent).view(np.complex128) for p in parts))
+        signals, exponent = _unit_scaled(signals)
+        _, denom, n1sq = _misfit_derivatives(*signals)
     if abs(denom) <= 1e-12 * n1sq:  # all-zero signals too
         raise DegenerateCurvatureError(
             "likelihood curvature vanishes; no first-order bound exists"
@@ -480,22 +484,17 @@ def worst_interference(w1: SampledSignal, power: float) -> SampledSignal:
     """The power-constrained interference maximizing the first-order delay bias.
 
     The bound |delta_tau| <= M ||dy|| is achieved, to first order, by dy
-    parallel to the waveform derivative; this returns sqrt(power) w'/||w'||.
+    parallel to the waveform derivative; this returns sqrt(power) w'/||w'||,
+    with ||w'|| taken on w' rescaled by _unit_scaled (as magnification_tau
+    does), so it cannot overflow and dy is bit-exact for w' and 2^k w'.
     """
     if not 0 < power < math.inf:
         raise ValueError("power must be positive and finite")
-    with np.errstate(over="ignore", under="ignore"):
-        n1 = w1.norm()
-    if not 0 < n1 < math.inf:
-        # the sum of squares over- or underflowed: take the norm of w' over
-        # its largest real or imaginary part, which lies in [1, sqrt(2 len)]
-        largest = float(np.max(np.abs(w1.samples.view(np.float64)), initial=0.0))
-        if largest == 0:
-            raise ValueError("zero derivative signal")
-        w1 = SampledSignal(w1.samples.real / largest
-                           + 1j * (w1.samples.imag / largest))
-        n1 = w1.norm()
-    return w1.scaled(math.sqrt(power) / n1)
+    (unit,), _ = _unit_scaled([w1.samples])
+    n1 = float(np.linalg.norm(unit))
+    if n1 == 0:
+        raise ValueError("zero derivative signal")
+    return SampledSignal(math.sqrt(power) / n1 * unit)
 
 
 def perturbation_experiment(spec: WaveformSpec, tau_true: float,

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from navbound.constants import GM_EARTH, OMEGA_EARTH, WGS84_A, WGS84_B
 from navbound.orbits import (VALIDITY_WINDOW, EphemerisError, EphemerisRecord,
-                             GpsTime, RinexParseError, SiteLocation, _kepler_array,
-                             ecef_to_enu, enu_rotation, geodetic_to_ecef,
-                             parse_position_csv, parse_rinex_nav,
+                             GpsTime, PositionTable, RinexParseError, SiteLocation,
+                             _kepler_array, ecef_to_enu, enu_rotation,
+                             geodetic_to_ecef, parse_position_csv, parse_rinex_nav,
                              prepare_grid, sat_position_ecef, solve_kepler,
                              vector_norm)
 
@@ -693,6 +693,61 @@ class TestPositionCsvFuzz:
         assert table.epochs.tobytes() == epochs.tobytes()
         assert table.ecef.tobytes() == ecef.tobytes()
         assert lines.numbers == skipped
+
+
+def assert_table_invariants(table):
+    """The PositionTable contract, checked without its constructor."""
+    ids, epochs = list(table.sat_ids), table.epochs.tolist()
+    assert ids == sorted(set(ids))
+    assert epochs == sorted(set(epochs)) and all(map(math.isfinite, epochs))
+    assert table.ecef.shape == (len(epochs), len(ids), 3)
+
+
+class TestPositionTable:
+    def test_unsorted_epochs_rejected(self):
+        # searchsorted on these epochs used to lose every position
+        ecef = np.zeros((2, 1, 3))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            PositionTable(("G01",), np.array([200.0, 100.0]), ecef)
+
+    @pytest.mark.parametrize("epochs", [
+        np.array([100.0, 100.0]),
+        np.array([100.0, np.nan]),
+        np.array([100.0, np.inf]),
+        np.array([[100.0, 200.0]]),
+    ])
+    def test_repeated_non_finite_or_2d_epochs_rejected(self, epochs):
+        with pytest.raises(ValueError, match="epochs"):
+            PositionTable(("G01",), epochs, np.zeros((2, 1, 3)))
+
+    @pytest.mark.parametrize("sat_ids", [("G02", "G01"), ("G01", "G01")])
+    def test_unsorted_or_repeated_sat_ids_rejected(self, sat_ids):
+        with pytest.raises(ValueError, match="sorted with no repeats"):
+            PositionTable(sat_ids, np.array([100.0]), np.zeros((1, 2, 3)))
+
+    @pytest.mark.parametrize("shape", [(2, 2, 3), (1, 1, 3), (1, 2), (1, 2, 2)])
+    def test_ecef_shape_mismatch_rejected(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            PositionTable(("G01", "G02"), np.array([100.0]), np.zeros(shape))
+
+    def test_ecef_not_copied(self):
+        ecef = np.broadcast_to(np.ones(3), (4, 2, 3))
+        table = PositionTable(("G01", "G02"), np.arange(4.0), ecef)
+        assert table.ecef is ecef
+
+    def test_empty_table_valid(self):
+        # every row malformed: the parser returns an empty table
+        table = parse_position_csv("sat_id,week,sow,x_m,y_m,z_m\n"
+                                   "G01,1750,nan,1,2,3\n")
+        assert table.sat_ids == () and table.ecef.shape == (0, 0, 3)
+        assert_table_invariants(table)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(VALID_ROW.map(",".join), csv_row(), BAD_ID_ROW),
+                    max_size=12))
+    def test_parsed_tables_meet_contract(self, rows):
+        table = parse_position_csv("\n".join(["sat_id,week,sow,x_m,y_m,z_m"] + rows))
+        assert_table_invariants(table)
 
 
 def position_grid(source, seconds):

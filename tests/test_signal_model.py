@@ -14,10 +14,10 @@ from navbound.cacode import ChipSequence, generate_ca_code
 from navbound.signal_model import (DegenerateCurvatureError,
                                    DelayEstimationError, NoiseConfig,
                                    SampledSignal, WaveformSpec, _ml_delay,
-                                   _Syntheses, _waveforms, default_spec,
-                                   magnification_tau, ml_delay_estimate,
-                                   perturbation_experiment, sample_waveform,
-                                   worst_interference)
+                                   _Syntheses, _unit_scaled, _waveforms,
+                                   default_spec, magnification_tau,
+                                   ml_delay_estimate, perturbation_experiment,
+                                   sample_waveform, worst_interference)
 
 
 @pytest.fixture(scope="module")
@@ -884,6 +884,44 @@ class TestWorstInterference:
         want = math.sqrt(2.0) * shape / np.linalg.norm(shape)
         assert np.allclose(dy.samples, want, rtol=1e-12, atol=0)
         assert dy.norm() ** 2 == pytest.approx(2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("prn", [1, 7, 17, 32])
+    def test_power_of_two_scaling_is_bit_exact(self, prn):
+        # dy depends on the direction of w' only; a power-of-two scale of w'
+        # must not move a single bit of it (the CLI's delay and a CLI power)
+        spec = default_spec(prn)
+        w1 = sample_waveform(spec, 0.3 * spec.code_period, 1)
+        want = worst_interference(w1, 1e-4).samples.tobytes()
+        for k in (-900, -500, 500, 900):
+            scaled = SampledSignal(np.ldexp(w1.samples.real, k))
+            assert worst_interference(scaled, 1e-4).samples.tobytes() == want, k
+
+    def test_bytes_match_plain_normalisation(self):
+        # oracle: sqrt(P) w' / ||w'|| by the plain norm, which neither
+        # overflows nor underflows for these waveforms and powers
+        rng = np.random.default_rng(2028)
+        for _ in range(120):
+            spec = default_spec(int(rng.integers(1, 33)))
+            w1 = sample_waveform(spec, rng.uniform(0.0, spec.code_period), 1)
+            power = 10.0 ** rng.uniform(-12.0, 3.0)
+            want = w1.scaled(math.sqrt(power) / w1.norm())
+            assert (worst_interference(w1, power).samples.tobytes()
+                    == want.samples.tobytes())
+
+    @pytest.mark.parametrize("largest, exponent", [
+        (0.0, 0), (0.5, 0), (0.75, 0), (1.0, 1), (3.0, 2), (2.0 ** -1074, -1073),
+        (1.7e308, 1024)])
+    def test_unit_scaled_exponent(self, largest, exponent):
+        # the largest real or imaginary part over all arrays lands in
+        # [0.5, 1), and scaling back recovers every part exactly
+        a = np.array([0.25 * largest, -1j * largest])
+        b = np.array([0.125j * largest])
+        (sa, sb), e = _unit_scaled([a, b])
+        assert e == exponent
+        for scaled, x in ((sa, a), (sb, b)):
+            assert np.ldexp(scaled.view(float), e).tobytes() == x.tobytes()
+        parts = np.abs(np.r_[sa, sb].view(float))
+        assert parts.max() == (math.frexp(largest)[0] if largest else 0.0)
 
     def test_bound_tightness(self, spec, tau_true):
         z = sample_waveform(spec, tau_true, 0)
