@@ -167,7 +167,9 @@ def _cmd_scan(args) -> str:
     if not math.isfinite(args.utc_offset):
         raise ValueError("GPS-UTC offset must be a finite number of seconds, "
                          f"got {args.utc_offset}")
-    with open(args.nav) as f:
+    # utf-8-sig drops the byte-order mark a spreadsheet's "CSV UTF-8" export
+    # writes, which would otherwise hide the sat_id header from the sniff
+    with open(args.nav, encoding="utf-8-sig") as f:
         text = f.read()
     site = SiteLocation(args.lat, args.lon, args.height)
     if text.lstrip()[:6].lower() == "sat_id":

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from itertools import compress, count, repeat, zip_longest
 from operator import itemgetter
-from typing import Callable, ClassVar, Sequence, Union
+from typing import Callable, ClassVar, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -81,10 +81,22 @@ class GpsTime:
         return GPS_EPOCH + dt.timedelta(seconds=self.total_seconds() - gps_utc_offset)
 
 
-@dataclass(frozen=True)
-class EphemerisRecord:
-    """Kepler broadcast elements of one satellite for one issue epoch."""
+class _Checked:
+    """Base of a NamedTuple record whose ``__new__`` checks its fields.
 
+    A NamedTuple's ``_make``, which ``_replace`` calls, builds the tuple
+    without ``__new__``; routing it through the constructor keeps the check
+    on every construction path.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _EphemerisRecord(NamedTuple):
     sat_id: str
     toe: GpsTime
     sqrt_a: float
@@ -96,23 +108,36 @@ class EphemerisRecord:
     omega0: float
     omega_dot: float
     w_arg: float
-    cuc: float = 0.0
-    cus: float = 0.0
-    crc: float = 0.0
-    crs: float = 0.0
-    cic: float = 0.0
-    cis: float = 0.0
-    health: int = 0  # SV health word; nonzero excludes the record from grids
+    cuc: float
+    cus: float
+    crc: float
+    crs: float
+    cic: float
+    cis: float
+    health: int  # SV health word; nonzero excludes the record from grids
+
+
+class EphemerisRecord(_Checked, _EphemerisRecord):
+    """Kepler broadcast elements of one satellite for one issue epoch."""
+
+    __slots__ = ()
     validity_window: ClassVar[float] = VALIDITY_WINDOW  # the same for every record
 
-    def __post_init__(self):
-        if not 0 <= self.e < 1:
-            raise ValueError(f"eccentricity {self.e} out of [0, 1)")
-        if self.sqrt_a <= 0:
+    def __new__(cls, sat_id: str, toe: GpsTime, sqrt_a: float, e: float,
+                m0: float, delta_n: float, i0: float, idot: float, omega0: float,
+                omega_dot: float, w_arg: float, cuc: float = 0.0, cus: float = 0.0,
+                crc: float = 0.0, crs: float = 0.0, cic: float = 0.0,
+                cis: float = 0.0, health: int = 0):
+        if not 0 <= e < 1:
+            raise ValueError(f"eccentricity {e} out of [0, 1)")
+        if sqrt_a <= 0:
             raise ValueError("sqrt_a must be positive")
-        a = self.sqrt_a ** 2
+        a = sqrt_a ** 2
         if not 2.0e7 <= a <= 3.5e7:
             raise ValueError(f"semi-major axis {a} m implausible for GPS")
+        return tuple.__new__(cls, (sat_id, toe, sqrt_a, e, m0, delta_n, i0, idot,
+                                   omega0, omega_dot, w_arg, cuc, cus, crc, crs,
+                                   cic, cis, health))
 
 
 @dataclass(frozen=True)
@@ -140,6 +165,13 @@ class SiteLocation:
 _ORBIT_TEXT = "{:<79.79}" * 7
 _ORBIT_FIELDS = itemgetter(*(slice(79 * row + 3 + 19 * k, 79 * row + 22 + 19 * k)
                              for row in range(7) for k in range(4)))
+
+# The fields in their order, orbit[0..]:
+#   IODE, Crs, Delta_n, M0 | Cuc, e, Cus, sqrtA
+#   Toe, Cic, OMEGA0, Cis | i0, Crc, omega, OMEGAdot
+#   IDOT, codesL2, week, L2Pflag | accuracy, health, TGD, IODC
+# and those that give EphemerisRecord's sqrt_a ... cis, in its field order.
+_RECORD_ORBIT = itemgetter(7, 5, 3, 2, 12, 16, 10, 15, 14, 4, 6, 13, 1, 9, 11)
 
 
 def _is_orbit_line(line: str) -> bool:
@@ -233,27 +265,11 @@ def _parse_record_block(block: list[str]) -> EphemerisRecord:
         orbit = list(map(float, fields))
     except ValueError:  # a blank field, which reads as 0.0, or a bad one
         orbit = [float(field.strip() or 0) for field in fields]
-    # orbit[0..]: IODE, Crs, Delta_n, M0 | Cuc, e, Cus, sqrtA
-    #             Toe, Cic, OMEGA0, Cis | i0, Crc, omega, OMEGAdot
-    #             IDOT, codesL2, week, L2Pflag | accuracy, health, TGD, IODC
     if not all(map(math.isfinite, orbit)):
         bad = [k for k, value in enumerate(orbit) if not math.isfinite(value)]
         raise ValueError(f"non-finite orbit field(s) {bad}")
-    week = int(orbit[18])
-    toe_sow = orbit[8]
-    return EphemerisRecord(
-        sat_id=f"G{prn:02d}",
-        toe=GpsTime(week, toe_sow),
-        sqrt_a=orbit[7], e=orbit[5],
-        m0=orbit[3], delta_n=orbit[2],
-        i0=orbit[12], idot=orbit[16],
-        omega0=orbit[10], omega_dot=orbit[15],
-        w_arg=orbit[14],
-        cuc=orbit[4], cus=orbit[6],
-        crc=orbit[13], crs=orbit[1],
-        cic=orbit[9], cis=orbit[11],
-        health=int(orbit[21]),
-    )
+    return EphemerisRecord(f"G{prn:02d}", GpsTime(int(orbit[18]), orbit[8]),
+                           *_RECORD_ORBIT(orbit), int(orbit[21]))
 
 
 # Newton stop rule of both Kepler solvers.
@@ -426,25 +442,40 @@ def parse_position_csv(text: str) -> PositionTable:
     (satellite, epoch) rows the first is kept.
 
     The rows are read column by column: one split of the whole body, one
-    conversion pass per column and array checks. Row by row work runs only
-    to name the rows that fail.
+    numpy conversion per column (each string through `float`) and array
+    checks. Row by row work runs only to name the rows that fail, and a
+    clean table skips the passes that count fields and drop lines and rows.
     """
     lines = text.splitlines()
     stripped = list(map(str.strip, lines))
-    numbers = list(compress(count(1), stripped))
-    lines = list(compress(lines, stripped))
+    if all(stripped):
+        numbers = range(1, len(lines) + 1)
+    else:
+        numbers = list(compress(count(1), stripped))
+        lines = list(compress(lines, stripped))
     if not lines or not lines[0].lstrip().lower().startswith("sat_id"):
         raise ValueError("position CSV must start with a sat_id,... header row")
-    del numbers[0], lines[0]
-    commas = np.fromiter(map(str.count, lines, repeat(",")), np.intp, len(lines))
-    whole = (commas == 5).tolist()
-    rows = list(compress(lines, whole))
-    fields = ",".join(rows).split(",") if rows else []
+    numbers, lines = numbers[1:], lines[1:]
+    # Joined with ",\n", each line but the first starts a field with "\n",
+    # which no line holds. With 6 fields a line and every "\n" in the id
+    # column, each line has 6 fields and none needs its commas counted;
+    # stripping the ids drops the "\n".
+    fields = ",\n".join(lines).split(",")
+    if (len(fields) == 6 * len(lines)
+            and "".join(fields[::6]).count("\n") == len(lines) - 1):
+        rows, row_numbers, skipped = lines, numbers, {}
+    else:
+        commas = np.fromiter(map(str.count, lines, repeat(",")), np.intp, len(lines))
+        whole = (commas == 5).tolist()
+        rows, row_numbers = list(compress(lines, whole)), list(compress(numbers, whole))
+        fields = ",".join(rows).split(",") if rows else []
+        skipped = {numbers[k]: f"expected 6 fields, got {commas[k] + 1}"
+                   for k in np.flatnonzero(commas != 5).tolist()}
     sat, week, sow, x, y, z = (fields[k::6] for k in range(6))
     # reasons[row]: why a row of `rows` is skipped, the first failed check
     # in the order sow, x, y, z, calendar, finiteness, range, week, id
     reasons: dict[int, str] = {}
-    sow, x, y, z = (np.array(_column(c, _floats, reasons)) for c in (sow, x, y, z))
+    sow, x, y, z = (_column(c, _floats, reasons) for c in (sow, x, y, z))
     _flag(reasons, ~((0 <= sow) & (sow < SECONDS_PER_WEEK)),
           "seconds_of_week out of [0, 604800)")
     _flag(reasons, ~(np.isfinite(x) & np.isfinite(y) & np.isfinite(z)),
@@ -452,47 +483,53 @@ def parse_position_csv(text: str) -> PositionTable:
     with np.errstate(over="ignore"):
         _flag(reasons, ~np.isfinite(x * x + y * y + z * z),
               "x^2 + y^2 + z^2 overflows")
-    seconds = np.array(_column(week, _week_seconds, reasons)) + sow
-    sat = list(map(str.strip, sat))
+    seconds = _column(week, _week_seconds, reasons) + sow
+    # each distinct id is stripped once, and its rows share the result
+    stripped_ids = {sat_id: sat_id.strip() for sat_id in set(sat)}
+    sat = list(map(stripped_ids.__getitem__, sat))
     if not (all(sat) and "".join(sat).isprintable()):
         _flag(reasons, [not (s and s.isprintable()) for s in sat],
               "satellite id blank or unprintable")
 
-    skipped = {numbers[k]: f"expected 6 fields, got {commas[k] + 1}"
-               for k in np.flatnonzero(commas != 5).tolist()}
-    row_numbers = list(compress(numbers, whole))
-    skipped.update((row_numbers[k], reason) for k, reason in reasons.items())
+    if reasons:
+        skipped.update((row_numbers[k], reason) for k, reason in reasons.items())
+        kept = np.ones(len(rows), dtype=bool)
+        kept[list(reasons)] = False
+        sat = list(compress(sat, kept.tolist()))
+        seconds, x, y, z = seconds[kept], x[kept], y[kept], z[kept]
     for n in sorted(skipped):
         log.warning("line %d: skipping malformed row: %s", n, skipped[n])
 
-    kept = np.ones(len(rows), dtype=bool)
-    kept[list(reasons)] = False
-    sat = list(compress(sat, kept.tolist()))
     sat_ids = sorted(set(sat))
     column_of = {sat_id: k for k, sat_id in enumerate(sat_ids)}
     sat_index = np.fromiter(map(column_of.__getitem__, sat), np.intp, len(sat))
-    epochs, epoch_index = np.unique(seconds[kept], return_inverse=True)
+    epochs, epoch_index = np.unique(seconds, return_inverse=True)
     ecef = np.full((len(epochs), len(sat_ids), 3), np.nan)
     cell = epoch_index * len(sat_ids) + sat_index
     _, first = np.unique(cell, return_index=True)
-    ecef.reshape(-1, 3)[cell[first]] = np.stack([x, y, z], axis=-1)[kept][first]
+    ecef.reshape(-1, 3)[cell[first]] = np.stack([x[first], y[first], z[first]],
+                                                axis=-1)
     return PositionTable(tuple(sat_ids), epochs, ecef)
 
 
-def _floats(strings: list[str]) -> list[float]:
-    return list(map(float, strings))
+def _floats(strings: list[str]) -> np.ndarray:
+    """The strings as float64: numpy converts each one with `float`, so the
+    values and the error text are `float`'s."""
+    return np.array(strings, dtype=np.float64)
 
 
-def _week_seconds(strings: list[str]) -> list[float]:
+def _week_seconds(strings: list[str]) -> np.ndarray:
     """GPS seconds at the start of each week, `int(week) * 604800` rounded
     to a float once, as `int(week) * SECONDS_PER_WEEK + sow` rounds it.
     Each distinct string is converted once."""
     seconds = {week: float(int(week) * SECONDS_PER_WEEK) for week in set(strings)}
-    return list(map(seconds.__getitem__, strings))
+    if len(seconds) == 1:
+        return np.full(len(strings), *seconds.values())
+    return np.fromiter(map(seconds.__getitem__, strings), np.float64, len(strings))
 
 
-def _column(strings: list[str], convert: Callable[[list[str]], list[float]],
-            reasons: dict[int, str], offset: int = 0) -> list[float]:
+def _column(strings: list[str], convert: Callable[[list[str]], np.ndarray],
+            reasons: dict[int, str], offset: int = 0) -> np.ndarray:
     """`convert(strings)` in one pass. Where it raises, the column is halved
     until each failing entry stands alone: NaN takes its place, and its
     message goes to reasons[offset + index] unless that row already has one."""
@@ -501,10 +538,10 @@ def _column(strings: list[str], convert: Callable[[list[str]], list[float]],
     except (ValueError, OverflowError) as exc:
         if len(strings) == 1:
             reasons.setdefault(offset, str(exc))
-            return [math.nan]
+            return np.full(1, math.nan)
     half = len(strings) // 2
-    return (_column(strings[:half], convert, reasons, offset)
-            + _column(strings[half:], convert, reasons, offset + half))
+    return np.concatenate((_column(strings[:half], convert, reasons, offset),
+                           _column(strings[half:], convert, reasons, offset + half)))
 
 
 def _flag(reasons: dict[int, str], bad: np.ndarray, reason: str) -> None:
@@ -518,12 +555,15 @@ PositionSource = Union[PositionTable, Sequence[EphemerisRecord]]
 
 def _elements(eph: EphemerisRecord) -> tuple[float, ...]:
     """One record's table row: toe, then the per-record terms of
-    `sat_position_ecef`, evaluated as it evaluates them."""
-    a = eph.sqrt_a ** 2
-    return (eph.toe.total_seconds(), a, math.sqrt(GM_EARTH / a ** 3) + eph.delta_n,
-            eph.m0, eph.e, math.sqrt(1 - eph.e ** 2), eph.w_arg, eph.cus, eph.cuc,
-            eph.crs, eph.crc, eph.i0, eph.idot, eph.cis, eph.cic, eph.omega0,
-            eph.omega_dot - OMEGA_EARTH, OMEGA_EARTH * eph.toe.seconds_of_week)
+    `sat_position_ecef`, evaluated as it evaluates them. The fields are
+    unpacked by position, which costs less than reading them by name."""
+    (_, toe, sqrt_a, e, m0, delta_n, i0, idot, omega0, omega_dot, w_arg,
+     cuc, cus, crc, crs, cic, cis, _) = eph
+    a = sqrt_a ** 2
+    return (toe.total_seconds(), a, math.sqrt(GM_EARTH / a ** 3) + delta_n,
+            m0, e, math.sqrt(1 - e ** 2), w_arg, cus, cuc, crs, crc, i0, idot,
+            cis, cic, omega0, omega_dot - OMEGA_EARTH,
+            OMEGA_EARTH * toe.seconds_of_week)
 
 
 def prepare_grid(source: PositionSource,

@@ -89,12 +89,13 @@ class WaveformSpec:
 
 @dataclass(frozen=True)
 class SampledSignal:
-    """A finite complex sample sequence."""
+    """A finite complex sample sequence, stored as a contiguous complex128
+    array (a strided view is copied), so its float64 view is always valid."""
 
     samples: np.ndarray
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.complex128)
+        samples = np.ascontiguousarray(self.samples, dtype=np.complex128)
         if not np.all(np.isfinite(samples.view(np.float64))):
             raise ValueError("samples must be finite")
         object.__setattr__(self, "samples", samples)

@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .orbits import vector_norm
+from .orbits import _Checked, vector_norm
 
 
 class DegenerateGeometryError(ValueError):
@@ -36,21 +36,6 @@ class FrenetFrame:
 
     u: np.ndarray
     v: np.ndarray
-
-
-class _Checked:
-    """Base of a NamedTuple record whose ``__new__`` checks its fields.
-
-    A NamedTuple's ``_make``, which ``_replace`` calls, builds the tuple
-    without ``__new__``; routing it through the constructor keeps the check
-    on every construction path.
-    """
-
-    __slots__ = ()
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
 
 class _SatGeometry(NamedTuple):

@@ -546,6 +546,21 @@ class TestScanAndHist:
         assert hashlib.sha256(text.encode()).hexdigest() == \
             "ae9cf7a31da67b4afc1c474e91d990fa267177134e863840b44861183da510d6"
 
+    def test_table_with_byte_order_mark(self, tmp_path, capsys):
+        # a spreadsheet's "CSV UTF-8" export starts with a UTF-8 byte-order
+        # mark; the table is still a table, with the same series
+        outputs = []
+        for name, prefix in (("plain.csv", b""), ("bom.csv", b"\xef\xbb\xbf")):
+            table = tmp_path / name
+            table.write_bytes(prefix + small_position_table().encode())
+            assert run(["scan", "--nav", str(table), "--lat", "35.0", "--lon",
+                        "0.0", "--azimuth", "60", "--step", "300"]) == EXIT_OK
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outputs.append(captured.out)
+        assert outputs[0].count("\n") == 37
+        assert outputs[1] == outputs[0]
+
     def test_quoted_id_from_a_table(self, tmp_path, capsys):
         # a table id that csv must quote reaches the series quoted, and
         # reads back as itself

@@ -1,4 +1,3 @@
-import dataclasses
 import datetime as dt
 import logging
 import math
@@ -120,6 +119,9 @@ class TestSatPosition:
     def test_eccentricity_validation(self):
         with pytest.raises(ValueError):
             circular_record(e=1.5)
+        # _replace builds through the constructor, so it checks as well
+        with pytest.raises(ValueError, match=r"eccentricity 1\.5 out of \[0, 1\)"):
+            circular_record()._replace(e=1.5)
 
     def test_implausible_axis_rejected(self):
         with pytest.raises(ValueError):
@@ -467,7 +469,7 @@ class TestParser:
         records = parse_rinex_nav("\n".join(lines))
         full = parse_rinex_nav(nav_text)
         assert full[0].cus != 0.0
-        assert records == [dataclasses.replace(full[0], cus=0.0)] + full[1:]
+        assert records == [full[0]._replace(cus=0.0)] + full[1:]
 
     def test_health_word_read(self, nav_text):
         lines = nav_text.splitlines()
@@ -587,6 +589,59 @@ class TestPositionCsv:
                 for k in range(60) if k % 5 in (0, 3)]
         assert [r.getMessage() for r in caplog.records] == want
         assert np.isfinite(table.ecef).all(axis=-1).sum() == 36
+
+    # One table with each kind of line the parser meets, CRLF line endings
+    MALFORMED_TABLE = "\r\n".join([
+        "sat_id,week,sow,x_m,y_m,z_m",
+        "",
+        "G05,1750,345600,1_000.5,-2000000,3000000",  # float reads 1_000.5
+        "   \t",
+        "G01,1750,345600,15000000,8000000,20000000",
+        "G02,1750,345600,-1e7,2e7,1.2e7,",
+        "G03,1750,345600,1,2",
+        "G04,17x0,345600,1,2,3",
+        "G06,1751,\u0663\u0660\u0660,-15000000,8000000,20000000",  # Arabic 300
+        "G07,1750,345600,Infinity,0,0",
+        "G01,1750,345600,1,1,1",  # the (G01, epoch) cell again
+        "G08,1x,abc,Infinity,2,3",  # sow is checked first
+        "G09,1750,604800,1,2,3",
+        "G10,1750,1,1e200,1e200,0",
+        " ,1750,1,1,2,3",
+        "G02,1751,300.000,-1.5e7,1.5e7,1.5e7",
+        "G11,1750,0,\uff11\uff12,-0,2.5e7",  # fullwidth 12
+        "G12,1750,0,Infinity,-inf,nan",
+        "G13," + "9" * 400 + ",0,1,2,3",
+        "",
+    ])
+
+    def test_malformed_table_pinned(self, caplog):
+        # the exact table and warning lines: each row's first failed check,
+        # and float's and int's own semantics and messages for every field
+        with caplog.at_level(logging.WARNING, logger="navbound.orbits"):
+            table = parse_position_csv(self.MALFORMED_TABLE)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"line {n}: skipping malformed row: {reason}" for n, reason in [
+                (6, "expected 6 fields, got 7"),
+                (7, "expected 6 fields, got 5"),
+                (8, "invalid literal for int() with base 10: '17x0'"),
+                (10, "non-finite coordinate"),
+                (12, "could not convert string to float: 'abc'"),
+                (13, "seconds_of_week out of [0, 604800)"),
+                (14, "x^2 + y^2 + z^2 overflows"),
+                (15, "satellite id blank or unprintable"),
+                (18, "non-finite coordinate"),
+                (19, "int too large to convert to float")]]
+        assert table.sat_ids == ("G01", "G02", "G05", "G06", "G11")
+        assert table.epochs.tobytes() == np.array(
+            [1750 * 604800.0, 1750 * 604800.0 + 345600.0,
+             1751 * 604800.0 + 300.0]).tobytes()
+        ecef = np.full((3, 5, 3), np.nan)
+        ecef[0, 4] = 12.0, -0.0, 2.5e7
+        ecef[1, 0] = 1.5e7, 8e6, 2e7
+        ecef[1, 2] = 1000.5, -2e6, 3e6
+        ecef[2, 1] = -1.5e7, 1.5e7, 1.5e7
+        ecef[2, 3] = -1.5e7, 8e6, 2e7
+        assert table.ecef.tobytes() == ecef.tobytes()
 
 
 def csv_field():
@@ -813,7 +868,7 @@ class TestPositionGrid:
         seen = ids[np.flatnonzero(elevation >= 15.0)[0]]
         nearest = min((r for r in ephs if r.sat_id == seen),
                       key=lambda r: abs(t - r.toe))
-        sick = dataclasses.replace(nearest, health=1)
+        sick = nearest._replace(health=1)
 
         sat_ids, grid = position_grid([sick], [t.total_seconds()])
         assert sat_ids == (seen,) and np.isnan(grid).all()
@@ -835,7 +890,7 @@ class TestPositionGrid:
         t0 = GpsTime.from_utc(dt.datetime(2013, 7, 24, 18))
         secs = t0.total_seconds() + 60.0 * np.arange(2160)
         sick = len(records) // 2
-        records[sick] = dataclasses.replace(records[sick], health=1)
+        records[sick] = records[sick]._replace(health=1)
         _, whole = position_grid(records, secs)
         _, healthy = position_grid(parse_rinex_nav(nav_text), secs)
         assert np.isnan(whole).any() and not np.isnan(whole).all()
@@ -904,7 +959,7 @@ class TestPositionGrid:
     def test_overflowing_record_raises(self):
         # math.sin(inf) raised in the scalar path; the grid must not turn
         # the same record into a quiet NaN (a satellite "not visible")
-        eph = dataclasses.replace(circular_record(m0=0.3, e=0.01), idot=1e306)
+        eph = circular_record(m0=0.3, e=0.01)._replace(idot=1e306)
         t = eph.toe.add_seconds(600.0)
         with pytest.raises(ValueError):
             sat_position_ecef(eph, t)
@@ -925,7 +980,7 @@ class TestPositionGrid:
         noon = day.add_seconds(12 * 3600.0)
         sick = min((r for r in records if r.sat_id == sick_sat),
                    key=lambda r: abs(noon - r.toe))
-        records[records.index(sick)] = dataclasses.replace(sick, health=1)
+        records[records.index(sick)] = sick._replace(health=1)
         epochs = [day.add_seconds(-6 * 3600.0 + 300.0 * k) for k in range(432)]
         sat_ids, grid = position_grid(records, seconds(epochs))
         assert sat_ids == tuple(ids)
@@ -968,9 +1023,8 @@ class TestPositionGrid:
         # G01 has no record at the first epoch and G02 none at the second:
         # those NaN cells are not a failure, and the failing cell is G02's
         good = circular_record("G01", m0=0.3, e=0.01)
-        bad = dataclasses.replace(
-            circular_record("G02", toe_sow=good.toe.seconds_of_week + 6 * 3600.0,
-                            m0=0.1, e=0.01), idot=1e306)
+        bad = circular_record("G02", toe_sow=good.toe.seconds_of_week + 6 * 3600.0,
+                              m0=0.1, e=0.01)._replace(idot=1e306)
         epochs = [bad.toe.add_seconds(600.0), good.toe]
         with pytest.raises(EphemerisError, match="^G02: non-finite position"):
             position_grid([good, bad], seconds(epochs))

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import datetime as dt
 import io
 import json
@@ -271,7 +270,7 @@ class TestFullDayScan:
 
 
     def test_no_healthy_record(self, nav_text):
-        sick = [dataclasses.replace(r, health=1) for r in parse_rinex_nav(nav_text)]
+        sick = [r._replace(health=1) for r in parse_rinex_nav(nav_text)]
         with pytest.raises(EmptySeriesError, match="no satellite position"):
             scan_ms(make_config(), sick)
 

@@ -574,6 +574,17 @@ class TestInnerProduct:
         with pytest.raises(ValueError):
             SampledSignal(np.array([1.0, np.nan]))
 
+    def test_strided_samples_accepted(self):
+        # every other sample of an array: a strided view, stored contiguous
+        strided = (np.arange(8) + 1j)[::2]
+        signal = SampledSignal(strided)
+        assert signal.samples.flags.c_contiguous
+        assert signal.samples.tobytes() == strided.copy().tobytes()
+        dy = worst_interference(signal, 2.0)
+        want = worst_interference(SampledSignal(strided.copy()), 2.0)
+        assert dy.samples.tobytes() == want.samples.tobytes()
+        assert dy.norm() ** 2 == pytest.approx(2.0, rel=1e-12)
+
 
 class TestMlDelayEstimate:
     def test_noise_free_consistency(self, spec, tau_true):
