@@ -11,7 +11,7 @@ import datetime as dt
 import logging
 import math
 from dataclasses import dataclass
-from itertools import compress, count, repeat, zip_longest
+from itertools import compress, repeat, zip_longest
 from operator import itemgetter
 from typing import Callable, ClassVar, NamedTuple, Sequence, Union
 
@@ -443,34 +443,19 @@ def parse_position_csv(text: str) -> PositionTable:
 
     The rows are read column by column: one split of the whole body, one
     numpy conversion per column (each string through `float`) and array
-    checks. Row by row work runs only to name the rows that fail, and a
-    clean table skips the passes that count fields and drop lines and rows.
+    checks. Row by row work runs only to name the rows that fail.
     """
     lines = text.splitlines()
-    stripped = list(map(str.strip, lines))
-    if all(stripped):
-        numbers = range(1, len(lines) + 1)
-    else:
-        numbers = list(compress(count(1), stripped))
-        lines = list(compress(lines, stripped))
-    if not lines or not lines[0].lstrip().lower().startswith("sat_id"):
+    top = next((k for k, line in enumerate(lines) if line.strip()), len(lines))
+    if top == len(lines) or not lines[top].lstrip().lower().startswith("sat_id"):
         raise ValueError("position CSV must start with a sat_id,... header row")
-    numbers, lines = numbers[1:], lines[1:]
-    # Joined with ",\n", each line but the first starts a field with "\n",
-    # which no line holds. With 6 fields a line and every "\n" in the id
-    # column, each line has 6 fields and none needs its commas counted;
-    # stripping the ids drops the "\n".
-    fields = ",\n".join(lines).split(",")
-    if (len(fields) == 6 * len(lines)
-            and "".join(fields[::6]).count("\n") == len(lines) - 1):
-        rows, row_numbers, skipped = lines, numbers, {}
-    else:
-        commas = np.fromiter(map(str.count, lines, repeat(",")), np.intp, len(lines))
-        whole = (commas == 5).tolist()
-        rows, row_numbers = list(compress(lines, whole)), list(compress(numbers, whole))
-        fields = ",".join(rows).split(",") if rows else []
-        skipped = {numbers[k]: f"expected 6 fields, got {commas[k] + 1}"
-                   for k in np.flatnonzero(commas != 5).tolist()}
+    # lines[k] is line first + k of the text; rows[k] is lines[row_line[k]]
+    first, lines = top + 2, lines[top + 1:]
+    commas = np.fromiter(map(str.count, lines, repeat(",")), np.intp, len(lines))
+    whole = commas == 5
+    row_line = np.flatnonzero(whole)
+    rows = list(compress(lines, whole.tolist()))
+    fields = ",".join(rows).split(",") if rows else []
     sat, week, sow, x, y, z = (fields[k::6] for k in range(6))
     # reasons[row]: why a row of `rows` is skipped, the first failed check
     # in the order sow, x, y, z, calendar, finiteness, range, week, id
@@ -484,31 +469,29 @@ def parse_position_csv(text: str) -> PositionTable:
         _flag(reasons, ~np.isfinite(x * x + y * y + z * z),
               "x^2 + y^2 + z^2 overflows")
     seconds = _column(week, _week_seconds, reasons) + sow
-    # each distinct id is stripped once, and its rows share the result
-    stripped_ids = {sat_id: sat_id.strip() for sat_id in set(sat)}
-    sat = list(map(stripped_ids.__getitem__, sat))
+    sat = list(map(str.strip, sat))
     if not (all(sat) and "".join(sat).isprintable()):
         _flag(reasons, [not (s and s.isprintable()) for s in sat],
               "satellite id blank or unprintable")
 
-    if reasons:
-        skipped.update((row_numbers[k], reason) for k, reason in reasons.items())
-        kept = np.ones(len(rows), dtype=bool)
-        kept[list(reasons)] = False
-        sat = list(compress(sat, kept.tolist()))
-        seconds, x, y, z = seconds[kept], x[kept], y[kept], z[kept]
+    # a blank line has no comma and is dropped without a warning
+    skipped = {first + k: f"expected 6 fields, got {commas[k] + 1}"
+               for k in np.flatnonzero(~whole).tolist() if lines[k].strip()}
+    skipped.update((first + int(row_line[k]), reason) for k, reason in reasons.items())
     for n in sorted(skipped):
         log.warning("line %d: skipping malformed row: %s", n, skipped[n])
 
+    kept = np.ones(len(rows), dtype=bool)
+    kept[list(reasons)] = False
+    sat = list(compress(sat, kept.tolist()))
     sat_ids = sorted(set(sat))
     column_of = {sat_id: k for k, sat_id in enumerate(sat_ids)}
     sat_index = np.fromiter(map(column_of.__getitem__, sat), np.intp, len(sat))
-    epochs, epoch_index = np.unique(seconds, return_inverse=True)
+    epochs, epoch_index = np.unique(seconds[kept], return_inverse=True)
     ecef = np.full((len(epochs), len(sat_ids), 3), np.nan)
     cell = epoch_index * len(sat_ids) + sat_index
     _, first = np.unique(cell, return_index=True)
-    ecef.reshape(-1, 3)[cell[first]] = np.stack([x[first], y[first], z[first]],
-                                                axis=-1)
+    ecef.reshape(-1, 3)[cell[first]] = np.stack([x, y, z], axis=-1)[kept][first]
     return PositionTable(tuple(sat_ids), epochs, ecef)
 
 
@@ -523,8 +506,6 @@ def _week_seconds(strings: list[str]) -> np.ndarray:
     to a float once, as `int(week) * SECONDS_PER_WEEK + sow` rounds it.
     Each distinct string is converted once."""
     seconds = {week: float(int(week) * SECONDS_PER_WEEK) for week in set(strings)}
-    if len(seconds) == 1:
-        return np.full(len(strings), *seconds.values())
     return np.fromiter(map(seconds.__getitem__, strings), np.float64, len(strings))
 
 

@@ -95,6 +95,8 @@ class SampledSignal:
     samples: np.ndarray
 
     def __post_init__(self):
+        if np.ndim(self.samples) != 1:  # checked first: the copy is at least 1-D
+            raise ValueError("samples must be 1-D")
         samples = np.ascontiguousarray(self.samples, dtype=np.complex128)
         if not np.all(np.isfinite(samples.view(np.float64))):
             raise ValueError("samples must be finite")

@@ -585,6 +585,11 @@ class TestInnerProduct:
         assert dy.samples.tobytes() == want.samples.tobytes()
         assert dy.norm() ** 2 == pytest.approx(2.0, rel=1e-12)
 
+    @pytest.mark.parametrize("samples", [1 + 1j, np.ones((2, 3))])
+    def test_samples_not_1d_rejected(self, samples):
+        with pytest.raises(ValueError, match="samples must be 1-D"):
+            SampledSignal(samples)
+
 
 class TestMlDelayEstimate:
     def test_noise_free_consistency(self, spec, tau_true):
