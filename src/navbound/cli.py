@@ -168,8 +168,10 @@ def _cmd_scan(args) -> str:
         raise ValueError("GPS-UTC offset must be a finite number of seconds, "
                          f"got {args.utc_offset}")
     # utf-8-sig drops the byte-order mark a spreadsheet's "CSV UTF-8" export
-    # writes, which would otherwise hide the sat_id header from the sniff
-    with open(args.nav, encoding="utf-8-sig") as f:
+    # writes, which would otherwise hide the sat_id header from the sniff; a
+    # byte that is not UTF-8 becomes an unprintable character, and the
+    # record or row that holds it is skipped like any malformed one
+    with open(args.nav, encoding="utf-8-sig", errors="surrogateescape") as f:
         text = f.read()
     site = SiteLocation(args.lat, args.lon, args.height)
     if text.lstrip()[:6].lower() == "sat_id":

@@ -50,15 +50,14 @@ class WaveformSpec:
     pulse_smoothing is the standard deviation (seconds) of the Gaussian
     kernel convolved with the rectangular chip train; it must be strictly
     positive so the first and second delay derivatives exist everywhere.
-    The capture spans a whole number of code periods, so a delay shift of
-    m samples circularly shifts the replica. num_samples * sampling_period
-    must lie within 1e-9 periods of that whole number, and the waveform
-    is synthesized at T = periods * code_period / num_samples exactly.
+    The capture spans a whole number of code periods, num_samples samples
+    at T = periods * code_period / num_samples, so a delay shift of m
+    samples circularly shifts the replica.
     """
 
     code: ChipSequence
     pulse_smoothing: float
-    sampling_period: float
+    periods: int
     num_samples: int
 
     def __post_init__(self):
@@ -68,15 +67,10 @@ class WaveformSpec:
                 "ideal rectangular chips the waveform derivative is undefined "
                 "at chip edges"
             )
-        if not 0 < self.sampling_period < math.inf:
-            raise ValueError("sampling_period must be positive and finite")
+        if not (_is_int(self.periods) and self.periods >= 1):
+            raise ValueError("periods must be an integer >= 1")
         if not (_is_int(self.num_samples) and self.num_samples >= 1):
             raise ValueError("num_samples must be an integer >= 1")
-        periods = self.num_samples * self.sampling_period / self.code.period
-        if not (math.isfinite(periods) and round(periods) >= 1
-                and abs(periods - round(periods)) < 1e-9):
-            raise ValueError("num_samples * sampling_period must span a whole "
-                             "number (>= 1) of code periods")
 
     @property
     def chip_duration(self) -> float:
@@ -85,6 +79,10 @@ class WaveformSpec:
     @property
     def code_period(self) -> float:
         return self.code.period
+
+    @property
+    def sampling_period(self) -> float:
+        return self.periods * self.code.period / self.num_samples
 
 
 @dataclass(frozen=True)
@@ -163,11 +161,10 @@ def _waveforms(spec: WaveformSpec, tau: float, orders) -> tuple:
     sample moves by at most ~Phi(-10) = 7.6e-24 at unit amplitude, phi(10)/s
     in w' and 10 phi(10)/s^2 in w''.
 
-    The kernel takes T = periods P / N exactly, for the whole number of
-    code periods the capture spans. So T/Tc = p/q in lowest terms, and
-    sample k sits at chip k p/q - tau/Tc (mod L): its chip and its phase
-    R = k p mod q come from integers, and its offset within the chip is
-    R/q - frac(tau/Tc), plus one where that is negative. Each position
+    T = periods P / N, so T/Tc = p/q in lowest terms, and sample k sits
+    at chip k p/q - tau/Tc (mod L): its chip and its phase R = k p mod q
+    come from integers, and its offset within the chip is R/q -
+    frac(tau/Tc), plus one where that is negative. Each position
     carries the one rounding of tau/Tc that all samples share and the
     rounding of its phase's offset. The 2 half inner boundaries of a
     phase get arguments b = (offset - r) / (s/Tc), r = 1-half .. half,
@@ -189,8 +186,7 @@ def _waveforms(spec: WaveformSpec, tau: float, orders) -> tuple:
     if not math.isfinite(theta):
         raise ValueError(f"delay tau={tau!r} s is not a finite number of chips")
     chips = spec.code.chips
-    length, n = len(chips), spec.num_samples
-    periods = round(n * spec.sampling_period / spec.code_period)
+    length, n, periods = len(chips), spec.num_samples, spec.periods
     g = math.gcd(periods * length, n)
     p, q = periods * length // g, n // g
     s = spec.pulse_smoothing
@@ -408,8 +404,6 @@ def _ml_delay(z: SampledSignal, syntheses: _Syntheses,
                 "Newton iterate left the search window: no stationary point inside",
                 last_iterate=tau,
             )
-        if abs(step) < 1e-22:
-            break
 
     if abs(best_g) > 1e-9 * scale:
         raise DelayEstimationError(
@@ -551,6 +545,6 @@ def default_spec(prn: int = 1, pulse_smoothing_chips: float = 0.1,
     return WaveformSpec(
         code=code,
         pulse_smoothing=pulse_smoothing_chips * tc,
-        sampling_period=code.period / n,
+        periods=1,
         num_samples=n,
     )

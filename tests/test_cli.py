@@ -482,6 +482,10 @@ class TestOutputFile:
 
 
 class TestScanAndHist:
+    GOLDEN_DAY = "d3fd17a81918751215d7255e29ce91e4b4157ea9790da48259c845dabb128eb2"
+    GOLDEN_ARGS = ["--lat", "34.75337", "--lon", "135.42783", "--height", "3.7",
+                   "--azimuth", "90", "--mask", "15", "--step", "60"]
+
     def test_full_pipeline(self, nav_path, tmp_path, capsys):
         series = tmp_path / "series.csv"
         argv = ["scan", "--nav", str(nav_path),
@@ -509,12 +513,19 @@ class TestScanAndHist:
 
     def test_golden_full_day_csv(self, nav_path, tmp_path):
         series = tmp_path / "series.csv"
-        assert run(["scan", "--nav", str(nav_path), "--lat", "34.75337",
-                    "--lon", "135.42783", "--height", "3.7", "--azimuth", "90",
-                    "--mask", "15", "--step", "60",
+        assert run(["scan", "--nav", str(nav_path), *self.GOLDEN_ARGS,
                     "--output", str(series)]) == EXIT_OK
-        assert hashlib.sha256(series.read_bytes()).hexdigest() == \
-            "d3fd17a81918751215d7255e29ce91e4b4157ea9790da48259c845dabb128eb2"
+        assert hashlib.sha256(series.read_bytes()).hexdigest() == self.GOLDEN_DAY
+
+    def test_latin1_byte_in_rinex_header(self, nav_path, tmp_path):
+        # a byte that is not UTF-8 (an older writer's Latin-1 e-acute) in a
+        # header comment leaves the day's series as it was
+        nav = tmp_path / "latin1.13n"
+        nav.write_bytes(nav_path.read_bytes().replace(b"Synthetic", b"Synth\xe9tic", 1))
+        series = tmp_path / "series.csv"
+        assert run(["scan", "--nav", str(nav), *self.GOLDEN_ARGS,
+                    "--output", str(series)]) == EXIT_OK
+        assert hashlib.sha256(series.read_bytes()).hexdigest() == self.GOLDEN_DAY
 
     @pytest.mark.parametrize("site, azimuth, mask, step, digest", [
         (("-33.92", "18.42", "10"), "30", "10", "60",
@@ -560,6 +571,24 @@ class TestScanAndHist:
             outputs.append(captured.out)
         assert outputs[0].count("\n") == 37
         assert outputs[1] == outputs[0]
+
+    @pytest.mark.parametrize("row", [b"G\xe93,1750,0,1.5e7,1.5e7,1.5e7",
+                                     b"G03,1750,0,1.5\xe9e7,1.5e7,1.5e7"],
+                             ids=["sat_id", "x_m"])
+    def test_latin1_byte_in_table_row(self, tmp_path, row):
+        # a byte that is not UTF-8 in an id or a coordinate skips its row
+        # with the line number, as any malformed row; it used to fail the
+        # whole scan with the decoder's byte offset
+        table = tmp_path / "positions.csv"
+        table.write_bytes(b"sat_id,week,sow,x_m,y_m,z_m\n"
+                          b"G01,1750,0,1.5e7,1.5e7,1.5e7\n" + row + b"\n"
+                          b"G02,1750,60,-1.5e7,1.5e7,1.5e7\n")
+        result = navbound_process("scan", "--nav", str(table), "--lat", "34.75337",
+                                  "--lon", "135.42783")
+        assert result.returncode == EXIT_OK
+        assert len(result.stdout.splitlines()) == 3
+        [line] = result.stderr.splitlines()
+        assert line.startswith("WARNING:navbound.orbits:line 3: skipping malformed row")
 
     def test_quoted_id_from_a_table(self, tmp_path, capsys):
         # a table id that csv must quote reaches the series quoted, and

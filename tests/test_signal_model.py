@@ -80,30 +80,17 @@ class TestWaveform:
     def test_rejects_zero_smoothing(self, spec):
         with pytest.raises(ValueError):
             WaveformSpec(code=spec.code, pulse_smoothing=0.0,
-                         sampling_period=spec.sampling_period,
-                         num_samples=spec.num_samples)
+                         periods=spec.periods, num_samples=spec.num_samples)
 
     def test_rejects_bad_order(self, spec):
         with pytest.raises(ValueError):
             sample_waveform(spec, 0.0, 3)
 
-    @pytest.mark.parametrize("prn, per_period, num_samples", [
-        pytest.param(1, 4092, 100, id="short"),
-        # one and a half periods at one sample per chip: the FFT coarse
-        # search needs whole periods, so a delay shift is a circular shift
-        pytest.param(3, 1023, 1535, id="partial_period")])
-    def test_rejects_short_capture(self, prn, per_period, num_samples):
-        code = generate_ca_code(prn)
-        with pytest.raises(ValueError, match="whole number"):
-            WaveformSpec(code=code, pulse_smoothing=0.1 * code.chip_duration,
-                         sampling_period=code.period / per_period,
-                         num_samples=num_samples)
-
     @pytest.mark.parametrize("field, value", [
         ("pulse_smoothing", math.nan), ("pulse_smoothing", math.inf),
-        ("sampling_period", math.nan), ("sampling_period", math.inf),
-        ("sampling_period", -1e-6), ("num_samples", -4092),
-        ("num_samples", 0), ("num_samples", 4092.5), ("num_samples", True),
+        ("periods", 0), ("periods", -1), ("periods", 1.5), ("periods", True),
+        ("num_samples", -4092), ("num_samples", 0), ("num_samples", 4092.5),
+        ("num_samples", True),
         ("samples_per_chip", -1), ("samples_per_chip", 0),
         ("samples_per_chip", 1.5)])
     def test_rejects_nonfinite_or_nonpositive_field(self, spec, field, value):
@@ -117,10 +104,7 @@ class TestWaveform:
             else:
                 fields = {"code": spec.code, "num_samples": spec.num_samples,
                           "pulse_smoothing": spec.pulse_smoothing,
-                          "sampling_period": spec.sampling_period, field: value}
-                if field == "num_samples" and value > 0:
-                    # one code period exactly, so that only the count is wrong
-                    fields["sampling_period"] = spec.code.period / value
+                          "periods": spec.periods, field: value}
                 WaveformSpec(**fields)
 
 
@@ -138,8 +122,7 @@ def _sample_positions(spec, tau):
     fractional part of tau/Tc, plus one where that is negative (then the
     sample lies in the chip before).
     """
-    length, n = len(spec.code), spec.num_samples
-    periods = round(n * spec.sampling_period / spec.code_period)
+    length, n, periods = len(spec.code), spec.num_samples, spec.periods
     theta = tau / spec.chip_duration
     whole = math.floor(theta)
     frac = theta - whole
@@ -206,7 +189,7 @@ def _fractional_spec():
     """3000 samples over one period: 2.93... samples per chip."""
     code = generate_ca_code(17)
     return WaveformSpec(code=code, pulse_smoothing=0.35 * code.chip_duration,
-                        sampling_period=code.period / 3000, num_samples=3000)
+                        periods=1, num_samples=3000)
 
 
 _KERNEL_CASES = {
@@ -278,7 +261,7 @@ class TestFusedKernel:
         tc = code.chip_duration
         n = length * samples_per_chip
         spec = WaveformSpec(code=code, pulse_smoothing=smoothing * tc,
-                            sampling_period=code.period / n, num_samples=n)
+                            periods=1, num_samples=n)
         # tau in [-P, 2P], on a chip edge or anywhere
         tau = round(frac * length) * tc if on_edge else frac * code.period
         got = _waveforms(spec, tau, tuple(orders))
@@ -448,8 +431,7 @@ def _short_spec(prn, length, periods, num_samples, smoothing):
     `periods` periods, at `smoothing` chips."""
     code = ChipSequence(generate_ca_code(prn).chips[:length])
     return WaveformSpec(code=code, pulse_smoothing=smoothing * code.chip_duration,
-                        sampling_period=periods * code.period / num_samples,
-                        num_samples=num_samples)
+                        periods=periods, num_samples=num_samples)
 
 
 def _exact_reference(spec, tau):
@@ -478,8 +460,7 @@ def _exact_reference(spec, tau):
     rounding of each term's difference, on both sides.
     """
     eps = np.finfo(float).eps
-    length, n = len(spec.code), spec.num_samples
-    periods = round(n * spec.sampling_period / spec.code_period)
+    length, n, periods = len(spec.code), spec.num_samples, spec.periods
     s = spec.pulse_smoothing
     theta = Fraction(tau) / Fraction(spec.chip_duration)
     per_sigma = Fraction(spec.chip_duration) / Fraction(s)
@@ -538,21 +519,6 @@ class TestExactPositions:
         got = _waveforms(spec, tau, (0, 1, 2))
         for order, (ref, bound) in enumerate(_exact_reference(spec, tau)):
             assert np.all(np.abs(got[order] - ref) <= bound), order
-
-    @pytest.mark.parametrize("periods, rate", [(1, 1.0 + 1e-10), (2, 1.0 - 1e-10)])
-    def test_whole_period_snapping(self, periods, rate):
-        # A sampling period 1e-10 off periods P / N passes the spec's 1e-9
-        # whole-period check, and the kernel samples at periods P / N.
-        code = generate_ca_code(7)
-        n = 4 * periods * len(code)
-        exact, near = (WaveformSpec(code=code, pulse_smoothing=0.1 * code.chip_duration,
-                                    sampling_period=periods * code.period / n * r,
-                                    num_samples=n) for r in (1.0, rate))
-        assert near.sampling_period != exact.sampling_period
-        for tau in (0.0, 0.37 * code.period, -2.5 * code.chip_duration):
-            for a, b in zip(_waveforms(exact, tau, (0, 1, 2)),
-                            _waveforms(near, tau, (0, 1, 2))):
-                assert _same_bytes(a, b)
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.01])
@@ -662,7 +628,7 @@ class TestMlDelayEstimate:
         code = generate_ca_code(3)
         n = 2 * len(code) * samples_per_chip
         spec = WaveformSpec(code=code, pulse_smoothing=0.1 * code.chip_duration,
-                            sampling_period=2 * code.period / n, num_samples=n)
+                            periods=2, num_samples=n)
         tc = spec.chip_duration
         for frac in np.random.default_rng(23).uniform(0.0, 1.0, 5):
             tau = frac * spec.code_period
@@ -684,17 +650,18 @@ class TestMlDelayEstimate:
             assert ml_delay_estimate(z, spec, window).hex() \
                 == ml_delay_estimate(real, spec, window).hex()
 
-    @pytest.mark.parametrize("periods, per_chip", [(1, 1), (2, 4)],
-                             ids=["odd_length", "two_periods"])
+    @pytest.mark.parametrize("periods, per_chip", [(1, 1), (2, 4), (3, 2)],
+                             ids=["odd_length", "two_periods", "three_periods"])
     def test_coarse_correlation_matches_rolled_replica(self, monkeypatch,
                                                        periods, per_chip):
         # The real-FFT correlation against each coarse reference w, for
-        # every shift m, against the sum Re<roll(w, m), z> taken directly
+        # every shift m, against the sum Re<roll(w, m), z> taken directly;
+        # and roll(w, m) against the replica synthesized m sampling periods
+        # on, so the grid steps by the T the kernel samples at
         code = generate_ca_code(11)
         n = periods * len(code) * per_chip
         spec = WaveformSpec(code=code, pulse_smoothing=0.1 * code.chip_duration,
-                            sampling_period=periods * code.period / n,
-                            num_samples=n)
+                            periods=periods, num_samples=n)
         tau = 0.37 * spec.code_period
         z = sample_waveform(spec, tau, 0).samples \
             + NoiseConfig(0.3, seed=periods).sample(n)
@@ -703,7 +670,7 @@ class TestMlDelayEstimate:
 
         def recorded_reference(self, tau):
             got = reference(self, tau)
-            references.append(got[0])
+            references.append((tau, got[0]))
             return got
 
         def recorded_irfft(*args):
@@ -715,7 +682,11 @@ class TestMlDelayEstimate:
         ml_delay_estimate(SampledSignal(z), spec,
                           (tau - 0.5 * spec.code_period, tau + 0.5 * spec.code_period))
         assert len(references) == len(correlations) >= 1
-        for w, corr in list(zip(references, correlations))[:3]:
+        for ref, w in references:
+            for m in (-1, 1, 7, n // 3, n - 1):
+                shifted = _waveforms(spec, ref + m * spec.sampling_period, (0,))[0]
+                assert np.max(np.abs(shifted - np.roll(w, m))) <= 1e-11
+        for (_, w), corr in list(zip(references, correlations))[:3]:
             assert len(corr) == n
             direct = [np.real(np.vdot(np.roll(w, m), z)) for m in range(n)]
             scale = np.linalg.norm(w) * np.linalg.norm(z)
