@@ -58,20 +58,13 @@ def generate_ca_code(prn: int) -> ChipSequence:
 
 @lru_cache(maxsize=None)
 def _ca_code(prn: int) -> ChipSequence:
-    t1, t2 = _G2_TAPS[prn]
+    t1, t2 = (tap - 1 for tap in _G2_TAPS[prn])
+    g1, g2, out = [1] * 10, [1] * 10, []
+    for _ in range(CA_CODE_LENGTH):
+        out.append(g1[9] ^ g2[t1] ^ g2[t2])
+        g1 = [g1[2] ^ g1[9]] + g1[:9]
+        g2 = [g2[1] ^ g2[2] ^ g2[5] ^ g2[7] ^ g2[8] ^ g2[9]] + g2[:9]
 
-    g1 = np.ones(10, dtype=np.int8)
-    g2 = np.ones(10, dtype=np.int8)
-    out = np.empty(CA_CODE_LENGTH, dtype=np.int8)
-    for i in range(CA_CODE_LENGTH):
-        out[i] = g1[9] ^ (g2[t1 - 1] ^ g2[t2 - 1])
-        fb1 = g1[2] ^ g1[9]
-        fb2 = g2[1] ^ g2[2] ^ g2[5] ^ g2[7] ^ g2[8] ^ g2[9]
-        g1[1:] = g1[:-1]
-        g1[0] = fb1
-        g2[1:] = g2[:-1]
-        g2[0] = fb2
-
-    chips = 1 - 2 * out
+    chips = 1 - 2 * np.array(out, dtype=np.int8)
     chips.flags.writeable = False
     return ChipSequence(chips=chips)

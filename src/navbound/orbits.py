@@ -406,10 +406,11 @@ class PositionTable:
     """Precomputed ECEF satellite positions on a dense epoch axis.
 
     `epochs` holds the distinct row times (seconds since the GPS epoch),
-    finite and strictly increasing; `sat_ids` is sorted with no repeats;
-    `ecef[epoch, sat, 3]` is NaN where a satellite has no row. The grid
-    lookup and the scan's tie rule rely on both orders, so a table that
-    breaks one is rejected with ValueError. `ecef` is not copied.
+    finite, strictly increasing and more than 2 * EPOCH_TOLERANCE apart, so
+    a time is within EPOCH_TOLERANCE of one epoch at most; `sat_ids` is
+    sorted with no repeats; `ecef[epoch, sat, 3]` is NaN where a satellite
+    has no row. The grid lookup and the scan's tie rule rely on these, so a
+    table that breaks one is rejected with ValueError. `ecef` is not copied.
     """
 
     sat_ids: tuple[str, ...]
@@ -419,9 +420,9 @@ class PositionTable:
     def __post_init__(self):
         epochs = np.asarray(self.epochs, dtype=np.float64)
         if not (epochs.ndim == 1 and np.isfinite(epochs).all()
-                and (epochs[1:] > epochs[:-1]).all()):
-            raise ValueError("position table epochs must be a 1-D, finite, "
-                             "strictly increasing array")
+                and (np.diff(epochs) > 2 * EPOCH_TOLERANCE).all()):
+            raise ValueError("position table epochs must be 1-D, finite and strictly "
+                             f"increasing, more than {2 * EPOCH_TOLERANCE:g} s apart")
         ids = self.sat_ids
         if not all(a < b for a, b in zip(ids, ids[1:])):
             raise ValueError("position table satellite ids must be sorted "

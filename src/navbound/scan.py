@@ -136,8 +136,9 @@ def histogram(best_m_s: np.ndarray, bin_width: float = 0.1,
     """Relative-frequency histogram of a best_m_s column (NaN on a gap).
 
     Frequencies are normalized by the number of epochs with a value;
-    values above the range fall in the overflow bin. Raises EmptySeriesError
-    when no epoch has a value.
+    values above the range fall in the overflow bin. The bin width must split
+    the range into whole bins, up to rounding. Raises EmptySeriesError when
+    no epoch has a value.
     """
     lo, hi = value_range
     if not (math.isfinite(bin_width) and bin_width > 0):
@@ -150,6 +151,10 @@ def histogram(best_m_s: np.ndarray, bin_width: float = 0.1,
     n_bins = int(round(bins))
     if n_bins < 1:
         raise ValueError("range is narrower than half a bin")
+    # allow for rounding: (3 - 1) / 0.1 is 19.999999999999996
+    if not math.isclose(bins, n_bins, rel_tol=1e-9):
+        raise ValueError(f"bin width {bin_width} does not split the range "
+                         "into whole bins")
     values = best_m_s[~np.isnan(best_m_s)]
     if not len(values):
         raise EmptySeriesError("no epochs with an admissible pair")

@@ -66,10 +66,9 @@ def synthetic_geometry(sat_id: str, f: float, h: float) -> SatGeometry:
     return SatGeometry(sat_id, f, h)
 
 
-def check_unit_disc(f, h, label: str) -> None:
-    """Physical cosines of a unit direction satisfy f^2 + h^2 <= 1 (floats or
-    arrays; a NaN passes)."""
-    if np.any(f * f + h * h > 1.0 + 1e-12):
+def check_unit_disc(f: float, h: float, label: str) -> None:
+    """Physical cosines of a unit direction satisfy f^2 + h^2 <= 1."""
+    if f * f + h * h > 1.0 + 1e-12:
         raise ValueError(f"{label}: f^2 + h^2 exceeds 1")
 
 
@@ -126,13 +125,13 @@ def frenet_frame(track_azimuth: float) -> FrenetFrame:
 def directional_cosines(unit_dirs, frame: FrenetFrame) -> tuple[np.ndarray, np.ndarray]:
     """Track-frame cosines f = <g, U> and h = <g, V> of unit site->satellite
     directions (shape (..., 3)), g being minus the direction. A NaN row (a
-    satellite with no position) gives NaN cosines."""
+    satellite with no position) gives NaN cosines. A direction more than
+    4e-13 off unit length is rejected; within that, f^2 + h^2 <= (1 + 4e-13)^2
+    stays inside the unit disc's 1e-12 of `check_unit_disc`."""
     d = np.asarray(unit_dirs, dtype=float)
-    if (np.abs(vector_norm(d) - 1.0) > 1e-9).any():
+    if (np.abs(vector_norm(d) - 1.0) > 4e-13).any():
         raise ValueError("a satellite direction is not a unit vector")
-    f, h = -(d @ frame.u), -(d @ frame.v)
-    check_unit_disc(f, h, "a satellite direction")
-    return f, h
+    return -(d @ frame.u), -(d @ frame.v)
 
 
 def _cofactors(f, h):

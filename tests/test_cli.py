@@ -590,6 +590,20 @@ class TestScanAndHist:
         [line] = result.stderr.splitlines()
         assert line.startswith("WARNING:navbound.orbits:line 3: skipping malformed row")
 
+    def test_table_epochs_too_close(self, tmp_path, capsys):
+        # row times 0.5 us apart are two epochs that the 1 us lookup cannot
+        # tell apart: the scan used to exit 0 with G02 never read
+        table = tmp_path / "positions.csv"
+        table.write_text("sat_id,week,sow,x_m,y_m,z_m\n"
+                         "G01,1750,345600,-15000000,8000000,20000000\n"
+                         "G02,1750,345600.0000005,-10000000,20000000,12000000\n")
+        assert run(["scan", "--nav", str(table), "--lat", "34.75337",
+                    "--lon", "135.42783", "--step", "300"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert "strictly increasing, more than 2e-06 s apart" in line
+
     def test_quoted_id_from_a_table(self, tmp_path, capsys):
         # a table id that csv must quote reaches the series quoted, and
         # reads back as itself
@@ -816,10 +830,10 @@ class TestScanAndHist:
         ["--range", "3", "1"], ["--range", "1", "1"], ["--range", "1", "inf"],
         ["--range", "nan", "3"], ["--bin-width", "inf"],
         ["--bin-width", "nan"], ["--bin-width", "0"], ["--bin-width", "-0.1"],
-        ["--bin-width", "1e-9"], ["--bin-width", "10"]],
+        ["--bin-width", "1e-9"], ["--bin-width", "10"], ["--bin-width", "0.45"]],
         ids=["reversed_range", "empty_range", "infinite_range", "nan_range",
              "infinite_width", "nan_width", "zero_width", "negative_width",
-             "too_many_bins", "wider_than_range"])
+             "too_many_bins", "wider_than_range", "partial_last_bin"])
     def test_hist_bad_bins_exit_two(self, tmp_path, capsys, options):
         series = tmp_path / "series.csv"
         series.write_text("week,sow,n_visible,best_m_s,sat_a,sat_b\n"

@@ -1,10 +1,12 @@
 import datetime as dt
+import importlib.util
 import logging
 import math
+import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from navbound.constants import GM_EARTH, OMEGA_EARTH, WGS84_A, WGS84_B
@@ -132,6 +134,14 @@ class TestSatPosition:
 
 
 class TestRealEphemerides:
+    def test_fixture_regenerates(self, nav_path):
+        # the bundled day is what tools/make_nav_file.py writes, byte for byte
+        path = pathlib.Path(__file__).parents[1] / "tools" / "make_nav_file.py"
+        spec = importlib.util.spec_from_file_location("make_nav_file", path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        assert tool.nav_text().encode() == nav_path.read_bytes()
+
     def test_position_magnitude_and_speed(self, nav_text):
         ephs = parse_rinex_nav(nav_text)
         assert ephs
@@ -521,6 +531,14 @@ class TestPositionCsv:
                                    "G01,1750,0,1.5e7,1.5e7,1.5e7\n")
         assert table.sat_ids == ("G01",)
 
+    def test_distinct_times_too_close_rejected(self):
+        # G02's time lies within the lookup's 1 us of G01's epoch, so a scan
+        # of this table would never read G02
+        with pytest.raises(ValueError, match="strictly increasing"):
+            parse_position_csv("sat_id,week,sow,x_m,y_m,z_m\n"
+                               "G01,1750,345600,1.5e7,1.5e7,1.5e7\n"
+                               "G02,1750,345600.0000005,-1.5e7,1.5e7,1.5e7\n")
+
     @pytest.mark.parametrize("row, message", [
         # week * 604800 does not fit a float: this used to escape as an
         # OverflowError and end the scan in a traceback
@@ -703,6 +721,8 @@ def reference_position_csv(text):
         else:
             skipped.add(n)
     epochs = sorted({seconds for seconds, _ in cells})
+    if any(b - a <= 2e-6 for a, b in zip(epochs, epochs[1:])):
+        raise ValueError("distinct row times 2e-6 s apart or closer")
     sat_ids = sorted({sat_id for _, sat_id in cells})
     ecef = np.full((len(epochs), len(sat_ids), 3), np.nan)
     for (seconds, sat_id), xyz in cells.items():
@@ -726,6 +746,7 @@ class TestPositionCsvFuzz:
     @given(st.sampled_from([True] * 3 + [False]),
            st.lists(st.one_of(VALID_ROW.map(",".join), csv_row(), BAD_ID_ROW,
                               st.sampled_from(["", " \t"])), max_size=10))
+    @example(True, ["G01,0,0.0,0.0,0.0,0.0", "G01,0,5.960464477539063e-08,0.0,0.0,0.0"])
     def test_rows_are_skipped_or_kept_finite(self, header, rows):
         text = "\n".join(["sat_id,week,sow,x_m,y_m,z_m"] * header + rows)
         logger = logging.getLogger("navbound.orbits")
@@ -734,7 +755,12 @@ class TestPositionCsvFuzz:
         try:
             table = parse_position_csv(text)
         except ValueError as exc:
-            assert not header and "header row" in str(exc)
+            if header:  # kept rows at distinct times too close together
+                assert "strictly increasing" in str(exc)
+                with pytest.raises(ValueError, match="2e-6 s apart"):
+                    reference_position_csv(text)
+            else:
+                assert "header row" in str(exc)
             return
         finally:
             logger.removeHandler(lines)
@@ -755,6 +781,7 @@ def assert_table_invariants(table):
     ids, epochs = list(table.sat_ids), table.epochs.tolist()
     assert ids == sorted(set(ids))
     assert epochs == sorted(set(epochs)) and all(map(math.isfinite, epochs))
+    assert all(b - a > 2e-6 for a, b in zip(epochs, epochs[1:]))
     assert table.ecef.shape == (len(epochs), len(ids), 3)
 
 
@@ -774,6 +801,19 @@ class TestPositionTable:
     def test_repeated_non_finite_or_2d_epochs_rejected(self, epochs):
         with pytest.raises(ValueError, match="epochs"):
             PositionTable(("G01",), epochs, np.zeros((2, 1, 3)))
+
+    @pytest.mark.parametrize("gap", [1e-6, 1.5e-6, 2e-6])
+    def test_epochs_within_twice_the_tolerance_rejected(self, gap):
+        # a lookup at the later epoch would find the earlier one, or neither
+        with pytest.raises(ValueError, match="more than 2e-06 s apart"):
+            PositionTable(("G01",), np.array([0.0, gap]), np.zeros((2, 1, 3)))
+
+    def test_lookup_reads_each_of_two_close_epochs(self):
+        # just over 2 * EPOCH_TOLERANCE apart, each epoch reads its own row
+        epochs = np.array([100.0, 100.0 + 2.5e-6])
+        ecef = np.array([[[1.0, 2.0, 3.0]], [[4.0, 5.0, 6.0]]])
+        _, grid = position_grid(PositionTable(("G01",), epochs, ecef), epochs)
+        assert grid.tobytes() == ecef.tobytes()
 
     @pytest.mark.parametrize("sat_ids", [("G02", "G01"), ("G01", "G01")])
     def test_unsorted_or_repeated_sat_ids_rejected(self, sat_ids):
@@ -801,7 +841,13 @@ class TestPositionTable:
     @given(st.lists(st.one_of(VALID_ROW.map(",".join), csv_row(), BAD_ID_ROW),
                     max_size=12))
     def test_parsed_tables_meet_contract(self, rows):
-        table = parse_position_csv("\n".join(["sat_id,week,sow,x_m,y_m,z_m"] + rows))
+        text = "\n".join(["sat_id,week,sow,x_m,y_m,z_m"] + rows)
+        try:
+            table = parse_position_csv(text)
+        except ValueError:  # kept rows at distinct times too close together
+            with pytest.raises(ValueError, match="2e-6 s apart"):
+                reference_position_csv(text)
+            return
         assert_table_invariants(table)
 
 

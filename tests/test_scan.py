@@ -366,6 +366,10 @@ class TestHistogram:
         (1e-9, (1.0, 3.0), "bins"),
         (1.0, (-1e308, 1e308), "bins"),
         (10.0, (1.0, 3.0), "narrower"),
+        # the bins used to end at 2.8, counting 2.9 and 2.95 as overflow
+        (0.45, (1.0, 3.0), "whole bins"),
+        # the last bin used to run to 3.1, counting 3.05 inside it
+        (0.3, (1.0, 3.0), "whole bins"),
     ])
     def test_bad_options_rejected_before_values(self, bin_width, value_range,
                                                 match):

@@ -80,6 +80,16 @@ class TestDirectionalCosines:
         with pytest.raises(ValueError, match="not a unit vector"):
             directional_cosines(np.array([[0.0, 0.0, 1.0], [1.0, 1.0, 0.0]]), fr)
 
+    def test_unit_length_tolerance(self):
+        # 4e-13 keeps f^2 + h^2 within check_unit_disc's 1e-12: a horizontal
+        # direction 6e-13 too long used to pass the old 1e-9 unit check and
+        # then fail the disc check
+        fr = frenet_frame(math.pi / 2)
+        with pytest.raises(ValueError, match="not a unit vector"):
+            directional_cosines(np.array([1 + 6e-13, 0.0, 0.0]), fr)
+        f, h = directional_cosines(np.array([1 + 3e-13, 0.0, 0.0]), fr)
+        check_unit_disc(f, h, "x")
+
     def test_off_unit_disc_rejected(self):
         # a unit direction cannot give f^2 + h^2 > 1; a rounding-level excess
         # within the tolerance is kept, anything beyond it is rejected

@@ -5,6 +5,9 @@ file is synthesized from the nominal GPS constellation geometry (6
 orbital planes at 55 deg inclination, ~26560 km semi-major axis, 31
 active satellites) with element magnitudes typical of real broadcast
 records. Issue epochs are every 2 hours over 25 July 2013.
+
+`nav_text()` returns the file's text; run the script to write it to
+tests/data/brdc2060.13n.
 """
 
 import datetime as dt
@@ -16,7 +19,8 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from navbound.orbits import GPS_EPOCH  # noqa: E402
+from navbound.constants import GM_EARTH  # noqa: E402
+from navbound.orbits import GpsTime  # noqa: E402
 
 DAY = dt.datetime(2013, 7, 25)
 
@@ -45,13 +49,8 @@ def _f(x: float) -> str:
     return f"{val: .12f}D{exp_val:+03d}"
 
 
-def gps_week_sow(t: dt.datetime, leap: float = 16.0):
-    delta = (t - GPS_EPOCH).total_seconds() + leap
-    week = int(delta // 604800)
-    return week, delta - week * 604800
-
-
-def build(path: pathlib.Path, seed: int = 20130725):
+def nav_text(seed: int = 20130725) -> str:
+    """The navigation file's text, its elements drawn from `seed`."""
     rng = np.random.default_rng(seed)
     lines = [
         "     2.11           N: GPS NAV DATA                        "
@@ -81,11 +80,12 @@ def build(path: pathlib.Path, seed: int = 20130725):
         crs = float(rng.uniform(-120.0, 120.0))
         cic = float(rng.uniform(-2e-7, 2e-7))
         cis = float(rng.uniform(-2e-7, 2e-7))
-        n0 = math.sqrt(3.986005e14 / sqrt_a ** 6)
+        n0 = math.sqrt(GM_EARTH / sqrt_a ** 6)
 
         for hour in range(0, 24, 2):
             toc = DAY + dt.timedelta(hours=hour)
-            week, sow = gps_week_sow(toc)
+            t = GpsTime.from_utc(toc, 16.0)  # 2013's offset, pinned apart from the default
+            week, sow = t.week, t.seconds_of_week
             # advance the slot's mean anomaly to this toe
             m0 = math.remainder(m_base + (n0 + delta_n) * sow, 2 * math.pi)
             omega0 = omega0_base
@@ -106,12 +106,11 @@ def build(path: pathlib.Path, seed: int = 20130725):
             for row in rows:
                 lines.append("   " + "".join(_f(x) for x in row))
 
-    path.write_text("\n".join(lines) + "\n")
-    print(f"wrote {path} ({len(SLOTS)} satellites, "
-          f"{12 * len(SLOTS)} records)")
+    return "\n".join(lines) + "\n"
 
 
 if __name__ == "__main__":
     out = pathlib.Path(__file__).resolve().parents[1] / "tests" / "data" / "brdc2060.13n"
     out.parent.mkdir(parents=True, exist_ok=True)
-    build(out)
+    out.write_text(nav_text())
+    print(f"wrote {out} ({len(SLOTS)} satellites, {12 * len(SLOTS)} records)")
