@@ -143,11 +143,11 @@ class TauPerturbation:
     tau0: float
     m_tau: float
     delta_tau_bound: float
-    delta_tau_empirical: Optional[float] = None
+    delta_tau_empirical: float
     # (clean, perturbed) estimate: Newton passes, and the final
     # |Re<w - z, w'>| / ||w'||^2 that the estimator accepted
-    iterations: Optional[tuple[int, int]] = None
-    residual: Optional[tuple[float, float]] = None
+    iterations: tuple[int, int]
+    residual: tuple[float, float]
 
 
 def _waveforms(spec: WaveformSpec, tau: float, orders) -> tuple:

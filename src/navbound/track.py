@@ -23,10 +23,7 @@ from .orbits import _Checked, vector_norm
 
 
 class DegenerateGeometryError(ValueError):
-    """Satellite configuration is too close to singular to invert."""
-
-
-DETERMINANT_TOL = 1e-9
+    """The satellite system is exactly singular: D = 0, or f1 = f2 for a pair."""
 
 
 @dataclass(frozen=True)
@@ -170,8 +167,8 @@ def solve_three_sat(sats: Sequence[SatGeometry],
         raise ValueError("exactly three satellites and three deltas required")
     (f1, f2, f3), (h1, h2, h3) = f, h = _cosines(sats)
     c1, c2, c3, d = _cofactors(f, h)
-    if abs(d) <= DETERMINANT_TOL:
-        raise DegenerateGeometryError(f"|D| = {abs(d)} below threshold")
+    if d == 0.0:
+        raise DegenerateGeometryError("singular geometry: D = 0")
     r1, r2, r3 = deltas[0].delta_rho, deltas[1].delta_rho, deltas[2].delta_rho
     du = ((h2 - h3) * r1 + (h3 - h1) * r2 + (h1 - h2) * r3) / d
     dv = ((f3 - f2) * r1 + (f1 - f3) * r2 + (f2 - f1) * r3) / d
@@ -220,12 +217,12 @@ def solve_two_sat(sat1: SatGeometry, sat2: SatGeometry,
     """
     if len(deltas) != 2:
         raise ValueError("exactly two deltas required")
-    dprime = sat2.f - sat1.f
-    if abs(dprime) <= DETERMINANT_TOL:
-        raise DegenerateGeometryError(f"|f2 - f1| = {abs(dprime)} below threshold")
+    df = sat1.f - sat2.f  # zero exactly when f1 == f2, subnormals included
+    if df == 0.0:
+        raise DegenerateGeometryError("singular geometry: f1 = f2")
     r1, r2 = deltas[0].delta_rho, deltas[1].delta_rho
-    ds = (r1 - r2) / (sat1.f - sat2.f)
-    db = (sat1.f * r2 - sat2.f * r1) / (sat1.f - sat2.f)
+    ds = (r1 - r2) / df
+    db = (sat1.f * r2 - sat2.f * r1) / df
     return SolveResult(float(ds), 0.0, float(db))
 
 

@@ -406,7 +406,10 @@ class TestFieldTables:
         result = TauPerturbation(tau0=0.00030000003673682097,
                                  m_tau=8.126761235756757e-09,
                                  delta_tau_bound=8.126761235756752e-11,
-                                 delta_tau_empirical=-8.127828585949987e-11)
+                                 delta_tau_empirical=-8.127828585949987e-11,
+                                 iterations=(2, 2),
+                                 residual=(9.183284087746809e-15,
+                                           1.3488145961815332e-14))
         monkeypatch.setattr(cli, "perturbation_experiment",
                             lambda *args: result)
         assert run(["interference", "--prn", "7", "--power", "1e-4",

@@ -170,9 +170,13 @@ class TestSolveThreeSat:
                 assert abs(predicted - r) <= 1e-9
 
     def test_degenerate_geometry(self):
-        s = geom(0.3, 0.4)
-        with pytest.raises(DegenerateGeometryError):
-            solve_three_sat([s, s, geom(-0.2, 0.5)], deltas([1, 2, 3]))
+        # a repeated satellite makes D exactly 0; numpy cosines must raise
+        # before a division by it could warn
+        for cosine in (float, np.float64):
+            s = geom(cosine(0.3), cosine(0.4))
+            with pytest.raises(DegenerateGeometryError, match="D = 0"):
+                solve_three_sat([s, s, geom(cosine(-0.2), cosine(0.5))],
+                                deltas([1, 2, 3]))
 
     def test_adjugate_identity(self):
         rng = np.random.default_rng(23)
@@ -448,8 +452,10 @@ class TestTwoSat:
         assert res.delta_b == pytest.approx(0.0, abs=1e-15)
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateGeometryError):
-            solve_two_sat(geom(0.4, 0.1), geom(0.4, -0.2), deltas([1.0, 2.0]))
+        for cosine in (float, np.float64):
+            with pytest.raises(DegenerateGeometryError, match="f1 = f2"):
+                solve_two_sat(geom(cosine(0.4), 0.1), geom(cosine(0.4), -0.2),
+                              deltas([1.0, 2.0]))
 
     def test_three_deltas_rejected(self):
         with pytest.raises(ValueError, match="exactly two deltas"):
@@ -588,3 +594,47 @@ class TestMagnificationS:
         m = magnification_s(s1, s2)
         res = solve_two_sat(s1, s2, deltas([1e-9, 1.0]))
         assert abs(res.delta_u) / abs(res.delta_b) >= 0.9 * m.m_s
+
+
+class TestAdmissibleGeometrySolves:
+    """The solvers refuse only an exactly singular system, so every geometry
+    the magnifications admit is solved, however large its coefficient."""
+
+    SLACK = 1.0 + 1e-12
+
+    @pytest.mark.parametrize("a", [1e-10, 1e-150])
+    def test_tiny_opposite_cosines(self, a):
+        s1, s2 = SatGeometry("A", a, 0.1), SatGeometry("B", -a, 0.2)
+        m = magnification_s(s1, s2)
+        assert m.admissible and m.m_s == pytest.approx(1 / a, rel=1e-15)
+        for r in np.random.default_rng(41).uniform(1e-6, 1.0, (100, 2)):
+            res = solve_two_sat(s1, s2, deltas(r))
+            assert abs(res.delta_u) <= m.m_s * abs(res.delta_b) * self.SLACK
+
+    def solves_within_uv(self, sats, rs):
+        """magnification_uv of an admissible triple, after checking that the
+        solution for each positive residual row lies within it."""
+        m = magnification_uv(sats)
+        assert m.admissible
+        for r in rs:
+            res = solve_three_sat(sats, deltas(r))
+            assert abs(res.delta_u) <= m.m_u * abs(res.delta_b) * self.SLACK
+            assert abs(res.delta_v) <= m.m_v * abs(res.delta_b) * self.SLACK
+        return m
+
+    @pytest.mark.parametrize("a", [1e-5, 1e-150])
+    def test_tiny_cofactors(self, a):
+        # cofactors a^2 each, so D = 3 a^2, down to 3e-300
+        sats = [geom(a, 0.0, "1"), geom(0.0, a, "2"), geom(-a, -a, "3")]
+        rs = np.random.default_rng(43).uniform(1e-6, 1.0, (100, 3))
+        m = self.solves_within_uv(sats, rs)
+        assert m.m_u == pytest.approx(2 / a) and m.m_v == pytest.approx(2 / a)
+
+    def test_seeded_triples_of_radius_1e_5(self):
+        rng = np.random.default_rng(47)
+        checked = 0
+        while checked < 200:
+            sats = random_cosines(rng, r_lo=1e-5, r_hi=1e-5)
+            if magnification_uv(sats).admissible:
+                self.solves_within_uv(sats, rng.uniform(1e-6, 1.0, (20, 3)))
+                checked += 1
