@@ -12,7 +12,8 @@ from .signal_model import (DegenerateCurvatureError, DelayEstimationError,
                            NoiseConfig, SampledSignal, TauPerturbation,
                            WaveformSpec, default_spec, magnification_tau,
                            ml_delay_estimate, perturbation_experiment,
-                           sample_waveform, worst_interference)
+                           sample_waveform, worst_case_experiment,
+                           worst_interference)
 from .track import (DegenerateGeometryError, FrenetFrame, MagnificationS,
                     MagnificationUV, PseudorangeDelta, SatGeometry,
                     SolveResult, determinant_d,

@@ -31,8 +31,7 @@ from .orbits import (DEFAULT_GPS_UTC_OFFSET, EphemerisError, GpsTime,
                      SiteLocation, parse_position_csv, parse_rinex_nav)
 from .scan import EmptySeriesError, ScanConfig, histogram, scan_ms
 from .signal_model import (DegenerateCurvatureError, DelayEstimationError,
-                           NoiseConfig, default_spec, perturbation_experiment,
-                           worst_interference, sample_waveform)
+                           default_spec, worst_case_experiment)
 from .track import (DegenerateGeometryError, SatGeometry, check_unit_disc,
                     determinant_d, directional_cosines, frenet_frame,
                     magnification_s, magnification_uv)
@@ -66,10 +65,7 @@ def _cmd_interference(args) -> str:
     tau_true = args.tau if args.tau is not None else 0.3 * spec.code_period
     if not 0 <= tau_true < spec.code_period:  # NaN fails too
         raise ValueError(f"--tau must be in [0, {spec.code_period}) s, got {tau_true}")
-    w1 = sample_waveform(spec, tau_true, 1)
-    dy = worst_interference(w1, args.power)
-    result = perturbation_experiment(
-        spec, tau_true, NoiseConfig(sigma=args.sigma, seed=args.seed), dy)
+    result = worst_case_experiment(spec, tau_true, args.power, args.sigma, args.seed)
     return _fields(args, {
         "tau0": result.tau0,
         "m_tau": result.m_tau,

@@ -150,7 +150,25 @@ class TauPerturbation:
     residual: tuple[float, float]
 
 
-def _waveforms(spec: WaveformSpec, tau: float, orders) -> tuple:
+def _chip_windows(spec: WaveformSpec, p, q, half, floor, count) -> tuple:
+    """(each sample's phase, (2 half + 1, N/q, q) chip windows) at floor(tau/Tc)
+    = floor mod L, with phases 0 .. count - 1 in the chip before."""
+    length, n, periods = len(spec.code), spec.num_samples, spec.periods
+    # Sample k = i q + j, j = 1..q, lies in chip i p + j p // q at phase
+    # j p % q. The window of a sample starts half chips before its chip
+    # of the code tiled over periods + 2 + 2 half // L periods, so that
+    # c[row, i, j - 1] = tiled[start[j - 1] + row + i p] is its chip row;
+    # the largest index read, 2 half + periods L - p + L - 1, lies inside.
+    whole, phase = np.divmod(np.arange(1, q + 1) * p, q)
+    start = (whole - (phase < count) - (floor + half) % length) % length
+    tiled = np.tile(spec.code.chips.astype(np.float64), periods + 2 + 2 * half // length)
+    step = tiled.strides[0]
+    windows = np.lib.stride_tricks.as_strided(
+        tiled, (2 * half + 1, n // q, length), (step, p * step, step), writeable=False)
+    return phase, windows[:, :, start]
+
+
+def _waveforms(spec: WaveformSpec, tau: float, orders, layouts: dict) -> tuple:
     """Real (float64) samples of w, w' and/or w'' at kT - tau, k = 1..num_samples.
 
     The rectangular chip train convolved with a Gaussian of std s has the
@@ -178,15 +196,14 @@ def _waveforms(spec: WaveformSpec, tau: float, orders) -> tuple:
     its (pairwise) row sum for 8 or more. Samples are held in time order,
     one float64 array per entry of `orders`, in that order: the replica
     has unit amplitude and zero phase, so every order is real, and only
-    sample_waveform wraps one into a complex SampledSignal. No table or
-    index outlives the call.
+    sample_waveform wraps one into a complex SampledSignal. The chip
+    layouts are kept in `layouts` for one call or one experiment.
     """
     tc = spec.chip_duration
     theta = tau / tc  # the delay in chips
     if not math.isfinite(theta):
         raise ValueError(f"delay tau={tau!r} s is not a finite number of chips")
-    chips = spec.code.chips
-    length, n, periods = len(chips), spec.num_samples, spec.periods
+    length, n, periods = len(spec.code), spec.num_samples, spec.periods
     g = math.gcd(periods * length, n)
     p, q = periods * length // g, n // g
     s = spec.pulse_smoothing
@@ -196,18 +213,10 @@ def _waveforms(spec: WaveformSpec, tau: float, orders) -> tuple:
     offset = np.arange(q) / q - (theta - floor)
     before = offset < 0  # the sample lies in the chip before
     offset += before
-    # Sample k = i q + j, j = 1..q, lies in chip i p + j p // q at phase
-    # j p % q. The window of a sample starts half chips before its chip
-    # of the code tiled over periods + 2 + 2 half // L periods, so that
-    # c[row, i, j - 1] = tiled[start[j - 1] + row + i p] is its chip row;
-    # the largest index read, 2 half + periods L - p + L - 1, lies inside.
-    whole, phase = np.divmod(np.arange(1, q + 1) * p, q)
-    start = (whole - before[phase] - (floor + half) % length) % length
-    tiled = np.tile(chips.astype(np.float64), periods + 2 + 2 * half // length)
-    step = tiled.strides[0]
-    windows = np.lib.stride_tricks.as_strided(
-        tiled, (2 * half + 1, n // q, length), (step, p * step, step), writeable=False)
-    c = windows[:, :, start]
+    key = (floor % length, int(np.count_nonzero(before)))  # phases 0 .. count - 1
+    if key not in layouts:
+        layouts[key] = _chip_windows(spec, p, q, half, *key)
+    phase, c = layouts[key]
 
     # inner boundary rows of the table; with the outer two, a chip is the
     # difference of rows [:-1] and [1:]
@@ -247,9 +256,9 @@ def sample_waveform(spec: WaveformSpec, tau: float, derivative_order: int = 0) -
     Derivatives are exact analytic derivatives of the Gaussian-smoothed
     chip train, at unit amplitude and zero phase, so every order is real.
     """
-    if derivative_order not in (0, 1, 2):
+    if not (_is_int(derivative_order) and derivative_order in (0, 1, 2)):
         raise ValueError(f"derivative_order must be 0, 1 or 2, got {derivative_order}")
-    (samples,) = _waveforms(spec, tau, (derivative_order,))
+    (samples,) = _waveforms(spec, tau, (derivative_order,), {})
     return SampledSignal(samples)
 
 
@@ -263,19 +272,18 @@ class _Syntheses:
     through the window centre, and an experiment centres its window on
     the true delay, so the one synthesis there serves the clean signal,
     both estimates' coarse reference and, when a coarse search lands on
-    the centre, that estimate's first Newton pass. Made per experiment
-    and dropped with it.
+    the centre, that estimate's first Newton pass. Its syntheses share
+    their chip layouts. Made per experiment and dropped with it.
     """
 
     def __init__(self, spec: WaveformSpec):
         self.spec = spec
-        self._orders = {}
-        self._spectra = {}
+        self.layouts, self._orders, self._spectra = {}, {}, {}
 
     def orders(self, tau: float) -> tuple:
         """(w, w', w'') at tau."""
         if tau not in self._orders:
-            self._orders[tau] = _waveforms(self.spec, tau, (0, 1, 2))
+            self._orders[tau] = _waveforms(self.spec, tau, (0, 1, 2), self.layouts)
         return self._orders[tau]
 
     def reference(self, tau: float) -> tuple:
@@ -327,7 +335,7 @@ def _coarse_grid(z: np.ndarray, syntheses: _Syntheses, lo: float, hi: float,
     that step about the best point, so that Newton starts inside the
     convex basin.
     """
-    spec = syntheses.spec
+    spec, layouts = syntheses.spec, syntheses.layouts
     n = len(z)
     period = spec.sampling_period
     quarter = spec.chip_duration / 4
@@ -352,7 +360,7 @@ def _coarse_grid(z: np.ndarray, syntheses: _Syntheses, lo: float, hi: float,
     for _ in range(2):
         step /= 4
         taus = tau + step * np.arange(-4, 5)
-        misfits = [np.linalg.norm(z - _waveforms(spec, t, (0,))[0]) for t in taus]
+        misfits = [np.linalg.norm(z - _waveforms(spec, t, (0,), layouts)[0]) for t in taus]
         tau = float(taus[int(np.argmin(misfits))])
     return tau
 
@@ -507,12 +515,27 @@ def perturbation_experiment(spec: WaveformSpec, tau_true: float,
     and serves an estimate's first Newton pass when its coarse search
     lands on tau_true.
     """
+    return _experiment(_Syntheses(spec), tau_true, noise, interference)
+
+
+def worst_case_experiment(spec: WaveformSpec, tau_true: float, power: float,
+                          sigma: float, seed: int = 0) -> TauPerturbation:
+    """perturbation_experiment with dy = worst_interference(w', power), w' taken from
+    its own synthesis at tau_true; the power is checked before sigma and seed."""
+    syntheses = _Syntheses(spec)
+    dy = worst_interference(SampledSignal(syntheses.orders(tau_true)[1]), power)
+    return _experiment(syntheses, tau_true, NoiseConfig(sigma, seed), dy)
+
+
+def _experiment(syntheses: _Syntheses, tau_true: float, noise: NoiseConfig,
+                interference: SampledSignal) -> TauPerturbation:
+    """perturbation_experiment on a table that may already hold tau_true."""
+    spec = syntheses.spec
     if len(interference) != spec.num_samples:
         raise ValueError("interference length does not match spec.num_samples")
     half = spec.code_period / 2
     search_window = (tau_true - half, tau_true + half)
 
-    syntheses = _Syntheses(spec)
     clean = syntheses.orders(tau_true)[0]
     z = SampledSignal(clean + noise.sample(spec.num_samples))
     tau0, waveforms, iter0, res0 = _ml_delay(z, syntheses, search_window, tau_true)

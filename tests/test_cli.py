@@ -9,12 +9,13 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import navbound
-from navbound import cli, orbits
+from navbound import cli, orbits, signal_model
 from navbound.cli import EXIT_DEGENERATE, EXIT_OK, EXIT_USAGE, run
 from navbound.orbits import EphemerisError
 from navbound.signal_model import DegenerateCurvatureError, TauPerturbation
@@ -176,7 +177,7 @@ class TestInterference:
         def no_synthesis(*args, **kwargs):
             raise AssertionError("waveform synthesized for a rejected --tau")
 
-        monkeypatch.setattr(cli, "sample_waveform", no_synthesis)
+        monkeypatch.setattr(signal_model, "_waveforms", no_synthesis)
         assert run(["interference", "--prn", "1", "--power", "1e-4",
                     f"--tau={tau}"]) == EXIT_USAGE
         captured = capsys.readouterr()
@@ -192,14 +193,75 @@ class TestInterference:
         assert captured.out == ""
         assert captured.err == "seed must be a non-negative integer, got -1\n"
 
+    @pytest.mark.parametrize("argv", [["--power", "-1", "--sigma", "-1"],
+                                      ["--power", "inf", "--seed", "-3"]])
+    def test_power_checked_before_noise(self, capsys, argv):
+        # --tau, then the power, then --sigma and --seed
+        assert run(["interference", "--prn", "1", *argv]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "power must be positive and finite\n"
+
     def test_degenerate_curvature_exits_one(self, capsys, monkeypatch):
         def degenerate(*args, **kwargs):
             raise DegenerateCurvatureError("zero likelihood curvature")
 
-        monkeypatch.setattr(cli, "perturbation_experiment", degenerate)
+        monkeypatch.setattr(cli, "worst_case_experiment", degenerate)
         assert run(["interference", "--prn", "1", "--power", "1e-4"]) \
             == EXIT_DEGENERATE
         assert capsys.readouterr().err == "zero likelihood curvature\n"
+
+
+class TestSharedSynthesis:
+    """An interference command synthesizes each delay once: dy is built from
+    the w' of the experiment's own synthesis at the true delay."""
+
+    @staticmethod
+    def instrument(monkeypatch):
+        """(kernel calls as (tau, orders), coarse starts, Newton passes)."""
+        kernel, coarse = signal_model._waveforms, signal_model._coarse_grid
+        ml_delay = signal_model._ml_delay
+        calls, starts, passes = [], [], []
+
+        def counted(spec, tau, orders, *layouts):
+            calls.append((tau, tuple(orders)))
+            return kernel(spec, tau, orders, *layouts)
+
+        def recorded(*args):
+            starts.append(coarse(*args))
+            return starts[-1]
+
+        def estimate(*args):
+            result = ml_delay(*args)
+            passes.append(result[2])
+            return result
+
+        monkeypatch.setattr(signal_model, "_waveforms", counted)
+        monkeypatch.setattr(signal_model, "_coarse_grid", recorded)
+        monkeypatch.setattr(signal_model, "_ml_delay", estimate)
+        return calls, starts, passes
+
+    @pytest.mark.parametrize("prn", [1, 7, 32])
+    def test_one_synthesis_at_true_delay(self, capsys, monkeypatch, prn):
+        calls, starts, passes = self.instrument(monkeypatch)
+        tau = 0.000437
+        assert run(["interference", "--prn", str(prn), "--power", "4e-5",
+                    "--sigma", "0.01", "--seed", "5", "--tau", repr(tau)]) == EXIT_OK
+        assert [c for c in calls if c[0] == tau] == [(tau, (0, 1, 2))]
+        # both coarse searches land on tau, whose synthesis serves both
+        # first Newton passes; every other pass synthesizes its own delay
+        assert starts == [tau, tau]
+        assert len(calls) == 1 + sum(passes) - 2
+
+    def test_calls_per_command(self, capsys, monkeypatch):
+        calls, _, _ = self.instrument(monkeypatch)
+        rng = np.random.default_rng(33)
+        for _ in range(40):
+            prn, tau = int(rng.integers(1, 33)), float(rng.uniform(0.0, 1e-3))
+            assert run(["interference", "--prn", str(prn), "--power", "4e-5",
+                        "--sigma", "0.01", "--seed", str(int(rng.integers(0, 2**31))),
+                        "--tau", repr(tau)]) == EXIT_OK
+        assert len(calls) / 40 <= 4.0
 
 
 class TestTrack:
@@ -410,8 +472,7 @@ class TestFieldTables:
                                  iterations=(2, 2),
                                  residual=(9.183284087746809e-15,
                                            1.3488145961815332e-14))
-        monkeypatch.setattr(cli, "perturbation_experiment",
-                            lambda *args: result)
+        monkeypatch.setattr(cli, "worst_case_experiment", lambda *args: result)
         assert run(["interference", "--prn", "7", "--power", "1e-4",
                     "--sigma", "0.01", "--seed", "3", "--format", fmt]) == EXIT_OK
         assert capsys.readouterr().out == self.TABLES["interference", fmt]

@@ -17,7 +17,8 @@ from navbound.signal_model import (DegenerateCurvatureError,
                                    _Syntheses, _unit_scaled, _waveforms,
                                    default_spec, magnification_tau,
                                    ml_delay_estimate, perturbation_experiment,
-                                   sample_waveform, worst_interference)
+                                   sample_waveform, worst_case_experiment,
+                                   worst_interference)
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +86,17 @@ class TestWaveform:
     def test_rejects_bad_order(self, spec):
         with pytest.raises(ValueError):
             sample_waveform(spec, 0.0, 3)
+
+    @pytest.mark.parametrize("order", [True, 1.0, 2.0])
+    def test_rejects_non_integer_order(self, spec, order):
+        # equal to 1 or 2 but not an integer: rejected, as by every integer parameter
+        with pytest.raises(ValueError, match=re.escape(
+                f"derivative_order must be 0, 1 or 2, got {order}")):
+            sample_waveform(spec, 0.0, order)
+
+    def test_numpy_integer_order(self, spec, tau_true):
+        assert _same_bytes(sample_waveform(spec, tau_true, np.int64(2)).samples,
+                           sample_waveform(spec, tau_true, 2).samples)
 
     @pytest.mark.parametrize("field, value", [
         ("pulse_smoothing", math.nan), ("pulse_smoothing", math.inf),
@@ -243,7 +255,7 @@ class TestFusedKernel:
             # the public wrapper's complex cast keeps the sign of a zero
             assert _same_bytes(sample_waveform(spec, tau, order).samples,
                                ref[order].astype(np.complex128))
-        fused = _waveforms(spec, tau, (0, 1, 2))
+        fused = _waveforms(spec, tau, (0, 1, 2), {})
         for got, want in zip(fused, ref):
             assert _same_bytes(got, want)
 
@@ -264,7 +276,7 @@ class TestFusedKernel:
                             periods=1, num_samples=n)
         # tau in [-P, 2P], on a chip edge or anywhere
         tau = round(frac * length) * tc if on_edge else frac * code.period
-        got = _waveforms(spec, tau, tuple(orders))
+        got = _waveforms(spec, tau, tuple(orders), {})
         for order, samples in zip(orders, got):
             assert _same_bytes(samples, _per_order_waveform(spec, tau, order))
 
@@ -372,7 +384,7 @@ class TestTruncation:
                 int(rng.integers(-1023, 2047)) * tc,  # on a chip edge
                 (0.0, period, -spec.sampling_period)[prn % 3])  # at a wrap
         for tau in taus:
-            for order, got in zip((0, 1, 2), _waveforms(spec, tau, (0, 1, 2))):
+            for order, got in zip((0, 1, 2), _waveforms(spec, tau, (0, 1, 2), {})):
                 ref, bound = _untruncated(spec, tau, order)
                 assert got.dtype == np.float64
                 assert np.all(np.abs(got - ref) <= bound), (tau, order)
@@ -417,7 +429,7 @@ class TestTruncation:
 
         def synthesize(orders):
             calls["erfc"].append(0)
-            _waveforms(spec, tau, orders)
+            _waveforms(spec, tau, orders, {})
 
         synthesize((0, 1, 2))
         assert calls == {"erfc": [args], "exp": [args]}
@@ -516,7 +528,7 @@ class TestExactPositions:
         make, frac = _EXACT_CASES[case]
         spec = make()
         tau = frac * spec.code_period
-        got = _waveforms(spec, tau, (0, 1, 2))
+        got = _waveforms(spec, tau, (0, 1, 2), {})
         for order, (ref, bound) in enumerate(_exact_reference(spec, tau)):
             assert np.all(np.abs(got[order] - ref) <= bound), order
 
@@ -684,7 +696,7 @@ class TestMlDelayEstimate:
         assert len(references) == len(correlations) >= 1
         for ref, w in references:
             for m in (-1, 1, 7, n // 3, n - 1):
-                shifted = _waveforms(spec, ref + m * spec.sampling_period, (0,))[0]
+                shifted = _waveforms(spec, ref + m * spec.sampling_period, (0,), {})[0]
                 assert np.max(np.abs(shifted - np.roll(w, m))) <= 1e-11
         for (_, w), corr in list(zip(references, correlations))[:3]:
             assert len(corr) == n
@@ -725,7 +737,7 @@ class TestMlDelayEstimate:
         slopes = []
         for _ in range(passes):
             g, dg, _ = signal_model._misfit_derivatives(
-                z.real, *_waveforms(spec, taus[-1], (0, 1, 2)))
+                z.real, *_waveforms(spec, taus[-1], (0, 1, 2), {}))
             slopes.append(abs(g))
             taus.append(taus[-1] - g / dg)
         monkeypatch.setattr(signal_model, "_NEWTON_PASSES", passes)
@@ -999,9 +1011,9 @@ class TestSharedSyntheses:
         kernel, coarse = signal_model._waveforms, signal_model._coarse_grid
         calls, starts = [], []
 
-        def counted(spec, tau, orders):
+        def counted(spec, tau, orders, layouts):
             calls.append((tau, tuple(orders)))
-            return kernel(spec, tau, orders)
+            return kernel(spec, tau, orders, layouts)
 
         def recorded(*args):
             starts.append(coarse(*args))
@@ -1018,6 +1030,40 @@ class TestSharedSyntheses:
         assert [c for c in calls if c[0] == tau] == [(tau, (0, 1, 2))]
         assert all(orders == (0, 1, 2) for _, orders in calls)
         assert len(calls) == 1 + sum(result.iterations) - 2
+
+    @pytest.mark.parametrize("samples_per_chip", [1, 2, 4, 5])
+    @pytest.mark.parametrize("smoothing", [0.1, 0.5, 1.0])
+    def test_layouts_match_fresh_synthesis(self, samples_per_chip, smoothing):
+        # One table over delays that step across a chip boundary and a
+        # sub-chip phase boundary, and revisit a key (a period later too):
+        # each synthesis must be the bytes of a fresh kernel call.
+        rng = np.random.default_rng(samples_per_chip * 10 + round(smoothing * 10))
+        for prn in range(1, 33):
+            spec = default_spec(prn, smoothing, samples_per_chip)
+            tc, q = spec.chip_duration, samples_per_chip
+            k, j = int(rng.integers(1, 1023)), int(rng.integers(1, max(q, 2)))
+            taus = [(k + e) * tc for e in (1e-9, -1e-9, 0.0)]
+            taus += [(k + j / q + e) * tc for e in (-1e-9, 1e-9)]
+            taus += [(k + 2e-9) * tc, spec.code_period + (k + 3e-9) * tc]
+            table = _Syntheses(spec)
+            for tau in taus:
+                for got, want in zip(table.orders(tau),
+                                     _waveforms(spec, tau, (0, 1, 2), {})):
+                    assert _same_bytes(got, want), (prn, tau)
+            assert len(table.layouts) < len(taus)  # a key was read again
+
+    @pytest.mark.parametrize("prn, tau_frac, seed", [(1, 0.3, 42), (19, 0.58, 6)])
+    def test_worst_case_experiment(self, prn, tau_frac, seed):
+        # dy from the experiment's own w' is the bytes of a fresh synthesis's
+        spec, tau, noise, dy = _experiment_inputs(prn, tau_frac, seed)
+        power = (1e-4 * sample_waveform(spec, tau, 0).norm()) ** 2
+        assert (worst_case_experiment(spec, tau, power, noise.sigma, seed)
+                == perturbation_experiment(spec, tau, noise, dy))
+
+    @pytest.mark.parametrize("power, sigma, seed", [(-1.0, -1.0, 0), (math.inf, 0.01, -3)])
+    def test_worst_case_checks_power_first(self, spec, tau_true, power, sigma, seed):
+        with pytest.raises(ValueError, match="^power must be positive and finite$"):
+            worst_case_experiment(spec, tau_true, power, sigma, seed)
 
     def test_matches_independent_estimates(self):
         spec, tau, noise, dy = _experiment_inputs(12, 0.73, 8)
