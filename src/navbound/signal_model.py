@@ -104,7 +104,9 @@ class SampledSignal:
         return len(self.samples)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.samples))
+        """Euclidean norm, on the samples rescaled by _unit_scaled: no square underflows."""
+        (unit,), exponent = _unit_scaled([self.samples])
+        return float(np.ldexp(np.linalg.norm(unit), exponent))
 
     def __add__(self, other: "SampledSignal") -> "SampledSignal":
         if len(self) != len(other):
@@ -151,21 +153,37 @@ class TauPerturbation:
 
 
 def _chip_windows(spec: WaveformSpec, p, q, half, floor, count) -> tuple:
-    """(each sample's phase, (2 half + 1, N/q, q) chip windows) at floor(tau/Tc)
-    = floor mod L, with phases 0 .. count - 1 in the chip before."""
-    length, n, periods = len(spec.code), spec.num_samples, spec.periods
-    # Sample k = i q + j, j = 1..q, lies in chip i p + j p // q at phase
-    # j p % q. The window of a sample starts half chips before its chip
-    # of the code tiled over periods + 2 + 2 half // L periods, so that
-    # c[row, i, j - 1] = tiled[start[j - 1] + row + i p] is its chip row;
-    # the largest index read, 2 half + periods L - p + L - 1, lies inside.
+    """The chip layout (phases, windows, entry) at floor(tau/Tc) = floor mod L,
+    with phases 0 .. count - 1 in the chip before.
+
+    An entry is a (window chips, phase) pair: entry e = a q + j has the
+    2 half + 1 chips windows[a, j or 0] and the phase phases[j], and
+    sample k is entry[k - 1]. The grid repeats every r = q L / gcd(p, L)
+    samples, a divisor of N. When 2^(2 half + 1) q <= r, the entries are
+    every sign pattern of a window at every phase, keyed by the pattern's
+    bits times q plus the phase; otherwise they are the samples of one
+    repeat. So the table never has more than r entries.
+    """
+    length, width = len(spec.code), 2 * half + 1
+    # Sample k = i q + j, j = 1..q, of the first repeat lies in chip
+    # i p + j p // q at phase j p % q, and its window starts half chips
+    # before its chip, at code chip start[j - 1, i] mod L.
     whole, phase = np.divmod(np.arange(1, q + 1) * p, q)
-    start = (whole - (phase < count) - (floor + half) % length) % length
-    tiled = np.tile(spec.code.chips.astype(np.float64), periods + 2 + 2 * half // length)
-    step = tiled.strides[0]
-    windows = np.lib.stride_tricks.as_strided(
-        tiled, (2 * half + 1, n // q, length), (step, p * step, step), writeable=False)
-    return phase, windows[:, :, start]
+    repeat = q * length // math.gcd(p, length)
+    start = (whole - (phase < count) - (floor + half))[:, None] \
+        + np.arange(0, p * (repeat // q), p)
+    if 2 ** width * q <= repeat:  # so 2^width <= L: a window wraps the code once at most
+        sign = spec.code.chips > 0
+        bits = np.convolve(np.concatenate((sign, sign[:width - 1])),
+                           q << np.arange(width - 1, -1, -1), "valid")  # q x sign bits
+        entry = (bits.take(start, mode="wrap") + phase[:, None]).T.reshape(-1)
+        bit = np.arange(2 ** width)[:, None, None] >> np.arange(width) & 1
+        phase, windows = np.arange(q), np.where(bit, 1.0, -1.0)
+    else:
+        entry = np.arange(repeat)
+        windows = spec.code.chips.astype(np.float64).take(
+            start.T[:, :, None] + np.arange(width), mode="wrap")
+    return phase, windows, np.tile(entry, spec.num_samples // repeat)
 
 
 def _waveforms(spec: WaveformSpec, tau: float, orders, layouts: dict) -> tuple:
@@ -189,15 +207,17 @@ def _waveforms(spec: WaveformSpec, tau: float, orders, layouts: dict) -> tuple:
     and Phi (order 0) or the density (orders 1, 2) run on that 2 half x q
     table: 2 x 4 arguments at the default spec. Phi(x) is
     0.5 erfc(-x / sqrt 2) from the standard library's math.erfc, one
-    Python call per table entry. A chip term is the
-    difference of two boundary values of its sample's phase, times the
-    chip. Every sample is the sum numpy gives for its chip terms along a
-    sample row: numpy's sum over the window axis for fewer than 8 terms,
-    its (pairwise) row sum for 8 or more. Samples are held in time order,
-    one float64 array per entry of `orders`, in that order: the replica
-    has unit amplitude and zero phase, so every order is real, and only
-    sample_waveform wraps one into a complex SampledSignal. The chip
-    layouts are kept in `layouts` for one call or one experiment.
+    Python call per table entry. A chip term is the difference of two
+    boundary values of its phase, times the chip. The chip layout maps
+    each sample to an entry of _chip_windows, and each order's terms are
+    summed once per entry, as numpy sums a row (in order below 8 terms,
+    pairwise from 8), divided by 1, s or s^2 and gathered into the
+    samples: every sample is the row sum of its own chip terms. Samples
+    are held in time order, one float64 array per entry of `orders`, in
+    that order: the replica has unit amplitude and zero phase, so every
+    order is real, and only sample_waveform wraps one into a complex
+    SampledSignal. The chip layouts are kept in `layouts` for one call
+    or one experiment.
     """
     tc = spec.chip_duration
     theta = tau / tc  # the delay in chips
@@ -216,38 +236,29 @@ def _waveforms(spec: WaveformSpec, tau: float, orders, layouts: dict) -> tuple:
     key = (floor % length, int(np.count_nonzero(before)))  # phases 0 .. count - 1
     if key not in layouts:
         layouts[key] = _chip_windows(spec, p, q, half, *key)
-    phase, c = layouts[key]
+    phase, c, entry = layouts[key]
 
-    # inner boundary rows of the table; with the outer two, a chip is the
-    # difference of rows [:-1] and [1:]
+    # Phi, density and b x density at each phase's chip boundaries: rows
+    # 1 .. 2 half inner, 0 and 2 half + 1 outer; a chip spans [:-1] to [1:]
     b = np.add.outer(np.arange(half - 1, -half - 1, -1, dtype=np.float64), offset)
     b /= s / tc
-    rows = (2 * half + 2, q)
-
-    def chip_sum(first, second):
-        terms = c * (first - second)[:, None, phase]
-        if len(terms) >= 8:
-            # numpy sums a row of 8 or more terms pairwise: keep its row sum
-            terms = np.ascontiguousarray(np.moveaxis(terms, 0, -1))
-            return terms.sum(axis=-1).reshape(n)
-        return terms.sum(axis=0).reshape(n)
-
-    m = {}
+    f = np.zeros((3, 2 * half + 2, q))
     if 0 in orders:
-        cdf = np.zeros(rows)
-        cdf[0] = 1.0
-        cdf[1:-1] = [[0.5 * math.erfc(-x * _SQRT_HALF) for x in row]
-                     for row in b.tolist()]
-        m[0] = chip_sum(cdf[:-1], cdf[1:])
+        f[0, 0] = 1.0
+        f[0, 1:-1] = [[0.5 * math.erfc(-x * _SQRT_HALF) for x in row]
+                      for row in b.tolist()]
     if 1 in orders or 2 in orders:
-        pdf = np.zeros(rows)
-        pdf[1:-1] = np.exp(-0.5 * b * b) / _SQRT_2PI
-        if 1 in orders:
-            m[1] = chip_sum(pdf[:-1], pdf[1:]) / s
-        if 2 in orders:
-            pdf[1:-1] *= b  # b * density: the chip term is -u pu + v pv
-            m[2] = chip_sum(pdf[1:], pdf[:-1]) / (s * s)
-    return tuple(m[k] for k in orders)
+        f[1, 1:-1] = np.exp(-0.5 * b * b) / _SQRT_2PI
+        f[2, 1:-1] = f[1, 1:-1] * b
+    d = f[:, :-1] - f[:, 1:]
+    d[2] = f[2, 1:] - f[2, :-1]  # the order 2 chip term is -u pu + v pv
+    k = list(orders)
+    # (orders, entries / q, q, 2 half + 1): each entry's terms in a row
+    terms = c * d[k].swapaxes(1, 2)[:, None, phase]
+    sums = terms.sum(axis=-1).reshape(len(k), -1) / np.array([1.0, s, s * s])[k, None]
+    # one array per order: freeing a single (3, N) block, 98 KB at N = 4092,
+    # made glibc malloc trim the heap top and fault its pages back in
+    return tuple(row.take(entry) for row in sums)
 
 
 def sample_waveform(spec: WaveformSpec, tau: float, derivative_order: int = 0) -> SampledSignal:
@@ -273,7 +284,8 @@ class _Syntheses:
     the true delay, so the one synthesis there serves the clean signal,
     both estimates' coarse reference and, when a coarse search lands on
     the centre, that estimate's first Newton pass. Its syntheses share
-    their chip layouts. Made per experiment and dropped with it.
+    their chip layouts, and so their entries. Made per experiment and
+    dropped with it.
     """
 
     def __init__(self, spec: WaveformSpec):

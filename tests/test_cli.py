@@ -137,6 +137,16 @@ class TestInterference:
         fields = ("tau0", "m_tau", "delta_tau_bound", "delta_tau_empirical")
         assert [payload[k] for k in fields] == pytest.approx(want, rel=1e-9, abs=0)
 
+    @pytest.mark.parametrize("power", ["1e-320", "5e-324"])
+    def test_bound_at_subnormal_power(self, capsys, power):
+        # dy's samples are about 1e-164, whose squares underflow: the bound
+        # must still be m_tau ||dy|| = m_tau sqrt(power)
+        assert run(["interference", "--prn", "1", "--power", power,
+                    "--format", "json"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        want = payload["m_tau"] * math.sqrt(float(power))
+        assert payload["delta_tau_bound"] == pytest.approx(want, rel=1e-12, abs=0)
+
     def test_deterministic_with_seed(self, capsys):
         argv = ["interference", "--prn", "2", "--power", "1e-4",
                 "--sigma", "0.01", "--seed", "42", "--format", "json"]

@@ -261,24 +261,43 @@ class TestFusedKernel:
 
     @settings(max_examples=50, deadline=None)
     @given(prn=st.integers(1, 32), length=st.integers(5, 300),
-           smoothing=st.floats(0.05, 3.0), samples_per_chip=st.integers(1, 5),
+           # windows of 3 to 7 chips, narrow enough to key on sign bits, or wider
+           smoothing=st.one_of(st.floats(0.05, 0.3), st.floats(0.3, 3.0)),
+           samples_per_chip=st.integers(1, 5),
+           periods=st.integers(1, 3), trim=st.integers(0, 2),
            frac=st.floats(-1.0, 2.0), on_edge=st.booleans(),
            orders=st.lists(st.sampled_from((0, 1, 2)), min_size=1, max_size=3,
                            unique=True))
-    def test_bit_identical_property(self, prn, length, smoothing,
-                                    samples_per_chip, frac, on_edge, orders):
+    def test_bit_identical_property(self, prn, length, smoothing, samples_per_chip,
+                                    periods, trim, frac, on_edge, orders):
         # A truncated C/A code keeps each example small; codes shorter than
-        # the chip window wrap more than once.
+        # the chip window wrap more than once. A trimmed sample count puts
+        # the samples off the chip grid, often one that periods does not
+        # divide, where every sample of a period is its own table entry.
         code = ChipSequence(generate_ca_code(prn).chips[:length])
         tc = code.chip_duration
-        n = length * samples_per_chip
+        n = length * samples_per_chip * periods - trim
         spec = WaveformSpec(code=code, pulse_smoothing=smoothing * tc,
-                            periods=1, num_samples=n)
+                            periods=periods, num_samples=n)
         # tau in [-P, 2P], on a chip edge or anywhere
         tau = round(frac * length) * tc if on_edge else frac * code.period
         got = _waveforms(spec, tau, tuple(orders), {})
         for order, samples in zip(orders, got):
             assert _same_bytes(samples, _per_order_waveform(spec, tau, order))
+
+    @pytest.mark.parametrize("periods", [2, 5, 20])
+    def test_periods_tile_one_period(self, periods):
+        # K whole code periods are K copies of one period's samples: the
+        # one-period synthesis tiled K times, byte for byte
+        for prn in range(1, 33):
+            one = default_spec(prn)
+            spec = WaveformSpec(code=one.code, pulse_smoothing=one.pulse_smoothing,
+                                periods=periods, num_samples=periods * one.num_samples)
+            for frac in (0.3, 0.71):
+                tau = frac * one.code_period
+                for got, want in zip(_waveforms(spec, tau, (0, 1, 2), {}),
+                                     _waveforms(one, tau, (0, 1, 2), {})):
+                    assert _same_bytes(got, np.tile(want, periods)), (prn, frac)
 
     def test_chip_edge_case_hits_boundaries(self):
         # The chip_edge delay puts every fourth sample on a chip boundary.
