@@ -135,9 +135,10 @@ def histogram(best_m_s: np.ndarray, bin_width: float = 0.1,
               value_range: tuple[float, float] = (1.0, 3.0)) -> Histogram:
     """Relative-frequency histogram of a best_m_s column (NaN on a gap).
 
-    Frequencies are normalized by the number of epochs with a value;
-    values above the range fall in the overflow bin. The bin width must split
-    the range into whole bins, up to rounding. Raises EmptySeriesError when
+    Frequencies are normalized by the epochs with a value. Bin k holds
+    edges[k] <= v < edges[k + 1]; below the range counts in bin 0, at or
+    above the top edge in the overflow bin. The bin width must split the
+    range into whole bins, up to rounding. Raises EmptySeriesError when
     no epoch has a value.
     """
     lo, hi = value_range
@@ -159,9 +160,8 @@ def histogram(best_m_s: np.ndarray, bin_width: float = 0.1,
     if not len(values):
         raise EmptySeriesError("no epochs with an admissible pair")
     edges = [lo + i * bin_width for i in range(n_bins + 1)]
-    # values below the range count in the first bin, as a clamp of int() would
-    inside = np.maximum(values[values < edges[-1]], lo)
-    idx = np.minimum((inside - lo) / bin_width, n_bins - 1).astype(int)
+    inside = values[values < edges[-1]]
+    idx = np.maximum(np.searchsorted(edges, inside, side="right") - 1, 0)
     total = len(values)
     return Histogram(edges, (np.bincount(idx, minlength=n_bins) / total).tolist(),
                      (total - len(inside)) / total)

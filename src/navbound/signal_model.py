@@ -186,8 +186,8 @@ def _chip_windows(spec: WaveformSpec, p, q, half, floor, count) -> tuple:
     return phase, windows, np.tile(entry, spec.num_samples // repeat)
 
 
-def _waveforms(spec: WaveformSpec, tau: float, orders, layouts: dict) -> tuple:
-    """Real (float64) samples of w, w' and/or w'' at kT - tau, k = 1..num_samples.
+def _waveforms(spec: WaveformSpec, tau: float, layouts: dict) -> tuple:
+    """Real (float64) samples (w, w', w'') at kT - tau, k = 1..num_samples.
 
     The rectangular chip train convolved with a Gaussian of std s has the
     closed form sum_j c_j [Phi((t-jTc)/s) - Phi((t-(j+1)Tc)/s)], with
@@ -204,18 +204,18 @@ def _waveforms(spec: WaveformSpec, tau: float, orders, layouts: dict) -> tuple:
     carries the one rounding of tau/Tc that all samples share and the
     rounding of its phase's offset. The 2 half inner boundaries of a
     phase get arguments b = (offset - r) / (s/Tc), r = 1-half .. half,
-    and Phi (order 0) or the density (orders 1, 2) run on that 2 half x q
-    table: 2 x 4 arguments at the default spec. Phi(x) is
+    and Phi (order 0) and the density (orders 1, 2) run on that 2 half x q
+    table: 2 x 4 arguments each at the default spec. Phi(x) is
     0.5 erfc(-x / sqrt 2) from the standard library's math.erfc, one
     Python call per table entry. A chip term is the difference of two
     boundary values of its phase, times the chip. The chip layout maps
     each sample to an entry of _chip_windows, and each order's terms are
     summed once per entry, as numpy sums a row (in order below 8 terms,
     pairwise from 8), divided by 1, s or s^2 and gathered into the
-    samples: every sample is the row sum of its own chip terms. Samples
-    are held in time order, one float64 array per entry of `orders`, in
-    that order: the replica has unit amplitude and zero phase, so every
-    order is real, and only sample_waveform wraps one into a complex
+    samples: every sample is the row sum of its own chip terms. Every
+    call returns the three orders, each a float64 array in time order:
+    the replica has unit amplitude and zero phase, so every order is
+    real, and only sample_waveform wraps one into a complex
     SampledSignal. The chip layouts are kept in `layouts` for one call
     or one experiment.
     """
@@ -243,19 +243,16 @@ def _waveforms(spec: WaveformSpec, tau: float, orders, layouts: dict) -> tuple:
     b = np.add.outer(np.arange(half - 1, -half - 1, -1, dtype=np.float64), offset)
     b /= s / tc
     f = np.zeros((3, 2 * half + 2, q))
-    if 0 in orders:
-        f[0, 0] = 1.0
-        f[0, 1:-1] = [[0.5 * math.erfc(-x * _SQRT_HALF) for x in row]
-                      for row in b.tolist()]
-    if 1 in orders or 2 in orders:
-        f[1, 1:-1] = np.exp(-0.5 * b * b) / _SQRT_2PI
-        f[2, 1:-1] = f[1, 1:-1] * b
+    f[0, 0] = 1.0
+    f[0, 1:-1] = [[0.5 * math.erfc(-x * _SQRT_HALF) for x in row]
+                  for row in b.tolist()]
+    f[1, 1:-1] = np.exp(-0.5 * b * b) / _SQRT_2PI
+    f[2, 1:-1] = f[1, 1:-1] * b
     d = f[:, :-1] - f[:, 1:]
     d[2] = f[2, 1:] - f[2, :-1]  # the order 2 chip term is -u pu + v pv
-    k = list(orders)
-    # (orders, entries / q, q, 2 half + 1): each entry's terms in a row
-    terms = c * d[k].swapaxes(1, 2)[:, None, phase]
-    sums = terms.sum(axis=-1).reshape(len(k), -1) / np.array([1.0, s, s * s])[k, None]
+    # (3 orders, entries / q, q, 2 half + 1): each entry's terms in a row
+    terms = c * d.swapaxes(1, 2)[:, None, phase]
+    sums = terms.sum(axis=-1).reshape(3, -1) / np.array([1.0, s, s * s])[:, None]
     # one array per order: freeing a single (3, N) block, 98 KB at N = 4092,
     # made glibc malloc trim the heap top and fault its pages back in
     return tuple(row.take(entry) for row in sums)
@@ -266,11 +263,11 @@ def sample_waveform(spec: WaveformSpec, tau: float, derivative_order: int = 0) -
 
     Derivatives are exact analytic derivatives of the Gaussian-smoothed
     chip train, at unit amplitude and zero phase, so every order is real.
+    The one synthesis gives all three orders, and this returns one.
     """
     if not (_is_int(derivative_order) and derivative_order in (0, 1, 2)):
         raise ValueError(f"derivative_order must be 0, 1 or 2, got {derivative_order}")
-    (samples,) = _waveforms(spec, tau, (derivative_order,), {})
-    return SampledSignal(samples)
+    return SampledSignal(_waveforms(spec, tau, {})[derivative_order])
 
 
 class _Syntheses:
@@ -278,14 +275,15 @@ class _Syntheses:
 
     One table keyed by the exact delay holds the float64 (w, w', w'') of
     each delay synthesized, so a hit returns what a fresh synthesis
-    would. A coarse reference is order 0 of its delay's entry, and only
-    its conjugate real FFT is kept beside it. The coarse grid passes
-    through the window centre, and an experiment centres its window on
-    the true delay, so the one synthesis there serves the clean signal,
-    both estimates' coarse reference and, when a coarse search lands on
-    the centre, that estimate's first Newton pass. Its syntheses share
-    their chip layouts, and so their entries. Made per experiment and
-    dropped with it.
+    would, and is the one holder of an estimate's waveforms: M_tau
+    reads them at tau0. A coarse reference is order 0 of its delay's
+    entry, and only its conjugate real FFT is kept beside it. The coarse
+    grid passes through the window centre, and an experiment centres its
+    window on the true delay, so the one synthesis there serves the
+    clean signal, both estimates' coarse reference and, when a coarse
+    search lands on the centre, that estimate's first Newton pass. Its
+    syntheses share their chip layouts, and so their entries. Made per
+    experiment and dropped with it.
     """
 
     def __init__(self, spec: WaveformSpec):
@@ -295,7 +293,7 @@ class _Syntheses:
     def orders(self, tau: float) -> tuple:
         """(w, w', w'') at tau."""
         if tau not in self._orders:
-            self._orders[tau] = _waveforms(self.spec, tau, (0, 1, 2), self.layouts)
+            self._orders[tau] = _waveforms(self.spec, tau, self.layouts)
         return self._orders[tau]
 
     def reference(self, tau: float) -> tuple:
@@ -372,7 +370,8 @@ def _coarse_grid(z: np.ndarray, syntheses: _Syntheses, lo: float, hi: float,
     for _ in range(2):
         step /= 4
         taus = tau + step * np.arange(-4, 5)
-        misfits = [np.linalg.norm(z - _waveforms(spec, t, (0,), layouts)[0]) for t in taus]
+        # not through the table, which would keep all 18 refinement points
+        misfits = [np.linalg.norm(z - _waveforms(spec, t, layouts)[0]) for t in taus]
         tau = float(taus[int(np.argmin(misfits))])
     return tau
 
@@ -382,11 +381,11 @@ def _ml_delay(z: SampledSignal, syntheses: _Syntheses,
               search_window: tuple[float, float], centre: float):
     """ML delay with what the refinement saw at it.
 
-    The coarse grid passes through `centre`. Returns (tau0, (w, w', w'')
-    at tau0, Newton passes, final residual |Re<w - z, w'>| / ||w'||^2
-    with ||w'||^2 taken at the coarse delay). The replica is real, so
-    Re<z - w, w^(k)> = <Re z - w, w^(k)>: the search and the refinement
-    read Re z only.
+    The coarse grid passes through `centre`. Returns (tau0, Newton passes,
+    final residual |Re<w - z, w'>| / ||w'||^2 with ||w'||^2 taken at the
+    coarse delay); `syntheses` holds (w, w', w'') at tau0, as at every
+    iterate. The replica is real, so Re<z - w, w^(k)> = <Re z - w, w^(k)>:
+    the search and the refinement read Re z only.
     """
     spec = syntheses.spec
     lo, hi = search_window
@@ -402,15 +401,14 @@ def _ml_delay(z: SampledSignal, syntheses: _Syntheses,
     zs = np.ascontiguousarray(z.samples.real)
     tau = _coarse_grid(zs, syntheses, lo, hi, centre)
 
-    best_tau, best_g, best_w = tau, math.inf, None
+    best_tau, best_g = tau, math.inf
     for iterations in range(1, _NEWTON_PASSES + 1):
-        waveforms = syntheses.orders(tau)
-        g, dg, n1sq = _misfit_derivatives(zs, *waveforms)
+        g, dg, n1sq = _misfit_derivatives(zs, *syntheses.orders(tau))
         if iterations == 1:
             # ||w'||^2 at the coarse delay sets the convergence scale
             scale = n1sq
         if abs(g) < abs(best_g):
-            best_tau, best_g, best_w = tau, g, waveforms
+            best_tau, best_g = tau, g
         if abs(g) <= _ROUNDING * scale:
             break
         if dg <= 0:
@@ -434,13 +432,13 @@ def _ml_delay(z: SampledSignal, syntheses: _Syntheses,
     # ||w'|| Tc 1e-6; below rounding the samples do not fix the delay, and
     # Newton stops anywhere on a flat misfit (one sample per chip, with
     # every sample many smoothings from a chip boundary).
-    w, w1, _ = best_w
+    w, w1, _ = syntheses.orders(best_tau)
     if np.linalg.norm(w1) * (1e-6 * spec.chip_duration) <= _ROUNDING * np.linalg.norm(w):
         raise DelayEstimationError(
             "the samples do not resolve the delay: a millionth of a chip moves "
             "the replica by less than rounding", last_iterate=best_tau
         )
-    return best_tau, best_w, iterations, abs(best_g) / scale
+    return best_tau, iterations, abs(best_g) / scale
 
 
 def ml_delay_estimate(z: SampledSignal, spec: WaveformSpec,
@@ -550,13 +548,13 @@ def _experiment(syntheses: _Syntheses, tau_true: float, noise: NoiseConfig,
 
     clean = syntheses.orders(tau_true)[0]
     z = SampledSignal(clean + noise.sample(spec.num_samples))
-    tau0, waveforms, iter0, res0 = _ml_delay(z, syntheses, search_window, tau_true)
-    m_tau = magnification_tau(z, *map(SampledSignal, waveforms))
+    tau0, iter0, res0 = _ml_delay(z, syntheses, search_window, tau_true)
+    m_tau = magnification_tau(z, *map(SampledSignal, syntheses.orders(tau0)))
     bound = m_tau * interference.norm()
 
     z_pert = z + interference
-    tau_pert, _, iter_pert, res_pert = _ml_delay(z_pert, syntheses, search_window,
-                                                 tau_true)
+    tau_pert, iter_pert, res_pert = _ml_delay(z_pert, syntheses, search_window,
+                                              tau_true)
 
     return TauPerturbation(
         tau0=tau0,

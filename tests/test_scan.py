@@ -316,24 +316,36 @@ class TestHistogram:
         (0.1, (1.0, 3.0)), (0.05, (1.2, 2.9)), (0.3, (0.5, 5.0)),
         (1 / 3, (1.0, 2.0))])
     def test_matches_loop_oracle(self, day, bin_width, value_range):
-        # oracle: per value, overflow at or above the top edge, else int()
-        # truncation clamped to the bins
+        # oracle: per value, against the printed edges: bin k holds
+        # edges[k] <= v < edges[k + 1], below the range counts in bin 0,
+        # and at or above the top edge is overflow
         lo, hi = value_range
         n_bins = int(round((hi - lo) / bin_width))
         edges = [lo + i * bin_width for i in range(n_bins + 1)]
         values = np.concatenate([day.best_m_s, edges, [-1e300, 1e300],
                                  np.random.default_rng(7).uniform(0, 6, 2000)])
         present = [v for v in values.tolist() if not math.isnan(v)]
+        hist = histogram(values, bin_width=bin_width, value_range=value_range)
+        assert hist.bin_edges == edges
         counts, overflow = [0] * n_bins, 0
         for v in present:
             if v >= edges[-1]:
                 overflow += 1
+            elif v < edges[0]:
+                counts[0] += 1
             else:
-                counts[max(0, min(int((v - lo) / bin_width), n_bins - 1))] += 1
-        hist = histogram(values, bin_width=bin_width, value_range=value_range)
-        assert hist.bin_edges == edges
+                (k,) = [k for k in range(n_bins) if edges[k] <= v < edges[k + 1]]
+                counts[k] += 1
         assert hist.relative_frequency == [c / len(present) for c in counts]
         assert hist.overflow == overflow / len(present)
+
+    def test_value_on_inner_edge_in_the_bin_it_starts(self):
+        # (0.6 - 0.5) / 0.1 is 0.9999999999999998, which int() put in the
+        # row 0.5-0.6; the row that starts at the printed edge 0.6 holds it
+        hist = histogram(np.array([0.6]), bin_width=0.1, value_range=(0.5, 0.7))
+        assert hist.bin_edges[1] == 0.6
+        assert hist.relative_frequency == [0.0, 1.0]
+        assert hist.overflow == 0.0
 
     def test_frequencies_sum_to_one(self, day):
         hist = histogram(day.best_m_s)

@@ -255,7 +255,7 @@ class TestFusedKernel:
             # the public wrapper's complex cast keeps the sign of a zero
             assert _same_bytes(sample_waveform(spec, tau, order).samples,
                                ref[order].astype(np.complex128))
-        fused = _waveforms(spec, tau, (0, 1, 2), {})
+        fused = _waveforms(spec, tau, {})
         for got, want in zip(fused, ref):
             assert _same_bytes(got, want)
 
@@ -265,11 +265,9 @@ class TestFusedKernel:
            smoothing=st.one_of(st.floats(0.05, 0.3), st.floats(0.3, 3.0)),
            samples_per_chip=st.integers(1, 5),
            periods=st.integers(1, 3), trim=st.integers(0, 2),
-           frac=st.floats(-1.0, 2.0), on_edge=st.booleans(),
-           orders=st.lists(st.sampled_from((0, 1, 2)), min_size=1, max_size=3,
-                           unique=True))
+           frac=st.floats(-1.0, 2.0), on_edge=st.booleans())
     def test_bit_identical_property(self, prn, length, smoothing, samples_per_chip,
-                                    periods, trim, frac, on_edge, orders):
+                                    periods, trim, frac, on_edge):
         # A truncated C/A code keeps each example small; codes shorter than
         # the chip window wrap more than once. A trimmed sample count puts
         # the samples off the chip grid, often one that periods does not
@@ -281,8 +279,9 @@ class TestFusedKernel:
                             periods=periods, num_samples=n)
         # tau in [-P, 2P], on a chip edge or anywhere
         tau = round(frac * length) * tc if on_edge else frac * code.period
-        got = _waveforms(spec, tau, tuple(orders), {})
-        for order, samples in zip(orders, got):
+        got = _waveforms(spec, tau, {})
+        assert len(got) == 3
+        for order, samples in enumerate(got):
             assert _same_bytes(samples, _per_order_waveform(spec, tau, order))
 
     @pytest.mark.parametrize("periods", [2, 5, 20])
@@ -295,8 +294,8 @@ class TestFusedKernel:
                                 periods=periods, num_samples=periods * one.num_samples)
             for frac in (0.3, 0.71):
                 tau = frac * one.code_period
-                for got, want in zip(_waveforms(spec, tau, (0, 1, 2), {}),
-                                     _waveforms(one, tau, (0, 1, 2), {})):
+                for got, want in zip(_waveforms(spec, tau, {}),
+                                     _waveforms(one, tau, {})):
                     assert _same_bytes(got, np.tile(want, periods)), (prn, frac)
 
     def test_chip_edge_case_hits_boundaries(self):
@@ -403,7 +402,7 @@ class TestTruncation:
                 int(rng.integers(-1023, 2047)) * tc,  # on a chip edge
                 (0.0, period, -spec.sampling_period)[prn % 3])  # at a wrap
         for tau in taus:
-            for order, got in zip((0, 1, 2), _waveforms(spec, tau, (0, 1, 2), {})):
+            for order, got in zip((0, 1, 2), _waveforms(spec, tau, {})):
                 ref, bound = _untruncated(spec, tau, order)
                 assert got.dtype == np.float64
                 assert np.all(np.abs(got - ref) <= bound), (tau, order)
@@ -427,12 +426,12 @@ class TestTruncation:
     def test_phi_and_density_once_per_phase(self, monkeypatch, make, phases, half):
         # One argument per inner chip boundary and sub-chip sample phase:
         # 2 x 4 at the default spec, not 2 per sample. The window's outer
-        # boundaries never reach erfc or exp, and orders 1 and 2 need no Phi.
-        calls = {"erfc": [], "exp": []}
+        # boundaries never reach erfc or exp.
+        calls = {"erfc": 0, "exp": []}
         real_erfc, real_exp = math.erfc, np.exp
 
         def erfc(x):
-            calls["erfc"][-1] += 1  # counted per synthesis
+            calls["erfc"] += 1
             return real_erfc(x)
 
         def exp(arg, out=None):
@@ -446,15 +445,8 @@ class TestTruncation:
         tau = 0.3 * spec.code_period
         args = 2 * half * phases
 
-        def synthesize(orders):
-            calls["erfc"].append(0)
-            _waveforms(spec, tau, orders, {})
-
-        synthesize((0, 1, 2))
-        assert calls == {"erfc": [args], "exp": [args]}
-        synthesize((0,))
-        synthesize((1, 2))
-        assert calls == {"erfc": [args, args, 0], "exp": [args, args]}
+        _waveforms(spec, tau, {})
+        assert calls == {"erfc": args, "exp": [args]}
 
 
 def _short_spec(prn, length, periods, num_samples, smoothing):
@@ -547,7 +539,7 @@ class TestExactPositions:
         make, frac = _EXACT_CASES[case]
         spec = make()
         tau = frac * spec.code_period
-        got = _waveforms(spec, tau, (0, 1, 2), {})
+        got = _waveforms(spec, tau, {})
         for order, (ref, bound) in enumerate(_exact_reference(spec, tau)):
             assert np.all(np.abs(got[order] - ref) <= bound), order
 
@@ -715,7 +707,7 @@ class TestMlDelayEstimate:
         assert len(references) == len(correlations) >= 1
         for ref, w in references:
             for m in (-1, 1, 7, n // 3, n - 1):
-                shifted = _waveforms(spec, ref + m * spec.sampling_period, (0,), {})[0]
+                shifted = _waveforms(spec, ref + m * spec.sampling_period, {})[0]
                 assert np.max(np.abs(shifted - np.roll(w, m))) <= 1e-11
         for (_, w), corr in list(zip(references, correlations))[:3]:
             assert len(corr) == n
@@ -756,7 +748,7 @@ class TestMlDelayEstimate:
         slopes = []
         for _ in range(passes):
             g, dg, _ = signal_model._misfit_derivatives(
-                z.real, *_waveforms(spec, taus[-1], (0, 1, 2), {}))
+                z.real, *_waveforms(spec, taus[-1], {}))
             slopes.append(abs(g))
             taus.append(taus[-1] - g / dg)
         monkeypatch.setattr(signal_model, "_NEWTON_PASSES", passes)
@@ -770,9 +762,9 @@ class TestMlDelayEstimate:
         z = sample_waveform(spec, tau_true, 0)
         z = z + SampledSignal(NoiseConfig(sigma=0.05, seed=3).sample(len(z)))
         monkeypatch.setattr(signal_model, "_NEWTON_PASSES", 3)
-        _, _, passes, residual = _ml_delay(z, _Syntheses(spec),
-                                           (0.0, spec.code_period),
-                                           spec.code_period / 2)
+        _, passes, residual = _ml_delay(z, _Syntheses(spec),
+                                        (0.0, spec.code_period),
+                                        spec.code_period / 2)
         assert passes == 3
         assert residual <= 1e-9
 
@@ -1003,7 +995,7 @@ class TestPerturbationExperiment:
             assert 0.0 <= residual <= 1e-9
 
     def test_m_tau_uses_waveforms_at_tau0(self, spec, tau_true):
-        # The estimator's kept (w, w', w'') must equal a fresh synthesis at tau0.
+        # The table's (w, w', w'') at tau0 must equal a fresh synthesis there.
         noise = NoiseConfig(0.02, seed=6)
         dy = worst_interference(sample_waveform(spec, tau_true, 1), 1e-6)
         result = perturbation_experiment(spec, tau_true, noise, dy)
@@ -1030,9 +1022,9 @@ class TestSharedSyntheses:
         kernel, coarse = signal_model._waveforms, signal_model._coarse_grid
         calls, starts = [], []
 
-        def counted(spec, tau, orders, layouts):
-            calls.append((tau, tuple(orders)))
-            return kernel(spec, tau, orders, layouts)
+        def counted(spec, tau, layouts):
+            calls.append(tau)
+            return kernel(spec, tau, layouts)
 
         def recorded(*args):
             starts.append(coarse(*args))
@@ -1045,9 +1037,8 @@ class TestSharedSyntheses:
         # gives the clean signal, both references and both first Newton
         # passes; every other Newton pass synthesizes its own delay.
         assert starts == [tau, tau]
-        assert calls[0] == (tau, (0, 1, 2))
-        assert [c for c in calls if c[0] == tau] == [(tau, (0, 1, 2))]
-        assert all(orders == (0, 1, 2) for _, orders in calls)
+        assert calls[0] == tau
+        assert calls.count(tau) == 1
         assert len(calls) == 1 + sum(result.iterations) - 2
 
     @pytest.mark.parametrize("samples_per_chip", [1, 2, 4, 5])
@@ -1067,7 +1058,7 @@ class TestSharedSyntheses:
             table = _Syntheses(spec)
             for tau in taus:
                 for got, want in zip(table.orders(tau),
-                                     _waveforms(spec, tau, (0, 1, 2), {})):
+                                     _waveforms(spec, tau, {})):
                     assert _same_bytes(got, want), (prn, tau)
             assert len(table.layouts) < len(taus)  # a key was read again
 
@@ -1097,8 +1088,8 @@ class TestSharedSyntheses:
                                        for k in (0, 1, 2)))
         centre = (window[0] + window[1]) / 2
         assert centre == tau  # so every estimate's coarse grid is the experiment's
-        _, _, iter0, res0 = _ml_delay(z, _Syntheses(spec), window, centre)
-        _, _, iter1, res1 = _ml_delay(z + dy, _Syntheses(spec), window, centre)
+        _, iter0, res0 = _ml_delay(z, _Syntheses(spec), window, centre)
+        _, iter1, res1 = _ml_delay(z + dy, _Syntheses(spec), window, centre)
         expected = [tau0, m_tau, m_tau * dy.norm(), tau1 - tau0,
                     iter0, iter1, res0, res1]
         got = [result.tau0, result.m_tau, result.delta_tau_bound,
