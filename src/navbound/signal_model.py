@@ -23,7 +23,6 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_HALF = math.sqrt(0.5)
 _ROUNDING = 64 * np.finfo(float).eps
 _NEWTON_PASSES = 50
-_TINY_SQUARES = np.finfo(float).tiny / np.finfo(float).eps
 
 
 def _is_int(value) -> bool:
@@ -104,9 +103,8 @@ class SampledSignal:
         return len(self.samples)
 
     def norm(self) -> float:
-        """Euclidean norm, on the samples rescaled by _unit_scaled: no square underflows."""
-        (unit,), exponent = _unit_scaled([self.samples])
-        return float(np.ldexp(np.linalg.norm(unit), exponent))
+        """Euclidean norm, by _norm: no square over- or underflows."""
+        return _norm(self.samples)
 
     def __add__(self, other: "SampledSignal") -> "SampledSignal":
         if len(self) != len(other):
@@ -304,20 +302,27 @@ class _Syntheses:
         return w, self._spectra[tau]
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Re<a, b>: one np.dot of float64 arrays, else the sum of the dots of the contiguous
+    real and imaginary parts, so real values give the same bits in either dtype."""
+    if a.dtype.kind != "c" and b.dtype.kind != "c":
+        return float(np.dot(a, b))
+    return sum(float(np.dot(np.ascontiguousarray(part(a)), np.ascontiguousarray(part(b))))
+               for part in (np.real, np.imag))
+
+
 def _misfit_derivatives(z, w, w1, w2) -> tuple[float, float, float]:
     """(g, dg, ||w'||^2) of the misfit ||z - w||^2 / 2, given w, w' and w''.
 
     g = Re<z - w, w'> is the (sigma-free, sign-flipped) delay derivative of
     the log-likelihood and vanishes at the ML delay; the curvature
-    dg = ||w'||^2 + Re<w - z, w''> is positive at a proper minimum. The
-    arrays may be complex (magnification_tau) or real (the estimator's
-    Re z and replicas), where np.vdot is a real dot.
+    dg = ||w'||^2 + Re<w - z, w''> is positive at a proper minimum. Each
+    product is a _dot: float64 arrays (the estimator's Re z and replicas)
+    and complex ones share one arithmetic.
     """
     d = z - w
-    n1sq = float(np.real(np.vdot(w1, w1)))
-    g = float(np.real(np.vdot(d, w1)))
-    dg = n1sq - float(np.real(np.vdot(d, w2)))
-    return g, dg, n1sq
+    n1sq = _dot(w1, w1)
+    return _dot(d, w1), n1sq - _dot(d, w2), n1sq
 
 
 def _coarse_grid(z: np.ndarray, syntheses: _Syntheses, lo: float, hi: float,
@@ -456,13 +461,30 @@ def ml_delay_estimate(z: SampledSignal, spec: WaveformSpec,
 
 
 def _unit_scaled(signals: list) -> tuple[list, int]:
-    """(2^-e s for each complex array s, e), with e putting their largest real
-    or imaginary part in [0.5, 1) (e = 0 if all are zero). The one rescale of
-    magnification_tau and worst_interference: exact on normal floats."""
-    parts = [s.view(np.float64) for s in signals]
+    """(2^-e s in s's dtype for each float64 or complex128 array s, e), with e
+    putting their largest real or imaginary part in [0.5, 1) (e = 0 if all are
+    zero). The one rescale of M_tau, dy and every norm: exact on normal floats."""
+    parts = [np.ascontiguousarray(s).view(np.float64) for s in signals]
     exponent = math.frexp(max(max(p.max(initial=0.0), -p.min(initial=0.0))
                               for p in parts))[1]
-    return [np.ldexp(p, -exponent).view(np.complex128) for p in parts], exponent
+    return [np.ldexp(p, -exponent).view(s.dtype) for p, s in zip(parts, signals)], exponent
+
+
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm, sqrt(_dot) on x rescaled by _unit_scaled, scaled back."""
+    (unit,), exponent = _unit_scaled([x])
+    return math.ldexp(math.sqrt(_dot(unit, unit)), exponent)
+
+
+def _magnification(z, w, w1, w2) -> float:
+    """M_tau of magnification_tau on the arrays rescaled by _unit_scaled, scaled
+    back (it is homogeneous of degree -1 in them): exact on normal floats."""
+    (z, w, w1, w2), exponent = _unit_scaled([z, w, w1, w2])
+    _, denom, n1sq = _misfit_derivatives(z, w, w1, w2)
+    if abs(denom) <= 1e-12 * n1sq:  # all-zero signals too
+        raise DegenerateCurvatureError("likelihood curvature vanishes; "
+                                       "no first-order bound exists")
+    return math.ldexp(math.sqrt(n1sq) / abs(denom), -exponent)
 
 
 def magnification_tau(z: SampledSignal, w: SampledSignal,
@@ -472,44 +494,34 @@ def magnification_tau(z: SampledSignal, w: SampledSignal,
     The real part makes the denominator the actual second derivative of
     the log-likelihood (the complex-conjugate pair in the stationarity
     condition doubles the real component only). Units: seconds of delay
-    per unit interference norm. Where a sum of squares or products over-
-    or underflows, M is taken on the four signals rescaled by
-    _unit_scaled, the exact power-of-two rescale worst_interference also
-    uses, and scaled back: it is homogeneous of degree -1 in them.
+    per unit interference norm. By _magnification, as the delay experiment
+    on its float64 Re z and replicas: on real signals the two agree bit for bit.
     """
     if not len(z) == len(w) == len(w1) == len(w2):
         raise ValueError("signal lengths differ")
-    signals = [s.samples for s in (z, w, w1, w2)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, denom, n1sq = _misfit_derivatives(*signals)
-    exponent = 0
-    # at ||w'||^2 >= tiny / eps, products that underflowed (each off by at
-    # most tiny eps / 2) move the sums by a negligible fraction of an ulp
-    if not (_TINY_SQUARES <= n1sq < math.inf and math.isfinite(denom)):
-        signals, exponent = _unit_scaled(signals)
-        _, denom, n1sq = _misfit_derivatives(*signals)
-    if abs(denom) <= 1e-12 * n1sq:  # all-zero signals too
-        raise DegenerateCurvatureError(
-            "likelihood curvature vanishes; no first-order bound exists"
-        )
-    return math.ldexp(math.sqrt(n1sq) / abs(denom), -exponent)
+    return _magnification(*(s.samples for s in (z, w, w1, w2)))
+
+
+def _worst_mode(w1: np.ndarray, power: float) -> np.ndarray:
+    """sqrt(power) w1 / ||w1|| in w1's dtype, ||w1|| taken on w1 rescaled by
+    _unit_scaled: it cannot overflow, and is bit-exact for w1 and 2^k w1."""
+    if not 0 < power < math.inf:
+        raise ValueError("power must be positive and finite")
+    (unit,), _ = _unit_scaled([w1])
+    n1 = math.sqrt(_dot(unit, unit))
+    if n1 == 0:
+        raise ValueError("zero derivative signal")
+    return math.sqrt(power) / n1 * unit
 
 
 def worst_interference(w1: SampledSignal, power: float) -> SampledSignal:
     """The power-constrained interference maximizing the first-order delay bias.
 
     The bound |delta_tau| <= M ||dy|| is achieved, to first order, by dy
-    parallel to the waveform derivative; this returns sqrt(power) w'/||w'||,
-    with ||w'|| taken on w' rescaled by _unit_scaled (as magnification_tau
-    does), so it cannot overflow and dy is bit-exact for w' and 2^k w'.
+    parallel to the waveform derivative; this returns sqrt(power) w'/||w'||
+    by _worst_mode, which worst_case_experiment calls on its float64 w'.
     """
-    if not 0 < power < math.inf:
-        raise ValueError("power must be positive and finite")
-    (unit,), _ = _unit_scaled([w1.samples])
-    n1 = float(np.linalg.norm(unit))
-    if n1 == 0:
-        raise ValueError("zero derivative signal")
-    return SampledSignal(math.sqrt(power) / n1 * unit)
+    return SampledSignal(_worst_mode(w1.samples, power))
 
 
 def perturbation_experiment(spec: WaveformSpec, tau_true: float,
@@ -525,7 +537,7 @@ def perturbation_experiment(spec: WaveformSpec, tau_true: float,
     and serves an estimate's first Newton pass when its coarse search
     lands on tau_true.
     """
-    return _experiment(_Syntheses(spec), tau_true, noise, interference)
+    return _experiment(_Syntheses(spec), tau_true, noise, interference.samples)
 
 
 def worst_case_experiment(spec: WaveformSpec, tau_true: float, power: float,
@@ -533,26 +545,26 @@ def worst_case_experiment(spec: WaveformSpec, tau_true: float, power: float,
     """perturbation_experiment with dy = worst_interference(w', power), w' taken from
     its own synthesis at tau_true; the power is checked before sigma and seed."""
     syntheses = _Syntheses(spec)
-    dy = worst_interference(SampledSignal(syntheses.orders(tau_true)[1]), power)
+    dy = _worst_mode(syntheses.orders(tau_true)[1], power)
     return _experiment(syntheses, tau_true, NoiseConfig(sigma, seed), dy)
 
 
 def _experiment(syntheses: _Syntheses, tau_true: float, noise: NoiseConfig,
-                interference: SampledSignal) -> TauPerturbation:
-    """perturbation_experiment on a table that may already hold tau_true."""
+                dy: np.ndarray) -> TauPerturbation:
+    """perturbation_experiment on a table that may already hold tau_true, with
+    dy an array: only z and z + dy are checked as SampledSignals."""
     spec = syntheses.spec
-    if len(interference) != spec.num_samples:
+    if len(dy) != spec.num_samples:
         raise ValueError("interference length does not match spec.num_samples")
     half = spec.code_period / 2
     search_window = (tau_true - half, tau_true + half)
 
-    clean = syntheses.orders(tau_true)[0]
-    z = SampledSignal(clean + noise.sample(spec.num_samples))
+    z = SampledSignal(syntheses.orders(tau_true)[0] + noise.sample(spec.num_samples))
     tau0, iter0, res0 = _ml_delay(z, syntheses, search_window, tau_true)
-    m_tau = magnification_tau(z, *map(SampledSignal, syntheses.orders(tau0)))
-    bound = m_tau * interference.norm()
+    m_tau = _magnification(z.samples.real, *syntheses.orders(tau0))
+    bound = m_tau * _norm(dy)
 
-    z_pert = z + interference
+    z_pert = SampledSignal(z.samples + dy)
     tau_pert, iter_pert, res_pert = _ml_delay(z_pert, syntheses, search_window,
                                               tau_true)
 

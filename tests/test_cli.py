@@ -228,10 +228,12 @@ class TestSharedSynthesis:
 
     @staticmethod
     def instrument(monkeypatch):
-        """(kernel calls as their delays, coarse starts, Newton passes)."""
+        """(kernel calls as their delays, coarse starts, Newton passes,
+        SampledSignal constructions as their lengths)."""
         kernel, coarse = signal_model._waveforms, signal_model._coarse_grid
         ml_delay = signal_model._ml_delay
-        calls, starts, passes = [], [], []
+        check = signal_model.SampledSignal.__post_init__
+        calls, starts, passes, built = [], [], [], []
 
         def counted(spec, tau, *layouts):
             calls.append(tau)
@@ -246,14 +248,19 @@ class TestSharedSynthesis:
             passes.append(result[1])
             return result
 
+        def constructed(signal):
+            check(signal)
+            built.append(len(signal))
+
         monkeypatch.setattr(signal_model, "_waveforms", counted)
         monkeypatch.setattr(signal_model, "_coarse_grid", recorded)
         monkeypatch.setattr(signal_model, "_ml_delay", estimate)
-        return calls, starts, passes
+        monkeypatch.setattr(signal_model.SampledSignal, "__post_init__", constructed)
+        return calls, starts, passes, built
 
     @pytest.mark.parametrize("prn", [1, 7, 32])
     def test_one_synthesis_at_true_delay(self, capsys, monkeypatch, prn):
-        calls, starts, passes = self.instrument(monkeypatch)
+        calls, starts, passes, built = self.instrument(monkeypatch)
         tau = 0.000437
         assert run(["interference", "--prn", str(prn), "--power", "4e-5",
                     "--sigma", "0.01", "--seed", "5", "--tau", repr(tau)]) == EXIT_OK
@@ -262,9 +269,12 @@ class TestSharedSynthesis:
         # first Newton passes; every other pass synthesizes its own delay
         assert starts == [tau, tau]
         assert len(calls) == 1 + sum(passes) - 2
+        # the experiment stays in float64: only the received signal z and
+        # z + dy are built (and checked) as SampledSignals
+        assert built == [1023 * 4] * 2
 
     def test_calls_per_command(self, capsys, monkeypatch):
-        calls, _, _ = self.instrument(monkeypatch)
+        calls, _, _, built = self.instrument(monkeypatch)
         rng = np.random.default_rng(33)
         for _ in range(40):
             prn, tau = int(rng.integers(1, 33)), float(rng.uniform(0.0, 1e-3))
@@ -272,6 +282,7 @@ class TestSharedSynthesis:
                         "--sigma", "0.01", "--seed", str(int(rng.integers(0, 2**31))),
                         "--tau", repr(tau)]) == EXIT_OK
         assert len(calls) / 40 <= 4.0
+        assert len(built) == 2 * 40  # z and z + dy per command
 
 
 class TestTrack:

@@ -13,8 +13,9 @@ from navbound import signal_model
 from navbound.cacode import ChipSequence, generate_ca_code
 from navbound.signal_model import (DegenerateCurvatureError,
                                    DelayEstimationError, NoiseConfig,
-                                   SampledSignal, WaveformSpec, _ml_delay,
-                                   _Syntheses, _unit_scaled, _waveforms,
+                                   SampledSignal, WaveformSpec, _dot,
+                                   _ml_delay, _norm, _Syntheses, _unit_scaled,
+                                   _waveforms,
                                    default_spec, magnification_tau,
                                    ml_delay_estimate, perturbation_experiment,
                                    sample_waveform, worst_case_experiment,
@@ -929,9 +930,33 @@ class TestWorstInterference:
         (sa, sb), e = _unit_scaled([a, b])
         assert e == exponent
         for scaled, x in ((sa, a), (sb, b)):
+            assert scaled.dtype == np.complex128
             assert np.ldexp(scaled.view(float), e).tobytes() == x.tobytes()
         parts = np.abs(np.r_[sa, sb].view(float))
         assert parts.max() == (math.frexp(largest)[0] if largest else 0.0)
+        # the same parts held as float64 keep their dtype and exponent
+        real = [np.array([0.25 * largest, -largest]), np.array([0.125 * largest])]
+        scaled_real, e = _unit_scaled(real)
+        assert e == exponent
+        for scaled, x in zip(scaled_real, real):
+            assert scaled.dtype == np.float64
+            assert np.ldexp(scaled, e).tobytes() == x.tobytes()
+
+    def test_dot_and_norm_agree_across_dtypes(self):
+        # Real values give the same bits held as float64, as complex128 and
+        # as a strided complex view: the experiment's float64 path and the
+        # public functions' complex one are one arithmetic.
+        rng = np.random.default_rng(36)
+        for n in (1, 2, 7, 1023, 4092, 5115):
+            x, y = rng.standard_normal((2, n)) * 10.0 ** rng.uniform(-100, 100, (2, 1))
+            buffer = np.zeros((2, 2 * n), dtype=np.complex128)
+            buffer[:, ::2] = x, y
+            want = [_dot(x, y), _dot(x, x), _norm(x), _norm(y)]
+            for a, b in ((x.astype(complex), y.astype(complex)),
+                         (buffer[0, ::2], buffer[1, ::2]),
+                         (x, buffer[1, ::2])):
+                got = [_dot(a, b), _dot(a, a), _norm(a), _norm(b)]
+                assert [v.hex() for v in got] == [v.hex() for v in want], n
 
     def test_bound_tightness(self, spec, tau_true):
         z = sample_waveform(spec, tau_true, 0)
