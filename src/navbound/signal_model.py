@@ -84,6 +84,13 @@ class WaveformSpec:
         return self.periods * self.code.period / self.num_samples
 
 
+def _finite(samples: np.ndarray) -> np.ndarray:
+    """samples, a contiguous float64 or complex128 array, if its every part is finite."""
+    if not np.all(np.isfinite(samples.view(np.float64))):
+        raise ValueError("samples must be finite")
+    return samples
+
+
 @dataclass(frozen=True)
 class SampledSignal:
     """A finite complex sample sequence, stored as a contiguous complex128
@@ -95,9 +102,7 @@ class SampledSignal:
         if np.ndim(self.samples) != 1:  # checked first: the copy is at least 1-D
             raise ValueError("samples must be 1-D")
         samples = np.ascontiguousarray(self.samples, dtype=np.complex128)
-        if not np.all(np.isfinite(samples.view(np.float64))):
-            raise ValueError("samples must be finite")
-        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "samples", _finite(samples))
 
     def __len__(self):
         return len(self.samples)
@@ -117,7 +122,8 @@ class SampledSignal:
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    """Circularly symmetric complex Gaussian noise, per-component std sigma."""
+    """Circularly symmetric complex Gaussian noise, per-component std sigma: sample(n) is
+    sigma (a + j b), a then b drawn from default_rng(seed); the delay experiment draws a alone."""
 
     sigma: float
     seed: int = 0
@@ -128,12 +134,16 @@ class NoiseConfig:
         if not (_is_int(self.seed) and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
-    def sample(self, n: int) -> np.ndarray:
+    def _blocks(self, n: int, count: int = 2) -> np.ndarray:
+        """(count, n) standard normals drawn from default_rng(seed), zeros at sigma 0."""
         if self.sigma == 0:
-            return np.zeros(n, dtype=np.complex128)
-        rng = np.random.default_rng(self.seed)
+            return np.zeros((count, n))
+        return np.random.default_rng(self.seed).standard_normal((count, n))
+
+    def sample(self, n: int) -> np.ndarray:
+        a, b = self._blocks(n)
         with np.errstate(over="ignore"):  # SampledSignal rejects an overflowed sample
-            return self.sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            return self.sigma * (a + 1j * b)
 
 
 @dataclass(frozen=True)
@@ -382,9 +392,9 @@ def _coarse_grid(z: np.ndarray, syntheses: _Syntheses, lo: float, hi: float,
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite iterate fails the checks
-def _ml_delay(z: SampledSignal, syntheses: _Syntheses,
+def _ml_delay(z: np.ndarray, syntheses: _Syntheses,
               search_window: tuple[float, float], centre: float):
-    """ML delay with what the refinement saw at it.
+    """ML delay of a received signal from its real part z, with what the refinement saw at it.
 
     The coarse grid passes through `centre`. Returns (tau0, Newton passes,
     final residual |Re<w - z, w'>| / ||w'||^2 with ||w'||^2 taken at the
@@ -403,12 +413,11 @@ def _ml_delay(z: SampledSignal, syntheses: _Syntheses,
     if len(z) != spec.num_samples:
         raise ValueError("signal length does not match spec.num_samples")
 
-    zs = np.ascontiguousarray(z.samples.real)
-    tau = _coarse_grid(zs, syntheses, lo, hi, centre)
+    tau = _coarse_grid(z, syntheses, lo, hi, centre)
 
     best_tau, best_g = tau, math.inf
     for iterations in range(1, _NEWTON_PASSES + 1):
-        g, dg, n1sq = _misfit_derivatives(zs, *syntheses.orders(tau))
+        g, dg, n1sq = _misfit_derivatives(z, *syntheses.orders(tau))
         if iterations == 1:
             # ||w'||^2 at the coarse delay sets the convergence scale
             scale = n1sq
@@ -457,7 +466,7 @@ def ml_delay_estimate(z: SampledSignal, spec: WaveformSpec,
     when a millionth of a chip moves the replica at tau0 by less than rounding.
     """
     lo, hi = search_window
-    return _ml_delay(z, _Syntheses(spec), search_window, (lo + hi) / 2)[0]
+    return _ml_delay(z.samples.real, _Syntheses(spec), search_window, (lo + hi) / 2)[0]
 
 
 def _unit_scaled(signals: list) -> tuple[list, int]:
@@ -551,20 +560,21 @@ def worst_case_experiment(spec: WaveformSpec, tau_true: float, power: float,
 
 def _experiment(syntheses: _Syntheses, tau_true: float, noise: NoiseConfig,
                 dy: np.ndarray) -> TauPerturbation:
-    """perturbation_experiment on a table that may already hold tau_true, with
-    dy an array: only z and z + dy are checked as SampledSignals."""
+    """perturbation_experiment on a table that may already hold tau_true, with dy an
+    array. The estimates and M_tau read Re z alone: z is w + in-phase noise, in float64."""
     spec = syntheses.spec
     if len(dy) != spec.num_samples:
         raise ValueError("interference length does not match spec.num_samples")
     half = spec.code_period / 2
     search_window = (tau_true - half, tau_true + half)
 
-    z = SampledSignal(syntheses.orders(tau_true)[0] + noise.sample(spec.num_samples))
+    with np.errstate(over="ignore"):  # _finite rejects an overflowed sample
+        z = _finite(syntheses.orders(tau_true)[0] + noise.sigma * noise._blocks(len(dy), 1)[0])
     tau0, iter0, res0 = _ml_delay(z, syntheses, search_window, tau_true)
-    m_tau = _magnification(z.samples.real, *syntheses.orders(tau0))
+    m_tau = _magnification(z, *syntheses.orders(tau0))
     bound = m_tau * _norm(dy)
 
-    z_pert = SampledSignal(z.samples + dy)
+    z_pert = _finite(z + dy.real)
     tau_pert, iter_pert, res_pert = _ml_delay(z_pert, syntheses, search_window,
                                               tau_true)
 

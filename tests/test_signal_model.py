@@ -763,7 +763,7 @@ class TestMlDelayEstimate:
         z = sample_waveform(spec, tau_true, 0)
         z = z + SampledSignal(NoiseConfig(sigma=0.05, seed=3).sample(len(z)))
         monkeypatch.setattr(signal_model, "_NEWTON_PASSES", 3)
-        _, passes, residual = _ml_delay(z, _Syntheses(spec),
+        _, passes, residual = _ml_delay(z.samples.real, _Syntheses(spec),
                                         (0.0, spec.code_period),
                                         spec.code_period / 2)
         assert passes == 3
@@ -1113,8 +1113,10 @@ class TestSharedSyntheses:
                                        for k in (0, 1, 2)))
         centre = (window[0] + window[1]) / 2
         assert centre == tau  # so every estimate's coarse grid is the experiment's
-        _, iter0, res0 = _ml_delay(z, _Syntheses(spec), window, centre)
-        _, iter1, res1 = _ml_delay(z + dy, _Syntheses(spec), window, centre)
+        # the private estimator takes the float64 Re z
+        _, iter0, res0 = _ml_delay(z.samples.real, _Syntheses(spec), window, centre)
+        _, iter1, res1 = _ml_delay((z + dy).samples.real, _Syntheses(spec), window,
+                                   centre)
         expected = [tau0, m_tau, m_tau * dy.norm(), tau1 - tau0,
                     iter0, iter1, res0, res1]
         got = [result.tau0, result.m_tau, result.delta_tau_bound,
@@ -1133,3 +1135,92 @@ class TestSharedSyntheses:
         assert first_a == then_a
         assert first_b == then_b
         assert first_a.tau0 != first_b.tau0 or first_a.m_tau != first_b.m_tau
+
+
+class TestInPhaseExperiment:
+    """The experiment reads Re z only, so it draws the in-phase noise alone."""
+
+    @pytest.mark.parametrize("sigma", [0.0, 1e-300, 0.01, 1.0, 8.0])
+    @pytest.mark.parametrize("seed", [0, 7, 2**31 - 1])
+    def test_in_phase_block_is_real_part_of_sample(self, sigma, seed):
+        n = 513
+        noise = NoiseConfig(sigma, seed)
+        sample = noise.sample(n)
+        assert np.array_equal(sigma * noise._blocks(n, 1)[0], sample.real)
+        rng = np.random.default_rng(seed)  # the draw order: a, then b
+        a, b = rng.standard_normal(n), rng.standard_normal(n)
+        want = np.zeros(n, dtype=np.complex128) if sigma == 0 else sigma * (a + 1j * b)
+        assert _same_bytes(sample, want)
+
+    def test_experiment_builds_no_complex_noise(self, spec, tau_true, monkeypatch):
+        def refused(self, n):
+            raise AssertionError("complex noise drawn")
+
+        want = worst_case_experiment(spec, tau_true, 1e-6, 0.05, 3)
+        monkeypatch.setattr(NoiseConfig, "sample", refused)
+        assert worst_case_experiment(spec, tau_true, 1e-6, 0.05, 3) == want
+
+    @staticmethod
+    def _centred(spec, tau):
+        """The first delay from tau up whose search window has its centre there
+        exactly, so every estimate's coarse grid passes through it."""
+        half = spec.code_period / 2
+        while ((tau - half) + (tau + half)) / 2 != tau:
+            tau = math.nextafter(tau, math.inf)
+        return tau, (tau - half, tau + half)
+
+    def test_matches_public_complex_path(self):
+        # An independent oracle: each field from the public functions on
+        # complex SampledSignals, over PRNs, noise levels and powers. At
+        # sigma 8 the estimator can fail (PRN 1 at 0.3 P with seeds 0 and
+        # 1 does); both sides must then fail alike.
+        rng = np.random.default_rng(3701)
+        cases = [(int(rng.integers(1, 33)), rng.uniform(0.0, 1.0), sigma,
+                  int(rng.integers(0, 2**31)), 10 ** rng.uniform(-5, -3))
+                 for _ in range(16) for sigma in (0.0, 0.01, 2.0, 8.0)]
+        cases += [(1, 0.3, 8.0, seed, 1e-4) for seed in (0, 1, 29)]
+        outcomes = set()
+        for prn, frac, sigma, seed, rel in cases:
+            spec = default_spec(prn)
+            tau, window = self._centred(spec, frac * spec.code_period)
+            w = sample_waveform(spec, tau, 0)
+            power = (rel * w.norm()) ** 2
+
+            def oracle():
+                z = SampledSignal(w.samples + NoiseConfig(sigma, seed).sample(len(w)))
+                dy = worst_interference(sample_waveform(spec, tau, 1), power)
+                tau0 = ml_delay_estimate(z, spec, window)
+                m_tau = magnification_tau(z, *(sample_waveform(spec, tau0, k)
+                                               for k in (0, 1, 2)))
+                tau1 = ml_delay_estimate(z + dy, spec, window)
+                return [tau0, m_tau, m_tau * dy.norm(), tau1 - tau0]
+
+            def experiment():
+                r = worst_case_experiment(spec, tau, power, sigma, seed)
+                return [r.tau0, r.m_tau, r.delta_tau_bound, r.delta_tau_empirical]
+
+            got, want = [], []
+            for side, out in ((experiment, got), (oracle, want)):
+                try:
+                    out.extend(float(v).hex() for v in side())
+                except (DelayEstimationError, DegenerateCurvatureError) as exc:
+                    out.append(type(exc))
+            assert got == want, (prn, tau, sigma, seed, rel)
+            outcomes.add((sigma, len(got) == 4))
+        assert outcomes == {(sigma, True) for sigma in (0.0, 0.01, 2.0, 8.0)} | {(8.0, False)}
+
+    def test_interference_imaginary_part_moves_only_the_bound(self):
+        spec, tau, noise, dy = _experiment_inputs(9, 0.62, 4)
+        a = dy.samples.real
+        b = 0.7 * np.linalg.norm(a) / math.sqrt(len(a)) \
+            * np.random.default_rng(11).standard_normal(len(a))
+        complex_dy, real_dy = SampledSignal(a + 1j * b), SampledSignal(a)
+        with_b = perturbation_experiment(spec, tau, noise, complex_dy)
+        without = perturbation_experiment(spec, tau, noise, real_dy)
+        for field in ("tau0", "m_tau", "delta_tau_empirical", "iterations", "residual"):
+            assert getattr(with_b, field) == getattr(without, field), field
+        assert with_b.delta_tau_bound == with_b.m_tau * complex_dy.norm()
+        assert without.delta_tau_bound == without.m_tau * real_dy.norm()
+        assert with_b.delta_tau_bound / without.delta_tau_bound == pytest.approx(
+            np.linalg.norm(a + 1j * b) / np.linalg.norm(a), rel=1e-14)
+        assert with_b.delta_tau_bound > 1.2 * without.delta_tau_bound
