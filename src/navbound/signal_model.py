@@ -282,12 +282,13 @@ class _Syntheses:
     """The syntheses of one delay experiment, shared by its estimates.
 
     One table keyed by the exact delay holds the float64 (w, w', w'') of
-    each delay synthesized, so a hit returns what a fresh synthesis
-    would, and is the one holder of an estimate's waveforms: M_tau
-    reads them at tau0. A coarse reference is order 0 of its delay's
-    entry, and only its conjugate real FFT is kept beside it. The coarse
-    grid passes through the window centre, and an experiment centres its
-    window on the true delay, so the one synthesis there serves the
+    each delay synthesized, so a hit returns what a fresh synthesis would,
+    and is the one holder of an estimate's waveforms: M_tau reads them at
+    tau0. A coarse reference is order 0 of its delay's entry; kept beside it
+    are its conjugate real FFT and, per window, the d^2_min that makes the
+    centre the coarse delay when 4 ||z - w||^2 < d^2_min (_coarse_grid). The
+    coarse grid passes through the window centre, and an experiment centres
+    its window on the true delay, so the one synthesis there serves the
     clean signal, both estimates' coarse reference and, when a coarse
     search lands on the centre, that estimate's first Newton pass. Its
     syntheses share their chip layouts, and so their entries. Made per
@@ -296,7 +297,7 @@ class _Syntheses:
 
     def __init__(self, spec: WaveformSpec):
         self.spec = spec
-        self.layouts, self._orders, self._spectra = {}, {}, {}
+        self.layouts, self._orders, self._spectra, self._separations = {}, {}, {}, {}
 
     def orders(self, tau: float) -> tuple:
         """(w, w', w'') at tau."""
@@ -310,6 +311,15 @@ class _Syntheses:
         if tau not in self._spectra:
             self._spectra[tau] = np.conj(np.fft.rfft(w))
         return w, self._spectra[tau]
+
+    def separation(self, tau: float, first: int, last: int) -> float:
+        """d^2_min = min ||w - roll(w, m)||^2 = 2 (R(0) - R(m)), w = w(tau), over the shifts
+        m != 0 in [first, last] (-n < first <= 0 <= last < first + n), R = irfft(|W|^2)."""
+        if (tau, first, last) not in self._separations:
+            r = np.fft.irfft(np.abs(self.reference(tau)[1]) ** 2, self.spec.num_samples)
+            self._separations[tau, first, last] = 2 * (r[0] - max(
+                r[1:last + 1].max(initial=-math.inf), r[len(r) + first:].max(initial=-math.inf)))
+        return self._separations[tau, first, last]
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -343,11 +353,16 @@ def _coarse_grid(z: np.ndarray, syntheses: _Syntheses, lo: float, hi: float,
     dependence sees alone: the replica is real. The capture spans whole
     code periods, so shifting tau by m sampling periods T circularly
     shifts the replica: <w(ref + m T), z> for every m comes from one
-    circular correlation against w(ref), by real FFT, and its peak is the
-    least misfit of that sub-sample phase. The grid passes through
-    `centre` (m = 0 of the first phase), so when the peak lies there the
-    coarse delay is `centre` exactly and its synthesis is shared. At four
-    or more samples per chip one phase (the sample grid) suffices. Coarser
+    circular correlation against w(ref), by real FFT, and its peak (the
+    first, of the first n shifts from lo: in the window tau +- P, P one code
+    period, w(tau) peaks at tau - P) is the least misfit of that sub-sample
+    phase. The grid passes through `centre` (m = 0 of the first phase), so
+    when the peak lies there the coarse delay is `centre` exactly and its
+    synthesis is shared. At four or more samples per chip one phase (the
+    sample grid) suffices. Its peak is m = 0, found with no FFT of z, if m = 0
+    is a window shift and 4 ||z - w_0||^2 < d^2_min (_Syntheses.separation,
+    after d^2(+-1) >= d^2_min) less n _ROUNDING ||w_0||^2 for the FFT error:
+    <z, w_0 - w_m> = ||w_0 - w_m||^2 / 2 + <z - w_0, w_0 - w_m> > 0. Coarser
     sampling leaves few sample phases per chip. When they all lie several
     smoothings s from the nearest chip boundary the replica depends on the
     delay only through Gaussian tails, and the misfit's dip at the true
@@ -366,14 +381,20 @@ def _coarse_grid(z: np.ndarray, syntheses: _Syntheses, lo: float, hi: float,
     quarter = spec.chip_duration / 4
     phases = 1 if period <= quarter else math.ceil(
         period / min(quarter, spec.pulse_smoothing / 4))
-    zf = np.fft.rfft(z)
     peaks = []
     for i in range(phases):
         ref = centre + i * period / phases
-        w, spectrum = syntheses.reference(ref)
-        corr = np.fft.irfft(zf * spectrum, n)
         first = math.ceil((lo - ref) / period)
         last = min(math.floor((hi - ref) / period), first + n - 1)
+        if phases == 1 and first <= 0 <= last:  # ref is centre
+            w = syntheses.orders(ref)[0]
+            e, ww, w1 = z - w, _dot(w, w), _dot(w[1:], w[:-1]) + w[0] * w[-1]  # R(0), R(1)
+            radius = 4 * _dot(e, e) + n * _ROUNDING * ww  # inf on overflow
+            if radius < 2 * (ww - w1) and radius < syntheses.separation(ref, first, last):
+                return ref
+        zf = np.fft.rfft(z) if i == 0 else zf
+        w, spectrum = syntheses.reference(ref)
+        corr = np.fft.irfft(zf * spectrum, n)
         shifts = np.arange(first, last + 1)
         m = int(shifts[np.argmax(corr[shifts % n])])
         peaks.append((ref + m * period, w, m))
@@ -459,11 +480,15 @@ def ml_delay_estimate(z: SampledSignal, spec: WaveformSpec,
                       search_window: tuple[float, float]) -> float:
     """Maximum-likelihood delay: coarse correlation search plus Newton refinement.
 
-    The returned tau0 satisfies |Re<w - z, w'>| <= 1e-9 ||w'||^2 after at
-    most 50 Newton passes, which go on below that threshold while they
-    improve, so small perturbation-induced shifts are resolved to machine
-    level. Raises DelayEstimationError when no such point is found, or
-    when a millionth of a chip moves the replica at tau0 by less than rounding.
+    It searches the first n shifts from the window's low end (the window
+    tau +- P, P one code period, estimates w(tau) at tau - P), with no FFT
+    of z when 4 ||Re z - w(c)||^2 < ||w(c) - w(c + m T)||^2 for every other
+    shift m, c the midpoint. The returned tau0 satisfies |Re<w - z, w'>| <=
+    1e-9 ||w'||^2 after at most 50 Newton passes, which go on below that
+    threshold while they improve, so small perturbation-induced shifts are
+    resolved to machine level. Raises DelayEstimationError when no such
+    point is found, or when a millionth of a chip moves the replica at tau0
+    by less than rounding.
     """
     lo, hi = search_window
     return _ml_delay(z.samples.real, _Syntheses(spec), search_window, (lo + hi) / 2)[0]

@@ -284,6 +284,32 @@ class TestSharedSynthesis:
         assert len(calls) / 40 <= 4.0
         assert len(built) == 0  # no SampledSignal per command
 
+    @pytest.mark.parametrize("sigma, mean", [("0.01", 2.0), ("1", 5.0)])
+    def test_ffts_per_command(self, capsys, monkeypatch, sigma, mean):
+        # Inside the certified radius an estimate runs no FFT of z: the
+        # command makes rfft(w) and the autocorrelation irfft alone. At
+        # sigma 1 every estimate takes the FFT search: rfft(z), rfft(w) and
+        # irfft for the first, rfft(z) and irfft for the second, and no
+        # autocorrelation.
+        ffts = []
+        for name in ("rfft", "irfft"):
+            def counted(*args, _fft=getattr(np.fft, name), **kwargs):
+                ffts.append(name)
+                return _fft(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        rng = np.random.default_rng(33)
+        per_command = []
+        for _ in range(40):
+            prn, tau = int(rng.integers(1, 33)), float(rng.uniform(0.0, 1e-3))
+            before = len(ffts)
+            assert run(["interference", "--prn", str(prn), "--power", "1e-4",
+                        "--sigma", sigma, "--seed", str(int(rng.integers(0, 2**31))),
+                        "--tau", repr(tau)]) == EXIT_OK
+            per_command.append(len(ffts) - before)
+        if sigma == "1":
+            assert per_command == [5] * 40
+        assert sum(per_command) / 40 <= mean
+
 
 class TestTrack:
     def test_two_sat_value(self, tmp_path, capsys):

@@ -689,19 +689,30 @@ class TestMlDelayEstimate:
         tau = 0.37 * spec.code_period
         z = sample_waveform(spec, tau, 0).samples \
             + NoiseConfig(0.3, seed=periods).sample(n)
-        references, correlations = [], []
-        reference, irfft = _Syntheses.reference, np.fft.irfft
+        references, correlations, in_separation = [], [], []
+        reference, separation = _Syntheses.reference, _Syntheses.separation
+        irfft = np.fft.irfft
 
         def recorded_reference(self, tau):
             got = reference(self, tau)
             references.append((tau, got[0]))
             return got
 
+        def recorded_separation(self, *args):
+            in_separation.append(True)  # its irfft is no correlation of z
+            try:
+                return separation(self, *args)
+            finally:
+                in_separation.pop()
+
         def recorded_irfft(*args):
-            correlations.append(irfft(*args))
-            return correlations[-1]
+            got = irfft(*args)
+            if not in_separation:
+                correlations.append(got)
+            return got
 
         monkeypatch.setattr(_Syntheses, "reference", recorded_reference)
+        monkeypatch.setattr(_Syntheses, "separation", recorded_separation)
         monkeypatch.setattr(np.fft, "irfft", recorded_irfft)
         ml_delay_estimate(SampledSignal(z), spec,
                           (tau - 0.5 * spec.code_period, tau + 0.5 * spec.code_period))
@@ -778,6 +789,104 @@ class TestMlDelayEstimate:
         w1 = sample_waveform(spec, est, 1)
         g = np.real(np.vdot(zp.samples - w.samples, w1.samples))
         assert abs(g) <= 1e-9 * np.real(np.vdot(w1.samples, w1.samples))
+
+
+class TestCertifiedPeak:
+    """The coarse search's short-cut: when 4 ||z - w(centre)||^2 is below the
+    least ||w - roll(w, m)||^2 over the window's other shifts, the search
+    returns the centre with no FFT of z, and that is the peak of the
+    correlation summed directly over every window shift."""
+
+    @staticmethod
+    def window(spec, lo, hi, centre):
+        """The window's shifts m, centre + m T in [lo, hi], the first n from lo."""
+        period, n = spec.sampling_period, spec.num_samples
+        first = math.ceil((lo - centre) / period)
+        return range(first, min(math.floor((hi - centre) / period), first + n - 1) + 1)
+
+    @staticmethod
+    def oracle(z, w, shifts):
+        """(first shift of the largest direct sum <z, roll(w, m)>, least
+        ||w - roll(w, m)||^2 over the shifts m != 0 and its shift)."""
+        corr = [np.dot(z, np.roll(w, m)) for m in shifts]
+        d2 = [(np.dot(w - np.roll(w, m), w - np.roll(w, m)), m) for m in shifts if m]
+        return shifts[int(np.argmax(corr))], min(d2)
+
+    @staticmethod
+    def search(monkeypatch, z, spec, lo, hi, centre):
+        """(_coarse_grid's delay, whether it ran an FFT of z)."""
+        rfft, of_z = np.fft.rfft, []
+
+        def recorded(x, *args, **kwargs):
+            of_z.append(x is z)
+            return rfft(x, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.fft, "rfft", recorded)
+            with np.errstate(over="ignore"):
+                tau = signal_model._coarse_grid(z, _Syntheses(spec), lo, hi, centre)
+        return tau, any(of_z)
+
+    @pytest.mark.parametrize("prn, periods, tau", [
+        (1, 1, 0.37), (5, 1, 0.004), (11, 1, 0.81), (32, 1, 0.5),
+        (7, 2, 0.23), (19, 3, 0.66)],
+        ids=["prn1", "prn5", "prn11", "prn32", "two_periods", "three_periods"])
+    def test_agrees_with_direct_sum(self, monkeypatch, prn, periods, tau):
+        # 42 signals per capture, 252 in all: 20 random directions at 0.9
+        # and 1.1 of the radius d_min / 2, and the midpoint between w_0 and
+        # its nearest shift w_1, moved by 1e-3 (w_0 - w_1) either way. A
+        # capture of 2 or 3 periods repeats w every n / periods samples,
+        # outside the one-period window: d^2_min is the window's.
+        spec = _short_spec(prn, 63, periods, periods * 63 * 4, 0.1)
+        tau *= spec.code_period
+        lo, hi = tau - spec.code_period / 2, tau + spec.code_period / 2
+        shifts = self.window(spec, lo, hi, tau)
+        w = _waveforms(spec, tau, {})[0]
+        n = spec.num_samples
+        assert np.array_equal(np.roll(w, n // periods), w)
+        _, (d2, nearest) = self.oracle(w, w, shifts)
+        radius = math.sqrt(d2) / 2
+        w1 = np.roll(w, nearest)
+        rng = np.random.default_rng(prn)
+        signals = [(w + scale * radius * u / np.linalg.norm(u), scale < 1)
+                   for u in rng.standard_normal((20, n)) for scale in (0.9, 1.1)]
+        signals += [((w + w1) / 2 + eps * (w - w1), eps > 0) for eps in (1e-3, -1e-3)]
+        for z, inside in signals:
+            m, _ = self.oracle(z, w, shifts)
+            got, ran_fft = self.search(monkeypatch, z, spec, lo, hi, tau)
+            assert ran_fft != inside
+            assert got == tau + m * spec.sampling_period
+            if inside:
+                assert got == tau
+        # the midpoint moved towards w_1 peaks there
+        assert self.oracle(signals[-1][0], w, shifts)[0] == nearest
+
+    def test_overflow_takes_fft_path(self, monkeypatch):
+        spec = _short_spec(3, 63, 1, 252, 0.1)
+        tau = 0.4 * spec.code_period
+        lo, hi = tau - spec.code_period / 2, tau + spec.code_period / 2
+        w = _waveforms(spec, tau, {})[0]
+        z = w + 1e200 * np.random.default_rng(3).standard_normal(len(w))
+        m, _ = self.oracle(z, w, self.window(spec, lo, hi, tau))
+        got, ran_fft = self.search(monkeypatch, z, spec, lo, hi, tau)
+        assert ran_fft and got == tau + m * spec.sampling_period
+
+    @pytest.mark.parametrize("prn", [5, 13])
+    def test_window_wider_than_a_period(self, monkeypatch, prn):
+        # The window tau +- P holds 2 n + 1 shifts; the search takes the
+        # first n from its low end, -n .. -1, so m = 0 is none of them and
+        # the short-cut stands aside, even at z = w(tau): the peak is the
+        # earliest, shift -n, at tau - P.
+        spec = default_spec(prn)
+        tau, period = 0.37 * spec.code_period, spec.code_period
+        lo, hi = tau - period, tau + period
+        shifts = self.window(spec, lo, hi, tau)
+        assert (shifts[0], shifts[-1]) == (-spec.num_samples, -1)
+        z = _waveforms(spec, tau, {})[0]
+        got, ran_fft = self.search(monkeypatch, z, spec, lo, hi, tau)
+        assert ran_fft and got == tau - spec.num_samples * spec.sampling_period
+        estimate = ml_delay_estimate(SampledSignal(z), spec, (lo, hi))
+        assert abs(estimate - (tau - period)) <= 1e-6 * spec.chip_duration
 
 
 class TestMagnificationTau:
