@@ -838,16 +838,29 @@ class TestCertifiedPeak:
         # capture of 2 or 3 periods repeats w every n / periods samples,
         # outside the one-period window: d^2_min is the window's.
         spec = _short_spec(prn, 63, periods, periods * 63 * 4, 0.1)
-        tau *= spec.code_period
+        assert self.check(monkeypatch, spec, tau * spec.code_period, prn) in (-1, 1)
+
+    def test_nearest_shift_far_from_one(self, monkeypatch):
+        # Alternating chips repeat every 2 chips but at the seam: w's nearest
+        # shift is 8 samples away, far closer than +-1, so d^2(+-1) alone
+        # would certify signals whose peak lies at that shift.
+        code = ChipSequence(np.array([1, -1] * 31 + [1]))
+        spec = WaveformSpec(code=code, pulse_smoothing=0.1 * code.chip_duration,
+                            periods=1, num_samples=252)
+        assert abs(self.check(monkeypatch, spec, 0.4 * spec.code_period, 8)) == 8
+
+    def check(self, monkeypatch, spec, tau, seed):
+        """Run the 42 signals about w(tau) through the search against the
+        oracle; return w's nearest shift in the window."""
         lo, hi = tau - spec.code_period / 2, tau + spec.code_period / 2
         shifts = self.window(spec, lo, hi, tau)
         w = _waveforms(spec, tau, {})[0]
         n = spec.num_samples
-        assert np.array_equal(np.roll(w, n // periods), w)
+        assert np.array_equal(np.roll(w, n // spec.periods), w)
         _, (d2, nearest) = self.oracle(w, w, shifts)
         radius = math.sqrt(d2) / 2
         w1 = np.roll(w, nearest)
-        rng = np.random.default_rng(prn)
+        rng = np.random.default_rng(seed)
         signals = [(w + scale * radius * u / np.linalg.norm(u), scale < 1)
                    for u in rng.standard_normal((20, n)) for scale in (0.9, 1.1)]
         signals += [((w + w1) / 2 + eps * (w - w1), eps > 0) for eps in (1e-3, -1e-3)]
@@ -860,6 +873,19 @@ class TestCertifiedPeak:
                 assert got == tau
         # the midpoint moved towards w_1 peaks there
         assert self.oracle(signals[-1][0], w, shifts)[0] == nearest
+        return nearest
+
+    def test_window_without_centre(self, monkeypatch):
+        # m = 0 is no shift of a window beside the centre: the search keeps
+        # to the window, even at z = w(centre)
+        spec = _short_spec(3, 63, 1, 252, 0.1)
+        tau = 0.4 * spec.code_period
+        for lo, hi in [(tau + 0.1 * spec.code_period, tau + 0.6 * spec.code_period),
+                       (tau - 0.6 * spec.code_period, tau - 0.1 * spec.code_period)]:
+            z = _waveforms(spec, tau, {})[0]
+            m, _ = self.oracle(z, z, self.window(spec, lo, hi, tau))
+            got, ran_fft = self.search(monkeypatch, z, spec, lo, hi, tau)
+            assert ran_fft and lo <= got == tau + m * spec.sampling_period <= hi
 
     def test_overflow_takes_fft_path(self, monkeypatch):
         spec = _short_spec(3, 63, 1, 252, 0.1)
