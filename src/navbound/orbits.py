@@ -548,16 +548,26 @@ def _elements(eph: EphemerisRecord) -> tuple[float, ...]:
             OMEGA_EARTH * toe.seconds_of_week)
 
 
-def prepare_grid(source: PositionSource,
+# An ephemeris grid function propagates every satellite at every
+# _ANCHOR_SPACING-th epoch of a block and at its last one; see prepare_grid.
+_ANCHOR_SPACING = 8
+
+
+def prepare_grid(source: PositionSource, site: SiteLocation | None = None,
+                 mask: float = 0.0,
                  ) -> tuple[tuple[str, ...], Callable[[np.ndarray], np.ndarray]]:
     """The sorted satellite ids of `source`, and a function from GPS seconds
     to `ecef[epoch, sat, 3]`, NaN where a satellite has no position. A
     PositionTable gives the row within EPOCH_TOLERANCE of an epoch. From
     broadcast ephemerides each satellite uses its nearest-toe healthy record
     within VALIDITY_WINDOW (the first in file order on ties), propagated in
-    one array pass that repeats the arithmetic of `sat_position_ecef`. What
-    the epochs do not change is built here: the one place below the CLI
-    that tells the two inputs apart."""
+    array passes that repeat the arithmetic of `sat_position_ecef`. With a
+    `site`, a cell between two anchor epochs that share its record is left
+    NaN, unpropagated, when that record's elevation-rate bound `rate` (deg/s)
+    shows it below `mask` degrees there: the elevation is at most
+    `(el0 + el1 + rate * (t1 - t0)) / 2`. A table is never pruned. What the
+    epochs do not change is built here: the one place below the CLI that
+    tells the two inputs apart."""
     if isinstance(source, PositionTable):
         if not source.sat_ids:
             raise ValueError("empty position table")
@@ -582,10 +592,58 @@ def prepare_grid(source: PositionSource,
     # records[slot, sat]: each satellite's records in file order, -1 padded
     records = np.array(list(zip_longest(*map(by_sat.get, sat_ids), fillvalue=-1)))
     toe = table[0, records]  # NaN at -1: never chosen
+    if site is None:
+        spacing = 1  # every epoch an anchor: nothing is pruned
+    else:  # the slack is far above the elevation error of a position
+        spacing, floor = _ANCHOR_SPACING, mask - 1e-6
+        rate = _rate_bound(table, float(vector_norm(geodetic_to_ecef(site))))
 
     def ephemeris_grid(seconds: np.ndarray) -> np.ndarray:
-        return _propagate(table, _nearest(seconds, records, toe), seconds, sat_ids)
+        chosen = _nearest(seconds, records, toe)
+        times = np.broadcast_to(seconds[:, None], chosen.shape)
+        grid = np.full((*chosen.shape, 3), np.nan)
+        row = np.arange(len(seconds))
+        anchor = (row % spacing == 0) | (row == len(seconds) - 1)
+        rest = (chosen >= 0) & ~anchor[:, None]
+        try:
+            grid[anchor] = _propagate(table, chosen[anchor], times[anchor], source)
+            if rest.any():  # low[interval, sat]: below the mask between anchors
+                ends = np.flatnonzero(anchor)
+                first = chosen[ends[:-1]]
+                with np.errstate(all="ignore"):
+                    el = ecef_to_enu(site, grid[ends])[1]
+                    low = (first == chosen[ends[1:]]) & (
+                        (el[:-1] + el[1:] + rate[first]
+                         * np.diff(seconds[ends])[:, None]) / 2 < floor)
+                k = np.minimum(row // spacing, len(ends) - 2)
+                rest &= ~(low[k] & (chosen == first[k]))
+                grid[rest] = _propagate(table, chosen[rest], times[rest], source)
+        except EphemerisError:  # report the block's first failing cell
+            _propagate(table, chosen, times, source)
+            raise
+        return grid
     return sat_ids, ephemeris_grid
+
+
+@np.errstate(all="ignore")  # an inf or NaN bound never prunes
+def _rate_bound(table: np.ndarray, site_radius: float) -> np.ndarray:
+    """Per `table` column, a bound (deg/s) on the rate of the line of sight
+    from a site `site_radius` from the geocentre to the position the record
+    gives, so on its elevation: `v / (r_min - site_radius)`, with `v` the
+    IS-GPS-200 orbit's ECEF speed bounded term by term. `Ė <= |n|/(1-e)`,
+    the true anomaly's rate is at most `|n|·sqrt(1+e)/(1-e)^1.5`, and each
+    harmonic term moves at most twice that times its amplitude. Inf where
+    `e >= 0.8` (Kepler's other start guess) or the site reaches `r_min`."""
+    (_, a, n, _, e, _, _, cus, cuc, crs, crc, _, idot, cis, cic, _,
+     node_rate, _) = np.abs(table)
+    e_rate = n / (1 - e)
+    phi_rate = e_rate * np.sqrt((1 + e) / (1 - e))
+    r_max, r_min = a * (1 + e) + crs + crc, a * (1 - e) - crs - crc
+    speed = (a * e * e_rate + 2 * phi_rate * (crs + crc)
+             + r_max * (phi_rate * (1 + 2 * (cus + cuc)) + idot
+                        + 2 * phi_rate * (cis + cic) + node_rate))
+    rate = np.degrees(speed / (r_min - site_radius))
+    return np.where((e < 0.8) & (r_min > site_radius), rate, math.inf)
 
 
 def _nearest(seconds: np.ndarray, records: np.ndarray, toe: np.ndarray) -> np.ndarray:
@@ -604,13 +662,13 @@ def _nearest(seconds: np.ndarray, records: np.ndarray, toe: np.ndarray) -> np.nd
 
 @np.errstate(over="ignore", invalid="ignore")  # the finite check below reports
 def _propagate(table: np.ndarray, chosen: np.ndarray, seconds: np.ndarray,
-               sat_ids: tuple[str, ...]) -> np.ndarray:
-    """The grid of `chosen[epoch, sat]`, a `table` column. Every cell is
-    propagated: -1 reads the all-NaN column, so a cell with no record comes
-    out NaN with no mask or scatter."""
+               source: Sequence[EphemerisRecord]) -> np.ndarray:
+    """Positions `[..., 3]` of the records `chosen[...]`, each a `table`
+    column of a record of `source`, at the GPS seconds `seconds[...]`. A
+    cell with no record reads the all-NaN column -1 and comes out NaN."""
     (toe, a, n, m0, e, root_1me2, w_arg, cus, cuc, crs, crc, i0, idot,
      cis, cic, omega0, node_rate, node_toe) = table[:, chosen]
-    tk = seconds[:, None] - toe
+    tk = seconds - toe
     ecc_anom = _kepler_array(m0 + n * tk, e)
     sin_e, cos_e = np.sin(ecc_anom), np.cos(ecc_anom)
     phi = np.arctan2(root_1me2 * sin_e, cos_e - e) + w_arg
@@ -629,7 +687,6 @@ def _propagate(table: np.ndarray, chosen: np.ndarray, seconds: np.ndarray,
     finite = np.isfinite(grid)
     bad = ~(finite[..., 0] & finite[..., 1] & finite[..., 2]) & (chosen >= 0)
     if bad.any():
-        k = np.flatnonzero(bad)[0] % len(sat_ids)
-        raise EphemerisError(f"{sat_ids[k]}: non-finite position "
+        raise EphemerisError(f"{source[chosen[bad][0]].sat_id}: non-finite position "
                              f"propagated from its broadcast elements")
     return grid

@@ -102,7 +102,7 @@ def scan_ms(config: ScanConfig, source: PositionSource) -> ScanSeries:
         seconds = start + np.arange(int((end - start) / config.step) + 2) * config.step
     seconds = seconds[seconds < end]  # a prefix, as the epochs increase with k
     best_m_s, pair = np.empty_like(seconds), np.empty((len(seconds), 2), dtype=int)
-    sat_ids, grid_of = prepare_grid(source)
+    sat_ids, grid_of = prepare_grid(source, config.site, config.mask)
     visible = np.empty((len(seconds), len(sat_ids)), dtype=bool)
     frame = frenet_frame(math.radians(config.track_azimuth))
     covered = False

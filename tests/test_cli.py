@@ -8,6 +8,7 @@ import pathlib
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -15,9 +16,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import navbound
-from navbound import cli, orbits, signal_model
+from navbound import cli, orbits, scan, signal_model
 from navbound.cli import EXIT_DEGENERATE, EXIT_OK, EXIT_USAGE, run
-from navbound.orbits import EphemerisError
+from navbound.orbits import VALIDITY_WINDOW, EphemerisError, parse_rinex_nav
 from navbound.signal_model import DegenerateCurvatureError, TauPerturbation
 
 
@@ -956,6 +957,93 @@ class TestScanAndHist:
 
 
 # Option values for the argv fuzz: plain, extreme, non-finite and unreadable.
+class TestHorizonPruning:
+    SITE = ["--lat", "34.75337", "--lon", "135.42783", "--height", "3.7"]
+
+    @staticmethod
+    def record_cells(monkeypatch):
+        """The (record, seconds) arrays of every `_propagate` call."""
+        calls = []
+        propagate = orbits._propagate
+
+        def recorded(table, chosen, seconds, source):
+            calls.append(np.broadcast_arrays(chosen, seconds))
+            return propagate(table, chosen, seconds, source)
+        monkeypatch.setattr(orbits, "_propagate", recorded)
+        return calls
+
+    @pytest.mark.parametrize("azimuth", ["0", "45", "90"])
+    def test_cells_propagated_per_scan(self, nav_path, nav_text, tmp_path,
+                                       monkeypatch, azimuth):
+        # the README scan propagates at most half the cells that have a
+        # record; the rest lie certainly below the mask
+        calls = self.record_cells(monkeypatch)
+        series = tmp_path / "series.csv"
+        assert run(["scan", "--nav", str(nav_path), *self.SITE, "--azimuth", azimuth,
+                    "--mask", "15", "--step", "60", "--output", str(series)]) == EXIT_OK
+        rows = list(csv.reader(io.StringIO(series.read_text())))[1:]
+        secs = np.array([int(row[0]) * 604800.0 + float(row[1]) for row in rows])
+        toes = {}
+        for r in parse_rinex_nav(nav_text):
+            if not r.health:
+                toes.setdefault(r.sat_id, []).append(r.toe.total_seconds())
+        with_record = sum(int((np.abs(secs[:, None] - toe) <= VALIDITY_WINDOW)
+                              .any(axis=1).sum()) for toe in toes.values())
+        assert len(rows) == 1440 and with_record > 0.9 * 1440 * len(toes)
+        assert sum(chosen.size for chosen, _ in calls) <= 0.5 * with_record
+
+    # (orbit line, field) of each element in a RINEX record
+    FIELD = {"crs": (1, 1), "e": (2, 1), "cus": (2, 2), "idot": (5, 0)}
+
+    @pytest.mark.parametrize("field, value, code, err", [
+        (None, None, EXIT_OK, ""),
+        ("crs", "1e308", EXIT_USAGE, "a satellite direction is not a unit vector\n"),
+        ("cus", "1e300", EXIT_OK, ""),
+        ("idot", "1e300", EXIT_OK, ""),
+        ("idot", "1e306", EXIT_DEGENERATE,
+         "G04: non-finite position propagated from its broadcast elements\n"),
+        ("e", "0.85", EXIT_DEGENERATE, "Kepler iteration did not converge (e=0.85, M="),
+    ])
+    def test_pathological_record_scans_as_unpruned(self, nav_text, tmp_path, capsys,
+                                                   monkeypatch, field, value, code, err):
+        # one healthy record (G04's at 08:00) with an absurd element: the
+        # scan exits, reports, warns and writes as the unpruned grid makes
+        # it, and propagates every cell of that record the unpruned one does
+        k = 40
+        lines = nav_text.splitlines()
+        start = next(i for i, l in enumerate(lines) if "END OF HEADER" in l) + 1
+        if field is not None:
+            row, col = self.FIELD[field]
+            line = lines[start + 8 * k + row]
+            lines[start + 8 * k + row] = (line[:3 + 19 * col] + value.rjust(19)
+                                          + line[22 + 19 * col:])
+        nav = tmp_path / "patho.13n"
+        nav.write_text("\n".join(lines) + "\n")
+        calls = self.record_cells(monkeypatch)
+
+        def scan_once():
+            calls.clear()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                exit_code = run(["scan", "--nav", str(nav), *self.SITE,
+                                 "--azimuth", "45", "--mask", "15", "--step", "60"])
+            out = capsys.readouterr()
+            cells = {t for chosen, secs in calls for t in secs[chosen == k].tolist()}
+            return (exit_code, out.out, out.err, [str(w.message) for w in caught]), cells
+
+        pruned, pruned_cells = scan_once()
+        monkeypatch.setattr(scan, "prepare_grid",
+                            lambda source, site, mask: orbits.prepare_grid(source))
+        full, full_cells = scan_once()
+        assert pruned == full
+        assert pruned[0] == code and pruned[2].startswith(err)
+        assert bool(pruned[2]) == bool(err) and full_cells
+        if field is None:  # the healthy record is pruned below the mask
+            assert pruned_cells < full_cells
+        else:
+            assert pruned_cells >= full_cells
+
+
 HOSTILE_VALUES = st.one_of(
     st.sampled_from(["0", "1", "-1", "3", "32", "90", "-90", "181", "1e-9",
                      "1e308", "-1e308", "nan", "inf", "-inf", "abc", ""]),

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from navbound import orbits
 from navbound.constants import GM_EARTH, OMEGA_EARTH, WGS84_A, WGS84_B
 from navbound.orbits import (VALIDITY_WINDOW, EphemerisError, EphemerisRecord,
                              GpsTime, PositionTable, RinexParseError, SiteLocation,
@@ -1082,6 +1083,131 @@ class TestPositionGrid:
             solve_kepler(math.nan, 0.01)
         with pytest.raises(EphemerisError):
             _kepler_array(np.array([0.5, math.nan]), np.array([0.01, 0.01]))
+
+
+def blocked_grid(grid_of, secs, block=256):
+    """A grid function's grid at `secs`, called in blocks of `block` epochs
+    as the scan calls it."""
+    return np.concatenate([grid_of(secs[k:k + block])
+                           for k in range(0, len(secs), block)])
+
+
+def line_of_sight(site, grid):
+    """Unit directions from `site` to the grid's points, and elevations."""
+    enu, elevation = ecef_to_enu(site, grid)
+    return enu / np.linalg.norm(enu, axis=-1, keepdims=True), elevation
+
+
+# poles, the largest site heights either way, and the README site
+PRUNING_SITES = [SiteLocation(90.0, 0.0, 0.0), SiteLocation(-90.0, 0.0, 1e7),
+                 SiteLocation(0.0, 120.0, -1e7), SiteLocation(34.75337, 135.42783, 3.7)]
+
+
+class TestHorizonPruning:
+    @pytest.mark.parametrize("step, hours", [(1.0, 3), (10.0, 24), (60.0, 24),
+                                             (600.0, 24)])
+    def test_pruned_grid_against_full_grid(self, nav_text, step, hours):
+        # every kept cell is the full grid's, bit for bit, and every cell
+        # left NaN has a position on the full grid below the mask
+        records = parse_rinex_nav(nav_text)
+        t0 = GpsTime.from_utc(dt.datetime(2013, 7, 25)).total_seconds()
+        secs = t0 + step * np.arange(int(hours * 3600 / step))
+        _, full_of = prepare_grid(records)
+        full = blocked_grid(full_of, secs)
+        has = ~np.isnan(full).any(axis=-1)
+        assert has.mean() > 0.9
+        pruned_total = 0
+        for site in PRUNING_SITES:
+            _, elevation = ecef_to_enu(site, full)
+            for mask in (0.0, 15.0, 45.0, 89.9):
+                _, grid_of = prepare_grid(records, site, mask)
+                grid = blocked_grid(grid_of, secs)
+                kept = ~np.isnan(grid).any(axis=-1)
+                assert grid[kept].tobytes() == full[kept].tobytes()
+                assert np.isnan(grid[~kept]).all()
+                pruned = has & ~kept
+                assert (elevation[pruned] < mask).all()
+                pruned_total += pruned.sum()
+        assert pruned_total > 0.1 * has.sum() * len(PRUNING_SITES) * 4
+
+    def test_record_handover_between_anchors(self):
+        # G01 jumps half an orbit where its second record takes over: a
+        # cell is pruned only on the bound of its own record, whose
+        # elevation the anchors on both sides of it give
+        t = GpsTime(1750, 345600.0)
+        records = [circular_record(m0=0.0), circular_record(
+            toe_sow=t.seconds_of_week + 7200.0, m0=math.pi)]
+        secs = t.total_seconds() + 60.0 * np.arange(-120, 240)
+        _, full_of = prepare_grid(records)
+        full = blocked_grid(full_of, secs)
+        pruned_total = 0
+        for lat in range(-80, 81, 20):
+            for lon in range(-170, 181, 40):
+                site = SiteLocation(lat, lon, 0.0)
+                _, elevation = ecef_to_enu(site, full)
+                for mask in (0.0, 15.0):
+                    _, grid_of = prepare_grid(records, site, mask)
+                    pruned = np.isnan(blocked_grid(grid_of, secs)).any(axis=-1)
+                    assert (elevation[pruned] < mask).all()
+                    pruned_total += pruned.sum()
+        assert pruned_total > 0
+
+    def test_rate_bound_holds_on_one_second_day(self, nav_text):
+        # the fixture day's first 3 h at 1 s, propagated without pruning:
+        # over each run of one record, no satellite's line of sight or
+        # elevation moves faster than its record's bound
+        records = parse_rinex_nav(nav_text)
+        t0 = GpsTime.from_utc(dt.datetime(2013, 7, 25)).total_seconds()
+        secs = t0 + np.arange(3 * 3600.0 + 1)
+        sat_ids, grid_of = prepare_grid(records)
+        grid = blocked_grid(grid_of, secs)
+        # chosen[epoch, sat]: nearest toe within the window, first on ties
+        toe = np.array([r.toe.total_seconds() for r in records])
+        chosen = np.full(grid.shape[:2], -1)
+        for s, sat_id in enumerate(sat_ids):
+            own = np.flatnonzero([r.sat_id == sat_id for r in records])
+            dist = np.abs(secs[:, None] - toe[own])
+            nearest = dist.argmin(axis=1)
+            chosen[:, s] = np.where(dist.min(axis=1) <= VALIDITY_WINDOW, own[nearest], -1)
+        same = (chosen[1:] == chosen[:-1]) & (chosen[1:] >= 0)
+        assert same.mean() > 0.99
+        table = np.array([orbits._elements(r) for r in records]).T
+        for site in (PRUNING_SITES[1], PRUNING_SITES[3]):  # 1e7 m up; README
+            rate = orbits._rate_bound(table, float(np.linalg.norm(geodetic_to_ecef(site))))
+            assert np.isfinite(rate).all()
+            bound = rate[chosen[1:]][same]
+            unit, elevation = line_of_sight(site, grid)
+            turn = np.degrees(np.linalg.norm(np.diff(unit, axis=0), axis=-1))[same]
+            climb = np.abs(np.diff(elevation, axis=0))[same]
+            assert (turn <= bound).all() and (climb <= bound).all()
+            assert (turn / bound).max() > 0.2  # and not far above
+
+    def test_rate_bound_infinite_where_unbounded(self):
+        # at the geocentre only e decides: Kepler's pi start from e = 0.8
+        records = [circular_record(e=e) for e in (0.0, 0.79, 0.8, 0.95)]
+        table = np.array([orbits._elements(r) for r in records]
+                         + [[math.nan] * 18]).T
+        rate = orbits._rate_bound(table, 0.0)
+        assert (np.isfinite(rate[:2]) & (rate[:2] > 0)).all()
+        assert np.isinf(rate[2:]).all()
+        # a site at or beyond r_min = a (1 - e) - |crs| - |crc|
+        for record in (circular_record(e=0.01), circular_record(e=0.01, crs=-1.2e7)):
+            r_min = record.sqrt_a ** 2 * (1 - record.e) - abs(record.crs)
+            column = np.array([orbits._elements(record)]).T
+            assert np.isfinite(orbits._rate_bound(column, 0.99 * r_min)).all()
+            for radius in (r_min, 2 * r_min):
+                assert np.isinf(orbits._rate_bound(column, radius)).all()
+        high = SiteLocation(0.0, 0.0, 1e7)
+        column = np.array([orbits._elements(records[0]._replace(crs=1.2e7))]).T
+        radius = float(np.linalg.norm(geodetic_to_ecef(high)))
+        assert np.isinf(orbits._rate_bound(column, radius)).all()
+
+    def test_position_table_never_pruned(self):
+        ids, epochs = ("G01", "G02"), 1750 * 604800.0 + 60.0 * np.arange(20)
+        ecef = np.tile([[-2.6e7, 0.0, 0.0], [2.6e7, 0.0, 0.0]], (20, 1, 1))
+        table = PositionTable(ids, epochs, ecef)
+        _, grid_of = prepare_grid(table, SiteLocation(0.0, 0.0, 0.0), 89.9)
+        assert grid_of(epochs).tobytes() == ecef.tobytes()
 
 
 class TestParserFuzz:
